@@ -9,6 +9,7 @@
 #include "crypto/drbg.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/mont_kernel.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 
@@ -55,6 +56,60 @@ void BM_DrbgGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_DrbgGenerate)->Arg(16)->Arg(1024);
 
+// Random odd modulus of `limbs` 64-bit limbs with the top bit set.
+BigUint random_modulus(Drbg& rng, std::size_t limbs) {
+  Bytes raw = rng.generate(limbs * 8);
+  raw.front() |= 0x80;
+  raw.back() |= 0x01;
+  return BigUint::from_bytes_be(raw);
+}
+
+std::vector<std::uint64_t> to_limbs(const BigUint& x, std::size_t limbs) {
+  const Bytes be = x.to_bytes_be(limbs * 8);
+  std::vector<std::uint64_t> out(limbs, 0);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    const std::size_t from_lsb = be.size() - 1 - i;
+    out[from_lsb / 8] |= static_cast<std::uint64_t>(be[i]) << (8 * (from_lsb % 8));
+  }
+  return out;
+}
+
+template <std::size_t K>
+void BM_MontMul(benchmark::State& state) {
+  // One fixed-width kernel multiply (K limbs), chained so each call depends
+  // on the previous result, as in an exponentiation ladder.
+  Drbg rng(to_bytes("bench-montmul-" + std::to_string(K)));
+  const BigUint n = random_modulus(rng, K);
+  const auto n_limbs = to_limbs(n, K);
+  const auto b = to_limbs(BigUint::mod(BigUint::from_bytes_be(rng.generate(K * 8)), n), K);
+  auto acc = to_limbs(BigUint::mod(BigUint::from_bytes_be(rng.generate(K * 8)), n), K);
+  const mont::Modulus m{n_limbs.data(), nullptr, nullptr, mont::neg_inverse(n_limbs[0]), K};
+  std::vector<std::uint64_t> t(mont::mul_scratch(K));
+  for (auto _ : state) {
+    mont::mul<K>(m, acc.data(), acc.data(), b.data(), t.data());
+    benchmark::DoNotOptimize(acc.data());
+  }
+}
+BENCHMARK(BM_MontMul<4>)->Name("BM_MontMul/4");
+BENCHMARK(BM_MontMul<8>)->Name("BM_MontMul/8");
+BENCHMARK(BM_MontMul<16>)->Name("BM_MontMul/16");
+BENCHMARK(BM_MontMul<32>)->Name("BM_MontMul/32");
+
+void BM_MontExp(benchmark::State& state) {
+  // Montgomery::exp with an exponent as wide as the modulus: /256 is one
+  // CRT half of an RSA-512 signature, /512 of RSA-1024, /1024 of RSA-2048.
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  Drbg rng(to_bytes("bench-montexp-" + std::to_string(bits)));
+  const BigUint n = random_modulus(rng, bits / 64);
+  const Montgomery ctx(n);
+  const BigUint base = BigUint::mod(BigUint::from_bytes_be(rng.generate(bits / 8)), n);
+  const BigUint e = random_modulus(rng, bits / 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.exp(base, e));
+  }
+}
+BENCHMARK(BM_MontExp)->Arg(256)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
 void BM_RsaSign(benchmark::State& state) {
   const RsaPrivateKey& key = rsa_key(static_cast<std::size_t>(state.range(0)));
   const Bytes msg = to_bytes("evidence subject bytes");
@@ -65,7 +120,7 @@ void BM_RsaSign(benchmark::State& state) {
 BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_RsaSignNoCrt(benchmark::State& state) {
-  // Full-width m^d path (what legacy v1-format keys use) — the delta to
+  // Full-width m^d path (the CRT fault check's fallback) — the delta to
   // BM_RsaSign is the CRT win.
   const RsaPrivateKey& crt_key = rsa_key(static_cast<std::size_t>(state.range(0)));
   RsaPrivateKey key;

@@ -75,13 +75,20 @@ Result<Invocation> decode_invocation(BytesView b) {
   inv.caller = PartyId(caller.value());
   auto n = r.u32();
   if (!n) return n.error();
+  // Only canonical bytes are accepted, so an accepted body re-encodes to
+  // exactly the bytes received: context keys strictly increasing (no
+  // duplicates) and nothing after the last entry.
   for (std::uint32_t i = 0; i < n.value(); ++i) {
     auto k = r.str();
     if (!k) return k.error();
     auto v = r.str();
     if (!v) return v.error();
-    inv.context[k.value()] = v.value();
+    if (!inv.context.empty() && k.value() <= inv.context.rbegin()->first) {
+      return Error::make("container.bad_invocation", "context keys not strictly increasing");
+    }
+    inv.context.emplace_hint(inv.context.end(), k.value(), v.value());
   }
+  if (!r.at_end()) return Error::make("container.bad_invocation", "trailing bytes");
   return inv;
 }
 

@@ -1,63 +1,15 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
+#include <type_traits>
+
+#include "crypto/mont_kernel.hpp"
 
 namespace nonrep::crypto {
 
 namespace {
-
-// ---- 64x64 -> 128 multiply-accumulate primitives ----
-//
-// The whole bigint layer funnels through fused_mul_add: lo/hi of
-// a*b + c + d, which cannot overflow 128 bits since
-// (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1.
-
-#if defined(__SIZEOF_INT128__)
-
-inline std::uint64_t fused_mul_add(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                                   std::uint64_t d, std::uint64_t& hi) {
-  const unsigned __int128 t =
-      static_cast<unsigned __int128>(a) * b + c + d;
-  hi = static_cast<std::uint64_t>(t >> 64);
-  return static_cast<std::uint64_t>(t);
-}
-
-#else  // portable mulhi fallback via 32-bit halves
-
-inline std::uint64_t fused_mul_add(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                                   std::uint64_t d, std::uint64_t& hi) {
-  const std::uint64_t a_lo = a & 0xffffffffu, a_hi = a >> 32;
-  const std::uint64_t b_lo = b & 0xffffffffu, b_hi = b >> 32;
-  const std::uint64_t ll = a_lo * b_lo;
-  const std::uint64_t lh = a_lo * b_hi;
-  const std::uint64_t hl = a_hi * b_lo;
-  const std::uint64_t hh = a_hi * b_hi;
-  // cross <= (2^32-1) + 2*(2^32-1)^2 / 2^32 < 2^33 + ... — fits: the sum of
-  // three 32-bit-ish terms is at most 3*(2^32-1), well inside 64 bits.
-  const std::uint64_t cross = (ll >> 32) + (lh & 0xffffffffu) + (hl & 0xffffffffu);
-  std::uint64_t lo = (cross << 32) | (ll & 0xffffffffu);
-  std::uint64_t carry = hh + (lh >> 32) + (hl >> 32) + (cross >> 32);
-  const std::uint64_t lo2 = lo + c;
-  carry += lo2 < lo ? 1u : 0u;
-  const std::uint64_t lo3 = lo2 + d;
-  carry += lo3 < lo2 ? 1u : 0u;
-  hi = carry;
-  return lo3;
-}
-
-#endif
-
-// Add with carry-in/out.
-inline std::uint64_t addc(std::uint64_t a, std::uint64_t b, std::uint64_t& carry) {
-  const std::uint64_t s1 = a + b;
-  const std::uint64_t c1 = s1 < a ? 1u : 0u;
-  const std::uint64_t s2 = s1 + carry;
-  carry = c1 + (s2 < s1 ? 1u : 0u);
-  return s2;
-}
 
 // ---- 32-bit digit views used by the long-division routine ----
 
@@ -140,7 +92,7 @@ BigUint BigUint::add(const BigUint& a, const BigUint& b) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t ai = i < a.limbs_.size() ? a.limbs_[i] : 0;
     const std::uint64_t bi = i < b.limbs_.size() ? b.limbs_[i] : 0;
-    out.limbs_[i] = addc(ai, bi, carry);
+    out.limbs_[i] = mont::add_carry(ai, bi, carry);
   }
   out.limbs_[n] = carry;
   out.trim();
@@ -157,11 +109,7 @@ BigUint BigUint::sub(const BigUint& a, const BigUint& b) {
   std::uint64_t borrow = 0;
   for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
     const std::uint64_t bi = i < b.limbs_.size() ? b.limbs_[i] : 0;
-    const std::uint64_t d1 = a.limbs_[i] - bi;
-    const std::uint64_t borrow1 = a.limbs_[i] < bi ? 1u : 0u;
-    const std::uint64_t d2 = d1 - borrow;
-    borrow = borrow1 + (d1 < borrow ? 1u : 0u);
-    out.limbs_[i] = d2;
+    out.limbs_[i] = mont::sub_borrow(a.limbs_[i], bi, borrow);
   }
   out.trim();
   return out;
@@ -175,7 +123,7 @@ BigUint BigUint::mul(const BigUint& a, const BigUint& b) {
     std::uint64_t carry = 0;
     const std::uint64_t ai = a.limbs_[i];
     for (std::size_t j = 0; j < b.limbs_.size(); ++j) {
-      out.limbs_[i + j] = fused_mul_add(ai, b.limbs_[j], out.limbs_[i + j], carry, carry);
+      out.limbs_[i + j] = mont::mul_add(ai, b.limbs_[j], out.limbs_[i + j], carry, carry);
     }
     out.limbs_[i + b.limbs_.size()] = carry;
   }
@@ -377,14 +325,26 @@ std::string BigUint::to_hex_string() const {
 // ---- Montgomery ----
 
 namespace {
-// -n^{-1} mod 2^64 via Newton iteration (n odd). The seed x = n is correct
-// to 3 bits (n*n == 1 mod 8 for odd n); each step doubles the precision, so
-// five iterations reach 96 >= 64 correct bits (six for margin).
-std::uint64_t neg_inverse_u64(std::uint64_t n) {
-  std::uint64_t x = n;
-  for (int i = 0; i < 6; ++i) x *= 2 - n * x;
-  return ~x + 1;  // -(n^{-1})
+
+// Runs f with the kernel width for a k-limb modulus: a compile-time
+// constant for the common RSA sizes, the runtime instantiation otherwise.
+template <class F>
+void with_width(std::size_t k, F&& f) {
+  switch (k) {
+    case 4: f(std::integral_constant<std::size_t, 4>{}); return;
+    case 8: f(std::integral_constant<std::size_t, 8>{}); return;
+    case 16: f(std::integral_constant<std::size_t, 16>{}); return;
+    case 32: f(std::integral_constant<std::size_t, 32>{}); return;
+    default: f(std::integral_constant<std::size_t, mont::kRuntimeWidth>{}); return;
+  }
 }
+
+// x zero-padded to k limbs; x must fit.
+void load(std::uint64_t* dst, const std::vector<std::uint64_t>& x, std::size_t k) {
+  std::copy(x.begin(), x.end(), dst);
+  std::fill(dst + x.size(), dst + k, 0);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const BigUint& modulus) : n_(modulus) {
@@ -393,95 +353,74 @@ Montgomery::Montgomery(const BigUint& modulus) : n_(modulus) {
   // to be odd (an even n has no inverse mod 2^64).
   assert(n_.is_odd());
   k_ = n_.limbs_.size();
-  n0_inv_ = neg_inverse_u64(n_.limbs_[0]);
+  n0_inv_ = mont::neg_inverse(n_.limbs_[0]);
 
   // R = 2^(64k). One long division gives R mod n; one wide multiply plus a
-  // second reduction gives R^2 mod n. (The previous implementation doubled
-  // bit-by-bit: O(k^2 * bits) limb work; this is two O(k^2) operations.)
+  // second reduction gives R^2 mod n.
   one_mont_ = BigUint::mod(BigUint(1).shl(64 * k_), n_);
-  r2_ = BigUint::mod(BigUint::mul(one_mont_, one_mont_), n_);
+  const BigUint r2 = BigUint::mod(BigUint::mul(one_mont_, one_mont_), n_);
+  consts_.resize(2 * k_);
+  load(consts_.data(), r2.limbs_, k_);
+  load(consts_.data() + k_, one_mont_.limbs_, k_);
+}
+
+mont::Modulus Montgomery::view() const noexcept {
+  return mont::Modulus{n_.limbs_.data(), consts_.data(), consts_.data() + k_, n0_inv_, k_};
 }
 
 BigUint Montgomery::mul(const BigUint& a_mont, const BigUint& b_mont) const {
-  // CIOS Montgomery multiplication over 64-bit limbs.
-  std::vector<std::uint64_t> t(k_ + 2, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
-    const std::uint64_t ai = i < a_mont.limbs_.size() ? a_mont.limbs_[i] : 0;
-    // t += ai * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint64_t bj = j < b_mont.limbs_.size() ? b_mont.limbs_[j] : 0;
-      t[j] = fused_mul_add(ai, bj, t[j], carry, carry);
-    }
-    {
-      const std::uint64_t sum = t[k_] + carry;
-      t[k_ + 1] += sum < carry ? 1u : 0u;
-      t[k_] = sum;
-    }
-    // m = t[0] * n0' mod 2^64 ; t += m * n ; t >>= 64
-    const std::uint64_t m = t[0] * n0_inv_;
-    std::uint64_t carry2 = 0;
-    (void)fused_mul_add(m, n_.limbs_[0], t[0], 0, carry2);
-    for (std::size_t j = 1; j < k_; ++j) {
-      t[j - 1] = fused_mul_add(m, n_.limbs_[j], t[j], carry2, carry2);
-    }
-    {
-      const std::uint64_t sum = t[k_] + carry2;
-      t[k_ - 1] = sum;
-      t[k_] = t[k_ + 1] + (sum < carry2 ? 1u : 0u);
-      t[k_ + 1] = 0;
-    }
-  }
-
+  if (a_mont >= n_) return mul(BigUint::mod(a_mont, n_), b_mont);
+  if (b_mont >= n_) return mul(a_mont, BigUint::mod(b_mont, n_));
+  std::vector<std::uint64_t> ws(2 * k_ + mont::mul_scratch(k_));
+  std::uint64_t* a = ws.data();
+  std::uint64_t* b = a + k_;
+  load(a, a_mont.limbs_, k_);
+  load(b, b_mont.limbs_, k_);
   BigUint out;
-  out.limbs_.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
+  out.limbs_.resize(k_);
+  with_width(k_, [&](auto w) {
+    mont::mul<decltype(w)::value>(view(), out.limbs_.data(), a, b, b + k_);
+  });
   out.trim();
-  if (BigUint::cmp(out, n_) >= 0) out = BigUint::sub(out, n_);
   return out;
 }
 
-BigUint Montgomery::to_mont(const BigUint& x) const { return mul(x, r2_); }
+BigUint Montgomery::to_mont(const BigUint& x) const {
+  std::vector<std::uint64_t> ws(k_ + mont::mul_scratch(k_));
+  BigUint out;
+  out.limbs_.resize(k_);
+  with_width(k_, [&](auto w) {
+    mont::to_mont<decltype(w)::value>(view(), out.limbs_.data(), x.limbs_.data(),
+                                      x.limbs_.size(), ws.data(), ws.data() + k_);
+  });
+  out.trim();
+  return out;
+}
 
-BigUint Montgomery::from_mont(const BigUint& x) const { return mul(x, BigUint(1)); }
+BigUint Montgomery::from_mont(const BigUint& x) const {
+  if (x >= n_) return from_mont(BigUint::mod(x, n_));
+  std::vector<std::uint64_t> ws(k_ + mont::mul_scratch(k_));
+  BigUint out;
+  out.limbs_.resize(k_);
+  load(out.limbs_.data(), x.limbs_, k_);
+  with_width(k_, [&](auto w) {
+    mont::from_mont<decltype(w)::value>(view(), out.limbs_.data(), out.limbs_.data(),
+                                        ws.data(), ws.data() + k_);
+  });
+  out.trim();
+  return out;
+}
 
 BigUint Montgomery::exp(const BigUint& a, const BigUint& e) const {
-  const std::size_t bits = e.bit_length();
-  if (bits == 0) return from_mont(one_mont_);  // a^0 = 1 mod n
-  const BigUint base = to_mont(BigUint::cmp(a, n_) >= 0 ? BigUint::mod(a, n_) : a);
-
-  // Short exponents (e = 65537 on the verify path, the CRT fault check)
-  // don't amortize the 15-multiply window table; a plain left-to-right
-  // ladder is ~half the Montgomery multiplications there.
-  if (bits <= 32) {
-    BigUint acc = base;
-    for (std::size_t i = bits - 1; i-- > 0;) {
-      acc = mul(acc, acc);
-      if (e.bit(i)) acc = mul(acc, base);
-    }
-    return from_mont(acc);
-  }
-
-  // table[w] = base^w in the Montgomery domain.
-  std::array<BigUint, 16> table;
-  table[0] = one_mont_;
-  for (std::size_t w = 1; w < 16; ++w) table[w] = mul(table[w - 1], base);
-
-  const std::size_t windows = (bits + 3) / 4;
-  BigUint acc;
-  for (std::size_t w = windows; w-- > 0;) {
-    unsigned win = 0;
-    for (std::size_t j = 4; j-- > 0;) win = (win << 1) | (e.bit(w * 4 + j) ? 1u : 0u);
-    if (w + 1 == windows) {
-      acc = table[win];  // top window holds the msb, so win != 0
-    } else {
-      acc = mul(acc, acc);
-      acc = mul(acc, acc);
-      acc = mul(acc, acc);
-      acc = mul(acc, acc);
-      if (win != 0) acc = mul(acc, table[win]);
-    }
-  }
-  return from_mont(acc);
+  std::vector<std::uint64_t> ws(mont::exp_scratch(k_));
+  BigUint out;
+  out.limbs_.resize(k_);
+  with_width(k_, [&](auto w) {
+    mont::exp<decltype(w)::value>(view(), out.limbs_.data(), a.limbs_.data(), a.limbs_.size(),
+                                  e.limbs_.data(), e.bit_length(), ws.data());
+  });
+  out.trim();
+  return out;
 }
 
 }  // namespace nonrep::crypto

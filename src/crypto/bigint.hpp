@@ -3,10 +3,13 @@
 // Design notes:
 //  * 64-bit limbs, little-endian order, 128-bit intermediate products
 //    (portable 32-bit mulhi fallback when __int128 is unavailable).
-//  * Modular exponentiation uses Montgomery multiplication (CIOS) with
-//    fixed 4-bit windows; general division (Knuth algorithm D over 32-bit
-//    digits) backs `mod`/`divmod` and the Montgomery R^2 setup, and is
-//    needed only at key-generation / context-construction time.
+//  * Modular exponentiation uses Montgomery multiplication (CIOS, fused
+//    inner loops, masked final subtract) with fixed 4-bit windows. The
+//    kernel lives in mont_kernel.hpp: allocation-free over raw limbs, with
+//    compile-time widths for 4/8/16/32-limb moduli and a runtime-width
+//    instantiation of the same source for any other size. General division
+//    (Knuth algorithm D over 32-bit digits) backs `mod`/`divmod` and the
+//    Montgomery R^2 setup, and is needed only at context construction.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +19,10 @@
 #include "util/bytes.hpp"
 
 namespace nonrep::crypto {
+
+namespace mont {
+struct Modulus;
+}
 
 class BigUint {
  public:
@@ -72,9 +79,11 @@ class BigUint {
   std::vector<std::uint64_t> limbs_;  // little-endian
 };
 
-/// Montgomery context for a fixed odd modulus. Construction costs one long
-/// division plus one wide multiply; callers on hot paths should build the
+/// Montgomery context for a fixed odd modulus. Construction costs two long
+/// divisions plus one wide multiply; callers on hot paths should build the
 /// context once per modulus and reuse it (RSA keys cache one per key).
+/// Immutable once built, so one context can serve many threads: every call
+/// brings its own scratch.
 class Montgomery {
  public:
   explicit Montgomery(const BigUint& modulus);
@@ -83,20 +92,25 @@ class Montgomery {
   /// R mod n — the Montgomery-domain representation of 1.
   const BigUint& one_mont() const noexcept { return one_mont_; }
 
+  /// x*R mod n for any x (wider values are reduced without a division).
   BigUint to_mont(const BigUint& x) const;
   BigUint from_mont(const BigUint& x) const;
+  /// a*b*R^{-1} mod n. Montgomery-domain operands are < n by construction;
+  /// any other operand is reduced by a long division first.
   BigUint mul(const BigUint& a_mont, const BigUint& b_mont) const;
   /// a^e mod n with a in normal domain; returns normal domain.
   /// Fixed 4-bit-window ladder: 16-entry table, 4 squarings + at most one
-  /// multiply per window.
+  /// multiply per window; one scratch allocation per call.
   BigUint exp(const BigUint& a, const BigUint& e) const;
 
  private:
+  mont::Modulus view() const noexcept;
+
   BigUint n_;
-  BigUint r2_;        // R^2 mod n
-  BigUint one_mont_;  // R mod n
-  std::uint64_t n0_inv_;  // -n^{-1} mod 2^64
-  std::size_t k_;         // limb count of n
+  BigUint one_mont_;                    // R mod n
+  std::vector<std::uint64_t> consts_;  // R^2 mod n, then R mod n; k limbs each
+  std::uint64_t n0_inv_;                // -n^{-1} mod 2^64
+  std::size_t k_;                       // limb count of n
 };
 
 }  // namespace nonrep::crypto

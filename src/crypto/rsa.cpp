@@ -20,8 +20,7 @@ constexpr std::array<std::uint32_t, 60> kSmallPrimes = {
     131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
     211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283};
 
-// Private-key wire format versions (first byte of the encoding).
-constexpr std::uint8_t kRsaPrivV1 = 1;  // n, e, d
+// Private-key wire format version (first byte of the encoding).
 constexpr std::uint8_t kRsaPrivV2 = 2;  // n, e, d, p, q, dp, dq, qinv
 
 // EMSA-PKCS1-v1_5 encoding over a precomputed digest:
@@ -81,16 +80,17 @@ BigUint random_prime(Drbg& rng, std::size_t bits) {
 
 // CRT signing: m^d mod n via two half-size exponentiations.
 // m1 = m^dp mod p, m2 = m^dq mod q, h = qinv*(m1 - m2) mod p, s = m2 + h*q.
+// h needs no division: to_mont reduces m2 mod p on the way into the
+// p-domain, the difference is (m1 - m2)*R mod p, and one Montgomery
+// multiply by qinv cancels the R.
 BigUint crt_sign(const RsaPrivateKey& key, const BigUint& m) {
   const Montgomery& mp = key.montgomery_p();
   const Montgomery& mq = key.montgomery_q();
-  const BigUint m1 = mp.exp(m, key.dp);
   const BigUint m2 = mq.exp(m, key.dq);
-  const BigUint m2_mod_p = BigUint::mod(m2, key.p);
-  const BigUint diff = m1 >= m2_mod_p
-                           ? BigUint::sub(m1, m2_mod_p)
-                           : BigUint::sub(BigUint::add(m1, key.p), m2_mod_p);
-  const BigUint h = BigUint::mod(BigUint::mul(key.qinv, diff), key.p);
+  const BigUint x = mp.to_mont(mp.exp(m, key.dp));
+  const BigUint y = mp.to_mont(m2);
+  const BigUint diff = x >= y ? BigUint::sub(x, y) : BigUint::sub(BigUint::add(x, key.p), y);
+  const BigUint h = mp.mul(diff, key.qinv);
   return BigUint::add(m2, BigUint::mul(h, key.q));
 }
 
@@ -244,17 +244,15 @@ Result<RsaPublicKey> RsaPublicKey::decode(BytesView b) {
 
 Bytes RsaPrivateKey::encode() const {
   BinaryWriter w;
-  w.u8(has_crt() ? kRsaPrivV2 : kRsaPrivV1);
+  w.u8(kRsaPrivV2);
   w.bytes(pub.n.to_bytes_be());
   w.u32(pub.e);
   w.bytes(d.to_bytes_be());
-  if (has_crt()) {
-    w.bytes(p.to_bytes_be());
-    w.bytes(q.to_bytes_be());
-    w.bytes(dp.to_bytes_be());
-    w.bytes(dq.to_bytes_be());
-    w.bytes(qinv.to_bytes_be());
-  }
+  w.bytes(p.to_bytes_be());
+  w.bytes(q.to_bytes_be());
+  w.bytes(dp.to_bytes_be());
+  w.bytes(dq.to_bytes_be());
+  w.bytes(qinv.to_bytes_be());
   return std::move(w).take();
 }
 
@@ -262,8 +260,8 @@ Result<RsaPrivateKey> RsaPrivateKey::decode(BytesView b) {
   BinaryReader r(b);
   auto version = r.u8();
   if (!version) return version.error();
-  if (version.value() != kRsaPrivV1 && version.value() != kRsaPrivV2) {
-    return Error::make("rsa.bad_key", "unknown private key version");
+  if (version.value() != kRsaPrivV2) {
+    return Error::make("rsa.bad_key", "unsupported private key version");
   }
   RsaPrivateKey key;
   const auto read_biguint = [&r](BigUint& out) -> Status {
@@ -280,14 +278,11 @@ Result<RsaPrivateKey> RsaPrivateKey::decode(BytesView b) {
   if (key.pub.n.is_zero() || !key.pub.n.is_odd() || key.d.is_zero()) {
     return Error::make("rsa.bad_key", "modulus must be odd, exponents non-zero");
   }
-  if (version.value() == kRsaPrivV2) {
-    for (BigUint* field : {&key.p, &key.q, &key.dp, &key.dq, &key.qinv}) {
-      if (auto s = read_biguint(*field); !s) return s.error();
-    }
-    if (!key.p.is_odd() || !key.q.is_odd() ||
-        BigUint::mul(key.p, key.q) != key.pub.n) {
-      return Error::make("rsa.bad_key", "CRT parameters inconsistent with modulus");
-    }
+  for (BigUint* field : {&key.p, &key.q, &key.dp, &key.dq, &key.qinv}) {
+    if (auto s = read_biguint(*field); !s) return s.error();
+  }
+  if (!key.p.is_odd() || !key.q.is_odd() || BigUint::mul(key.p, key.q) != key.pub.n) {
+    return Error::make("rsa.bad_key", "CRT parameters inconsistent with modulus");
   }
   return key;
 }

@@ -75,8 +75,9 @@ struct RsaPublicKey {
 struct RsaPrivateKey {
   RsaPublicKey pub;
   BigUint d;
-  // CRT parameters; empty on keys decoded from the legacy (n,e,d) wire
-  // format, in which case signing uses the full-width exponentiation.
+  // CRT parameters; every encoded key carries them. A key assembled in
+  // memory without them signs through the full-width exponentiation, the
+  // same path the CRT fault check falls back to.
   BigUint p, q, dp, dq, qinv;
 
   RsaPrivateKey() = default;
@@ -121,11 +122,11 @@ struct RsaPrivateKey {
     return *mont_q_;
   }
 
-  /// Versioned canonical encoding: v2 carries the CRT parameters, v1 is the
-  /// legacy (n, e, d) triple. encode() emits v1 when CRT parameters are
-  /// absent, so old-format round-trips stay byte-identical.
+  /// Versioned canonical encoding (version 2): n, e, d and the CRT
+  /// parameters p, q, dp, dq, qinv.
   Bytes encode() const;
-  /// Decodes either version; v1 blobs yield a key with has_crt() == false.
+  /// Rejects any other version (the retired v1 (n, e, d) triple included)
+  /// and CRT parameters that do not multiply to n, with rsa.bad_key.
   static Result<RsaPrivateKey> decode(BytesView b);
 
  private:

@@ -2,6 +2,7 @@
 
 #include "crypto/bigint.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/mont_kernel.hpp"
 #include "crypto/rsa.hpp"
 #include "util/hex.hpp"
 
@@ -336,6 +337,227 @@ TEST(Primality, KnownComposites) {
   // Carmichael number 561 = 3*11*17 must be rejected by Miller-Rabin.
   EXPECT_FALSE(is_probable_prime(BigUint(561), rng));
   EXPECT_FALSE(is_probable_prime(BigUint(41041), rng));  // Carmichael
+}
+
+// ---- Montgomery kernel: per-width differential and edge cases ----
+//
+// The kernel (mont_kernel.hpp) is checked against naive BigUint::mul + mod,
+// against its own runtime-width instantiation on the same modulus, and
+// against the pre-subtraction CIOS value recomputed from the REDC
+// definition. Constants come from long division, not from Montgomery code.
+
+using mont::Limb;
+
+std::vector<Limb> limbs_of(const BigUint& x, std::size_t k) {
+  const Bytes be = x.to_bytes_be(8 * k);
+  std::vector<Limb> out(k, 0);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    const std::size_t from_lsb = be.size() - 1 - i;
+    out[from_lsb / 8] |= static_cast<Limb>(be[i]) << (8 * (from_lsb % 8));
+  }
+  return out;
+}
+
+BigUint from_limbs(const std::vector<Limb>& v) {
+  Bytes be(8 * v.size());
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    be[be.size() - 1 - i] = static_cast<std::uint8_t>(v[i / 8] >> (8 * (i % 8)));
+  }
+  return BigUint::from_bytes_be(be);
+}
+
+struct RawModulus {
+  explicit RawModulus(const BigUint& modulus) : n(modulus), k(modulus.limb_count()) {
+    const BigUint r = BigUint(1).shl(64 * k);
+    one = BigUint::mod(r, n);
+    r2 = BigUint::mod(BigUint::mul(one, one), n);
+    n_limbs = limbs_of(n, k);
+    r2_limbs = limbs_of(r2, k);
+    one_limbs = limbs_of(one, k);
+  }
+  mont::Modulus view() const {
+    return {n_limbs.data(), r2_limbs.data(), one_limbs.data(), mont::neg_inverse(n_limbs[0]), k};
+  }
+
+  BigUint n, one, r2;
+  std::size_t k;
+  std::vector<Limb> n_limbs, r2_limbs, one_limbs;
+};
+
+BigUint random_odd_modulus(Drbg& rng, std::size_t limbs) {
+  Bytes raw = rng.generate(8 * limbs);
+  raw.front() |= 0x80;
+  raw.back() |= 0x01;
+  return BigUint::from_bytes_be(raw);
+}
+
+BigUint random_below(Drbg& rng, const BigUint& n) {
+  return BigUint::mod(BigUint::from_bytes_be(rng.generate(8 * n.limb_count() + 8)), n);
+}
+
+template <std::size_t K>
+BigUint kernel_mul(const RawModulus& m, const BigUint& a, const BigUint& b) {
+  const auto al = limbs_of(a, m.k), bl = limbs_of(b, m.k);
+  std::vector<Limb> out(m.k), t(mont::mul_scratch(m.k));
+  mont::mul<K>(m.view(), out.data(), al.data(), bl.data(), t.data());
+  return from_limbs(out);
+}
+
+template <std::size_t K>
+BigUint kernel_exp(const RawModulus& m, const BigUint& x, const BigUint& e) {
+  const auto xl = limbs_of(x, x.limb_count()), el = limbs_of(e, e.limb_count());
+  std::vector<Limb> out(m.k), ws(mont::exp_scratch(m.k));
+  mont::exp<K>(m.view(), out.data(), xl.data(), xl.size(), el.data(), e.bit_length(), ws.data());
+  return from_limbs(out);
+}
+
+BigUint naive_exp(const BigUint& base, const BigUint& e, const BigUint& n) {
+  const BigUint b = BigUint::mod(base, n);
+  BigUint acc = BigUint::mod(BigUint(1), n);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    acc = BigUint::mod(BigUint::mul(acc, acc), n);
+    if (e.bit(i)) acc = BigUint::mod(BigUint::mul(acc, b), n);
+  }
+  return acc;
+}
+
+// Fixed width K (or the runtime instantiation) on `limbs`-limb moduli:
+// public API, fixed kernel and runtime kernel all agree with naive math.
+template <std::size_t K>
+void check_width(std::size_t limbs, const std::string& seed) {
+  Drbg rng(to_bytes(seed));
+  for (int round = 0; round < 6; ++round) {
+    const RawModulus m(random_odd_modulus(rng, limbs));
+    const Montgomery ctx(m.n);
+    const BigUint a = random_below(rng, m.n), b = random_below(rng, m.n);
+    EXPECT_EQ(ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b))),
+              BigUint::mod(BigUint::mul(a, b), m.n));
+
+    const BigUint am = ctx.to_mont(a), bm = ctx.to_mont(b);
+    EXPECT_EQ(am, BigUint::mod(a.shl(64 * limbs), m.n));
+    const BigUint fixed = kernel_mul<K>(m, am, bm);
+    EXPECT_EQ(fixed, kernel_mul<mont::kRuntimeWidth>(m, am, bm));
+    EXPECT_EQ(fixed, ctx.mul(am, bm));
+
+    // Exponent of 40..80 bits: the windowed path.
+    const BigUint e = BigUint::from_bytes_be(rng.generate(5 + static_cast<std::size_t>(round)));
+    const BigUint want = naive_exp(a, e, m.n);
+    EXPECT_EQ(ctx.exp(a, e), want) << "round " << round;
+    EXPECT_EQ(kernel_exp<K>(m, a, e), want);
+    EXPECT_EQ(kernel_exp<mont::kRuntimeWidth>(m, a, e), want);
+
+    // Bases wider than the modulus reach the Montgomery domain by Horner
+    // steps, without a division.
+    const BigUint wide = BigUint::from_bytes_be(rng.generate(16 * limbs + 3));
+    EXPECT_EQ(ctx.to_mont(wide), BigUint::mod(wide.shl(64 * limbs), m.n));
+    EXPECT_EQ(kernel_exp<K>(m, wide, e), naive_exp(wide, e, m.n));
+  }
+}
+
+TEST(MontKernel, Width4MatchesRuntimeAndNaive) { check_width<4>(4, "mont-width-4"); }
+TEST(MontKernel, Width8MatchesRuntimeAndNaive) { check_width<8>(8, "mont-width-8"); }
+TEST(MontKernel, Width16MatchesRuntimeAndNaive) { check_width<16>(16, "mont-width-16"); }
+TEST(MontKernel, Width32MatchesRuntimeAndNaive) { check_width<32>(32, "mont-width-32"); }
+TEST(MontKernel, RuntimeWidth5MatchesNaive) {
+  check_width<mont::kRuntimeWidth>(5, "mont-width-5");
+}
+
+// -n^{-1} mod R by Newton iteration from 1 (correct to one bit for odd n;
+// each step doubles the precision).
+BigUint neg_inverse_mod_r(const RawModulus& m) {
+  const std::size_t bits = 64 * m.k;
+  const BigUint r = BigUint(1).shl(bits);
+  BigUint inv(1);
+  for (std::size_t precision = 1; precision < bits; precision *= 2) {
+    const BigUint nx = BigUint::mod(BigUint::mul(m.n, inv), r);
+    inv = BigUint::mod(BigUint::mul(inv, BigUint::sub(BigUint::add(r, BigUint(2)), nx)), r);
+  }
+  return BigUint::sub(r, inv);
+}
+
+// The CIOS value before its final subtraction: t = (a*b + M*n) / R with
+// M = a*b*(-n^{-1}) mod R.
+BigUint pre_subtract(const RawModulus& m, const BigUint& neg_inv, const BigUint& a,
+                     const BigUint& b) {
+  const std::size_t bits = 64 * m.k;
+  const BigUint r = BigUint(1).shl(bits);
+  const BigUint ab = BigUint::mul(a, b);
+  const BigUint q = BigUint::mod(BigUint::mul(BigUint::mod(ab, r), neg_inv), r);
+  return BigUint::add(ab, BigUint::mul(q, m.n)).shr(bits);
+}
+
+TEST(MontKernel, FinalSubtractEdges) {
+  Drbg rng(to_bytes("mont-final-subtract"));
+  // Moduli whose top limb is all ones (n just below R), the extreme
+  // n = R - 1, and a 5-limb runtime-width case.
+  std::vector<BigUint> moduli;
+  for (std::size_t k : {4u, 5u, 8u}) {
+    Bytes raw = rng.generate(8 * k);
+    std::fill(raw.begin(), raw.begin() + 8, 0xff);
+    raw.back() |= 0x01;
+    moduli.push_back(BigUint::from_bytes_be(raw));
+  }
+  moduli.push_back(BigUint::from_bytes_be(Bytes(32, 0xff)));
+
+  for (const BigUint& n : moduli) {
+    const RawModulus m(n);
+    const Montgomery ctx(n);
+    const BigUint neg_inv = neg_inverse_mod_r(m);
+    std::vector<BigUint> operands = {BigUint(0), BigUint(1), BigUint::sub(n, BigUint(1)),
+                                     BigUint::sub(n, BigUint(2)), m.one};
+    for (int i = 0; i < 12; ++i) operands.push_back(random_below(rng, n));
+
+    int subtracted = 0, kept = 0;
+    for (const BigUint& a : operands) {
+      for (const BigUint& b : operands) {
+        const BigUint pre = pre_subtract(m, neg_inv, a, b);
+        ASSERT_LT(pre, BigUint::add(n, n));
+        const bool over = pre >= n;
+        (over ? subtracted : kept) += 1;
+        const BigUint want = over ? BigUint::sub(pre, n) : pre;
+        EXPECT_EQ(ctx.mul(a, b), want);
+        EXPECT_EQ(kernel_mul<mont::kRuntimeWidth>(m, a, b), want);
+        // want * R == a * b (mod n): the REDC value is the right residue.
+        EXPECT_EQ(BigUint::mod(want.shl(64 * m.k), n), BigUint::mod(BigUint::mul(a, b), n));
+      }
+    }
+    EXPECT_GT(subtracted, 0) << n.to_hex_string();
+    EXPECT_GT(kept, 0) << n.to_hex_string();
+
+    // a = n, b = 1 lands exactly on t == n: (n + (R - 1) * n) / R.
+    EXPECT_EQ(pre_subtract(m, neg_inv, n, BigUint(1)), n);
+    EXPECT_TRUE(kernel_mul<mont::kRuntimeWidth>(m, n, BigUint(1)).is_zero());
+    if (m.k == 4) EXPECT_TRUE(kernel_mul<4>(m, n, BigUint(1)).is_zero());
+    if (m.k == 8) EXPECT_TRUE(kernel_mul<8>(m, n, BigUint(1)).is_zero());
+  }
+}
+
+TEST(MontKernel, ExponentEdges) {
+  Drbg rng(to_bytes("mont-exponent-edges"));
+  const BigUint one(1);
+  const std::vector<BigUint> exponents = {
+      BigUint(0), BigUint(1), BigUint(65537),
+      // Around the 32-bit short-exponent threshold.
+      BigUint(0x80000000ull), BigUint(0xffffffffull),
+      BigUint(0x100000000ull), BigUint(0x1ffffffffull),
+      // A long run of zero windows, all-ones windows, a lone top bit.
+      BigUint::add(one.shl(200), one), BigUint::sub(one.shl(128), one), one.shl(255),
+      // Alternating zero and all-ones windows.
+      from_hex_str("f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f00f0f0f0f0f0f0f0f")};
+  for (std::size_t limbs : {4u, 5u}) {
+    const RawModulus m(random_odd_modulus(rng, limbs));
+    const Montgomery ctx(m.n);
+    const std::vector<BigUint> bases = {BigUint(0), BigUint(1), BigUint(2),
+                                        BigUint::sub(m.n, BigUint(1)), random_below(rng, m.n)};
+    for (const BigUint& base : bases) {
+      for (const BigUint& e : exponents) {
+        const BigUint want = naive_exp(base, e, m.n);
+        EXPECT_EQ(ctx.exp(base, e), want) << limbs << " e=" << e.to_hex_string();
+        EXPECT_EQ(kernel_exp<mont::kRuntimeWidth>(m, base, e), want);
+        if (limbs == 4) EXPECT_EQ(kernel_exp<4>(m, base, e), want);
+      }
+    }
+  }
 }
 
 }  // namespace

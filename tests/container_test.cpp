@@ -66,6 +66,54 @@ TEST(Invocation, DecodeRejectsGarbage) {
   EXPECT_FALSE(decode_invocation(to_bytes("rubbish")).ok());
 }
 
+// Hand-built invocation body with the given context entries, in the given
+// order (encode_invocation can only emit them sorted and unique).
+Bytes body_with_context(const std::vector<std::pair<std::string, std::string>>& entries) {
+  BinaryWriter w;
+  w.str("svc://a/adder");
+  w.str("add");
+  w.bytes(add_args(1, 2));
+  w.str("org:client");
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [k, v] : entries) {
+    w.str(k);
+    w.str(v);
+  }
+  return std::move(w).take();
+}
+
+TEST(Invocation, DecodeRejectsTrailingBytes) {
+  Bytes body = body_with_context({{"trace", "t-1"}});
+  ASSERT_TRUE(decode_invocation(body).ok());
+  body.push_back(0x00);
+  auto r = decode_invocation(body);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "container.bad_invocation");
+}
+
+TEST(Invocation, DecodeRejectsDuplicateContextKey) {
+  auto r = decode_invocation(body_with_context({{"k", "first"}, {"k", "second"}}));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "container.bad_invocation");
+}
+
+TEST(Invocation, DecodeRejectsUnsortedContextKeys) {
+  auto r = decode_invocation(body_with_context({{"k2", "v2"}, {"k1", "v1"}}));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "container.bad_invocation");
+}
+
+TEST(Invocation, AcceptedBodyReencodesToItsInput) {
+  for (const auto& entries : std::vector<std::vector<std::pair<std::string, std::string>>>{
+           {}, {{"trace", "t-1"}}, {{"", "empty key"}, {"a", ""}, {"ab", "x"}, {"b", "y"}}}) {
+    const Bytes body = body_with_context(entries);
+    auto decoded = decode_invocation(body);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().code;
+    EXPECT_EQ(decoded.value().canonical(), body);
+    EXPECT_EQ(decoded.value().context.size(), entries.size());
+  }
+}
+
 TEST(Invocation, ResultRoundTrip) {
   auto r = InvocationResult::success(to_bytes("payload"));
   auto decoded = InvocationResult::from_canonical(r.canonical());

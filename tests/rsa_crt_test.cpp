@@ -124,8 +124,9 @@ TEST(RsaCrt, PrivateKeyRoundTripV2) {
             rsa_sign(key, to_bytes("round trip")));
 }
 
-TEST(RsaCrt, DecodesLegacyV1Format) {
-  // Hand-build a version-1 (n, e, d) blob, as written by pre-CRT builds.
+TEST(RsaCrt, DecodeRejectsRetiredV1Format) {
+  // A version-1 (n, e, d) blob, as pre-CRT builds wrote it, is no longer
+  // accepted; encode() only ever writes version 2.
   const RsaPrivateKey key = KnownKey::make();
   BinaryWriter w;
   w.u8(1);
@@ -133,15 +134,10 @@ TEST(RsaCrt, DecodesLegacyV1Format) {
   w.u32(key.pub.e);
   w.bytes(key.d.to_bytes_be());
   auto decoded = RsaPrivateKey::decode(std::move(w).take());
-  ASSERT_TRUE(decoded.ok()) << decoded.error().code;
-  EXPECT_FALSE(decoded.value().has_crt());
-  // Legacy keys sign through the full-width path — same bytes.
-  EXPECT_EQ(to_hex(rsa_sign(decoded.value(), to_bytes(KnownKey::kMsg))),
-            KnownKey::kSigHex);
-  // And encode() of a legacy key re-emits the v1 format.
-  auto reencoded = RsaPrivateKey::decode(decoded.value().encode());
-  ASSERT_TRUE(reencoded.ok());
-  EXPECT_FALSE(reencoded.value().has_crt());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "rsa.bad_key");
+  EXPECT_EQ(key.encode().front(), 2u);
+  EXPECT_EQ(strip_crt(key).encode().front(), 2u);
 }
 
 TEST(RsaCrt, DecodeRejectsBadInput) {
