@@ -3,12 +3,14 @@
 //     Merkle (hash-based) — the flexibility §3.1 claims for interceptors.
 //  A2 TSA countersigning on/off (the [25]-motivated trade-off).
 //  A3 reliable-channel retry interval under loss (latency vs messages).
-//  A4 evidence-log backend: memory vs file (persistence cost, assumption 3).
+//  A4 evidence-log backend: memory vs per-record-durable journal (persistence
+//     cost, assumption 3).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
+#include <filesystem>
 
 #include "core/nr_interceptor.hpp"
+#include "store/journal_backend.hpp"
 #include "tests/common.hpp"
 #include "tsa/timestamp.hpp"
 
@@ -36,14 +38,14 @@ struct AblationRig {
   enum class Scheme { kRsa512, kRsa1024, kMerkle };
 
   explicit AblationRig(Scheme scheme, bool with_tsa = false,
-                       bool file_log = false)
+                       bool journal_log = false)
       : rng(to_bytes("ablation")),
         clock(std::make_shared<SimClock>(0)),
         network(clock, 5),
         ca_signer(std::make_shared<crypto::RsaSigner>(crypto::rsa_generate(rng, 512))),
         ca(PartyId("ca:root"), ca_signer, 0, nonrep::test::kFarFuture) {
-    client = make_party("client", scheme, file_log);
-    server = make_party("server", scheme, file_log);
+    client = make_party("client", scheme, journal_log);
+    server = make_party("server", scheme, journal_log);
     cross_register();
     if (with_tsa) {
       tsa_signer = std::make_shared<crypto::RsaSigner>(crypto::rsa_generate(rng, 512));
@@ -77,7 +79,7 @@ struct AblationRig {
   }
 
   std::unique_ptr<AblationParty> make_party(const std::string& name, Scheme scheme,
-                                            bool file_log) {
+                                            bool journal_log) {
     auto p = std::make_unique<AblationParty>();
     p->id = PartyId("org:" + name);
     auto signer = make_signer(scheme);
@@ -88,10 +90,13 @@ struct AblationRig {
                                           0, nonrep::test::kFarFuture)
                                      .take());
     std::unique_ptr<store::LogBackend> backend;
-    if (file_log) {
-      const std::string path = "/tmp/nonrep_ablation_" + name + ".log";
-      std::remove(path.c_str());
-      backend = std::make_unique<store::FileLogBackend>(path);
+    if (journal_log) {
+      const std::string dir =
+          (std::filesystem::temp_directory_path() / ("nonrep_ablation_" + name)).string();
+      std::filesystem::remove_all(dir);
+      backend =
+          store::JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord})
+              .take();
     } else {
       backend = std::make_unique<store::MemoryLogBackend>();
     }
@@ -211,12 +216,12 @@ BENCHMARK(BM_Ablation_RetryInterval)->Arg(10)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Ablation_LogBackend(benchmark::State& state) {
-  AblationRig rig(AblationRig::Scheme::kRsa512, false, /*file_log=*/state.range(0) == 1);
+  AblationRig rig(AblationRig::Scheme::kRsa512, false, /*journal_log=*/state.range(0) == 1);
   DirectInvocationClient handler(*rig.client->coordinator);
   for (auto _ : state) {
     rig.run_one(state, handler);
   }
-  state.counters["file_backend"] = static_cast<double>(state.range(0));
+  state.counters["journal_backend"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_Ablation_LogBackend)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

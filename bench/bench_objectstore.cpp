@@ -1,7 +1,7 @@
 // Content-addressed object store: intern micro-costs, the dedup ratio on a
 // realistic evidence mix, and the headline memoization ROI — cold vs
-// memoized audit of a ~1M-record object-backed journal where every token
-// recurs fleet-style (~16 k distinct tokens, ~61 references each).
+// memoized audit of a ~1M-record journalled log where every token recurs
+// fleet-style (~16 k distinct tokens, ~61 references each).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -36,7 +36,8 @@ std::string bench_dir(const std::string& name) {
 // One shared corpus for the audit benches: a world of kParties orgs, each
 // issuing kTokensPerParty distinct tokens, every token appended
 // kRepetitions times (round-robin, so duplicates are spread out the way
-// fleet traffic spreads them) into one object-backed journalled log.
+// fleet traffic spreads them) into one journalled log interning through the
+// world's object store.
 // Built lazily on first use and reused by every benchmark in the binary.
 struct AuditCorpus {
   scenario::World world{42, /*rsa_bits=*/512};
@@ -90,8 +91,7 @@ struct AuditCorpus {
         {.dir = dir,
          .segment_max_bytes = 32ull << 20,
          .sync = journal::SyncPolicy::kEveryBatch,
-         .batch_records = 1024},
-        world.objects());
+         .batch_records = 1024});
     if (!backend.ok()) {
       error = "journal open failed: " + backend.error().code;
       return;
@@ -109,8 +109,8 @@ struct AuditCorpus {
       return;
     }
     // Segment rotation shifts the group-commit batch phase, so the tail of
-    // the append stream can still sit in the writer's batch buffer; sync both
-    // WALs so the recovery bench scans the full corpus from disk.
+    // the append stream can still sit in the writer's batch buffer; sync so
+    // the recovery bench scans the full corpus from disk.
     if (auto s = raw->sync(); !s.ok()) error = "sync failed: " + s.error().code;
   }
 };
@@ -144,21 +144,33 @@ void BM_ObjectStorePutDuplicate(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectStorePutDuplicate)->Unit(benchmark::kNanosecond);
 
-/// Crash-recovery rebuild of the ~1M-record object journal: scan both WALs
-/// (CRCs, checkpoints), replay the object segment into a fresh store,
-/// resolve every thin record reference.
-void BM_ObjectJournalRecoveryRebuild(benchmark::State& state) {
+/// Crash-recovery rebuild of the ~1M-record journal: scan it (CRCs,
+/// checkpoints), decode every self-contained record frame and intern its
+/// payload into a fresh store — the work a reopening party's EvidenceLog
+/// does.
+void BM_JournalRecoveryRebuild(benchmark::State& state) {
   auto& corpus = AuditCorpus::instance();
   if (!corpus.error.empty()) {
     state.SkipWithError(corpus.error.c_str());
     return;
   }
   for (auto _ : state) {
-    auto scan = store::scan_object_journal(corpus.dir);
-    benchmark::DoNotOptimize(scan);
-    if (!scan.ok() || scan.value().records.size() != kRecords ||
-        scan.value().dangling_refs != 0) {
-      state.SkipWithError("object journal scan failed");
+    auto scan = journal::Reader::recover(corpus.dir, journal::RecoverMode::kScanOnly);
+    if (!scan.ok() || scan.value().records.size() != kRecords) {
+      state.SkipWithError("journal scan failed");
+      break;
+    }
+    store::ObjectStore rebuilt;
+    std::size_t decoded = 0;
+    for (const auto& frame : scan.value().records) {
+      auto rec = store::decode_log_record(frame.payload);
+      if (!rec.ok()) break;
+      rebuilt.put(store::typesig_for_kind(rec.value().kind), rec.value().payload);
+      ++decoded;
+    }
+    benchmark::DoNotOptimize(rebuilt);
+    if (decoded != kRecords || rebuilt.size() != kDistinct) {
+      state.SkipWithError("journal rebuild failed");
       break;
     }
   }
@@ -167,7 +179,7 @@ void BM_ObjectJournalRecoveryRebuild(benchmark::State& state) {
       static_cast<double>(kRecords * static_cast<std::uint64_t>(state.iterations())),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ObjectJournalRecoveryRebuild)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JournalRecoveryRebuild)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 /// Cold audit: trust caches dropped each iteration, so the full hash chain
 /// is recomputed and every distinct token re-verified (RSA).

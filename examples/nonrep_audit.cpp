@@ -7,11 +7,9 @@
 // record_i), §3.5) — so an auditor holding only the journal directory can
 // confirm that no evidence was altered, dropped or reordered.
 //
-// Object-mode journals (an `objects/` sub-journal next to the record
-// segments) are detected automatically: the auditor additionally audits the
-// object segment, rebuilds the content-addressed store from it, resolves
-// every thin record reference through the store (reporting dangling ids)
-// and prints the dedup ratio the store achieved.
+// Every frame is self-contained (canonical record bytes, payload included,
+// plus chain digest), so the journal directory alone is the whole evidence
+// trail: there is no side store to resolve references against.
 //
 // Usage:
 //   nonrep_audit [--json] <journal-dir>
@@ -20,12 +18,10 @@
 //                                 reported but accepted). With --json the
 //                                 report is a single machine-readable JSON
 //                                 object on stdout: structural result,
-//                                 reference-resolution stats (dangling /
-//                                 undecodable), object-store dedup counters
+//                                 chain result (with undecodable frames)
 //                                 and the final verdict.
-//   nonrep_audit [--self-demo]    self-demo: build an object-backed journal,
-//                                 crash it with a torn record, recover,
-//                                 audit both states
+//   nonrep_audit [--self-demo]    self-demo: build a journal, crash it with
+//                                 a torn record, recover, audit both states
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -98,85 +94,34 @@ int audit_dir(const std::string& dir, bool json = false) {
   const journal::AuditReport audit = journal::Reader::audit(dir);
   if (!json) print_segment_audit(audit);
 
-  const bool object_mode = store::is_object_journal(dir);
-  bool objects_ok = true;
+  auto recovered = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
+  if (!recovered.ok()) {
+    if (json) {
+      std::ostringstream out;
+      out << "{\"dir\": ";
+      append_json_string(out, dir);
+      out << ", \"error\": ";
+      append_json_string(out, "chain: cannot scan (" + recovered.error().code + ")");
+      out << ", \"verdict\": \"REJECTED\"}";
+      std::printf("%s\n", out.str().c_str());
+    } else {
+      std::printf("  chain: cannot scan (%s)\n", recovered.error().code.c_str());
+    }
+    return 1;
+  }
   std::vector<store::LogRecord> records;
   std::size_t undecodable = 0;
-  std::size_t dangling = 0;
-  std::size_t stored_objects = 0;
-  std::uint64_t referenced_bytes = 0;
-  std::uint64_t stored_bytes = 0;
-
-  if (object_mode) {
-    // Side-loaded object segment: audit its framing, then rebuild the store
-    // and resolve every record reference through it.
-    if (!json) std::printf("  -- object segment (%s/objects) --\n", dir.c_str());
-    const journal::AuditReport object_audit = journal::Reader::audit(dir + "/objects");
-    if (!json) print_segment_audit(object_audit);
-    objects_ok = object_audit.ok;
-
-    auto scan = store::scan_object_journal(dir);
-    if (!scan.ok()) {
-      if (json) {
-        std::ostringstream out;
-        out << "{\"dir\": ";
-        append_json_string(out, dir);
-        out << ", \"error\": ";
-        append_json_string(out, "objects: cannot scan (" + scan.error().code + ")");
-        out << ", \"verdict\": \"REJECTED\"}";
-        std::printf("%s\n", out.str().c_str());
-      } else {
-        std::printf("  objects: cannot scan (%s)\n  verdict: REJECTED\n",
-                    scan.error().code.c_str());
-      }
-      return 1;
-    }
-    records = std::move(scan.value().records);
-    undecodable = scan.value().undecodable;
-    dangling = scan.value().dangling_refs;
-    stored_objects = scan.value().store->size();
-    stored_bytes = scan.value().store->stored_bytes();
-    for (const auto& rec : records) referenced_bytes += rec.payload.size();
-    if (!json) {
-      std::printf("  objects: %zu stored (%llu bytes) covering %llu referenced bytes "
-                  "(dedup %.1fx)%s\n",
-                  stored_objects,
-                  static_cast<unsigned long long>(stored_bytes),
-                  static_cast<unsigned long long>(referenced_bytes),
-                  stored_bytes ? static_cast<double>(referenced_bytes) /
-                                     static_cast<double>(stored_bytes)
-                               : 1.0,
-                  dangling ? ", DANGLING REFERENCES!" : "");
-    }
-  } else {
-    auto recovered = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
-    if (!recovered.ok()) {
-      if (json) {
-        std::ostringstream out;
-        out << "{\"dir\": ";
-        append_json_string(out, dir);
-        out << ", \"error\": ";
-        append_json_string(out, "chain: cannot scan (" + recovered.error().code + ")");
-        out << ", \"verdict\": \"REJECTED\"}";
-        std::printf("%s\n", out.str().c_str());
-      } else {
-        std::printf("  chain: cannot scan (%s)\n", recovered.error().code.c_str());
-      }
-      return 1;
-    }
-    for (const auto& rec : recovered.value().records) {
-      auto decoded = store::decode_log_record(rec.payload);
-      if (decoded.ok()) {
-        records.push_back(std::move(decoded).take());
-      } else {
-        ++undecodable;
-      }
+  for (const auto& rec : recovered.value().records) {
+    auto decoded = store::decode_log_record(rec.payload);
+    if (decoded.ok()) {
+      records.push_back(std::move(decoded).take());
+    } else {
+      ++undecodable;
     }
   }
 
-  // Evidence-chain pass: verify the hash chain over the decoded (and, in
-  // object mode, store-resolved) records exactly as a dispute adjudicator
-  // would.
+  // Evidence-chain pass: verify the hash chain over the decoded records
+  // exactly as a dispute adjudicator would.
   store::EvidenceLog log(std::make_unique<store::MemoryLogBackend>(std::move(records)),
                          std::make_shared<SimClock>(0));
   const Status chain = log.verify_chain();
@@ -187,7 +132,7 @@ int audit_dir(const std::string& dir, bool json = false) {
                 undecodable ? ", undecodable payloads!" : "");
   }
 
-  const bool ok = audit.ok && objects_ok && chain.ok() && undecodable == 0 && dangling == 0;
+  const bool ok = audit.ok && chain.ok() && undecodable == 0;
   if (json) {
     std::ostringstream out;
     out << "{\n  \"dir\": ";
@@ -196,26 +141,14 @@ int audit_dir(const std::string& dir, bool json = false) {
         << ", \"segments\": " << audit.segments.size()
         << ", \"records\": " << audit.total_records
         << ", \"problems\": " << audit.problems.size() << "}";
-    out << ",\n  \"object_mode\": " << (object_mode ? "true" : "false");
-    if (object_mode) {
-      const double dedup = stored_bytes ? static_cast<double>(referenced_bytes) /
-                                              static_cast<double>(stored_bytes)
-                                        : 1.0;
-      out << ",\n  \"objects\": {\"ok\": " << (objects_ok ? "true" : "false")
-          << ", \"stored\": " << stored_objects
-          << ", \"stored_bytes\": " << stored_bytes
-          << ", \"referenced_bytes\": " << referenced_bytes
-          << ", \"dedup_ratio\": " << dedup << "}";
-    }
-    out << ",\n  \"resolve\": {\"dangling_refs\": " << dangling
-        << ", \"undecodable\": " << undecodable << "}";
     out << ",\n  \"chain\": {\"ok\": " << (chain.ok() ? "true" : "false");
     if (!chain.ok()) {
       out << ", \"error\": ";
       append_json_string(out, chain.error().code);
     }
     out << ", \"records\": " << log.size()
-        << ", \"payload_bytes\": " << log.payload_bytes() << "}";
+        << ", \"payload_bytes\": " << log.payload_bytes()
+        << ", \"undecodable\": " << undecodable << "}";
     out << ",\n  \"verdict\": \"" << (ok ? "VERIFIED" : "REJECTED") << "\"\n}";
     std::printf("%s\n", out.str().c_str());
   } else {
@@ -227,18 +160,17 @@ int audit_dir(const std::string& dir, bool json = false) {
 int demo() {
   const std::string dir = (fs::temp_directory_path() / "nonrep_audit_demo").string();
   fs::remove_all(dir);
-  std::printf("demo journal at %s (object mode)\n\n", dir.c_str());
+  std::printf("demo journal at %s\n\n", dir.c_str());
 
-  // A party logs evidence through the object-mode journal backend; rotation
-  // is forced small so several sealed segments exist. Eight distinct
-  // payloads recur across 40 records, so the object segment demonstrates
-  // dedup as well.
+  // A party logs evidence through the journal backend; rotation is forced
+  // small so several sealed segments exist. Eight distinct payloads recur
+  // across 40 records: each frame still carries its own payload on disk,
+  // while the party's in-memory object store holds each payload once.
   auto clock = std::make_shared<SimClock>(1000);
-  auto objects = std::make_shared<store::ObjectStore>();
   {
+    auto objects = std::make_shared<store::ObjectStore>();
     auto backend = store::JournalLogBackend::open(
-        {.dir = dir, .segment_max_bytes = 2048, .sync = journal::SyncPolicy::kEveryRecord},
-        objects);
+        {.dir = dir, .segment_max_bytes = 2048, .sync = journal::SyncPolicy::kEveryRecord});
     if (!backend.ok()) return 1;
     auto* raw = backend.value().get();
     store::EvidenceLog log(std::move(backend).take(), clock, objects);
@@ -269,14 +201,15 @@ int demo() {
 
   std::printf("-- after recovery --\n");
   {
-    auto recovered_store = std::make_shared<store::ObjectStore>();
-    auto reopened = store::JournalLogBackend::open({.dir = dir}, recovered_store);
+    auto objects = std::make_shared<store::ObjectStore>();
+    auto reopened = store::JournalLogBackend::open({.dir = dir});
     if (!reopened.ok()) return 1;
+    const auto truncated = reopened.value()->recovery().truncated_bytes;
+    store::EvidenceLog log(std::move(reopened).take(), clock, objects);
     std::printf("recovery truncated %llu torn bytes; %zu records survive; "
-                "store rebuilt with %zu objects\n\n",
-                static_cast<unsigned long long>(reopened.value()->recovery().truncated_bytes),
-                reopened.value()->load().size(), recovered_store->size());
-    // Clean shutdown seals the tail segments (records and objects).
+                "store re-interned %zu objects\n\n",
+                static_cast<unsigned long long>(truncated), log.size(), objects->size());
+    // Clean shutdown seals the tail segment.
   }
   return audit_dir(dir);
 }

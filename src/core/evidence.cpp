@@ -104,6 +104,20 @@ RunId EvidenceService::new_run() {
   return RunId(to_hex(rng_.generate(16)));
 }
 
+namespace {
+
+// Fail closed at issue/accept: a record whose backend policy makes it
+// durable per call (kEveryRecord) is settled before the caller may act on
+// it, and a receipt that has already failed (staging error, crashed writer)
+// fails the call under any policy — evidence that never persisted is never
+// released.
+Status settle_before_release(store::EvidenceLog& log, const store::AppendReceipt& receipt) {
+  if (!receipt.policy_blocks && !receipt.durable.ready()) return Status::ok_status();
+  return log.settle(receipt);
+}
+
+}  // namespace
+
 Result<EvidenceToken> EvidenceService::issue(EvidenceType type, const RunId& run,
                                              BytesView subject) {
   EvidenceToken token;
@@ -119,17 +133,17 @@ Result<EvidenceToken> EvidenceService::issue(EvidenceType type, const RunId& run
   states_->put(subject);
   // Stage the token record and overlap its device barrier with the TSA
   // countersignature (a signing round-trip, the other expensive half of
-  // issuance). Both receipts are settled before the token is handed out, so
-  // the caller's durability contract is unchanged — only the stall shrinks.
+  // issuance). Both receipts are settled before the token is handed out;
+  // if either record failed to persist, the token is not handed out at all.
   auto [rec, receipt] = log_->append_async(run, log_kind(type), token.encode());
   if (tsa_) {
     if (auto stamp = tsa_->countersign(token.encode())) {
       auto [stamp_rec, stamp_receipt] =
           log_->append_async(run, tsa_log_kind(type), std::move(stamp).take());
-      if (stamp_receipt.policy_blocks) (void)log_->settle(stamp_receipt);
+      if (auto s = settle_before_release(*log_, stamp_receipt); !s) return s.error();
     }
   }
-  if (receipt.policy_blocks) (void)log_->settle(receipt);
+  if (auto s = settle_before_release(*log_, receipt); !s) return s.error();
   return token;
 }
 
@@ -168,8 +182,8 @@ std::vector<Status> EvidenceService::verify_batch(const std::vector<EvidenceChec
 Status EvidenceService::accept(const EvidenceToken& token, BytesView subject) {
   if (auto v = verify(token, subject); !v) return v;
   states_->put(subject);
-  log_->append(token.run, log_kind(token.type), token.encode());
-  return Status::ok_status();
+  auto [rec, receipt] = log_->append_async(token.run, log_kind(token.type), token.encode());
+  return settle_before_release(*log_, receipt);
 }
 
 std::size_t EvidenceService::segment_memo_size() const {

@@ -105,11 +105,15 @@ class EvidenceService {
   RunId new_run();
 
   /// Sign a token over `subject`; stores the subject in the state store
-  /// and appends the token to the evidence log.
+  /// and appends the token to the evidence log. Fails closed: when the
+  /// token's record (or its TSA countersignature's) cannot be persisted
+  /// under the log's policy, the persistence error is returned and no token
+  /// is released.
   Result<EvidenceToken> issue(EvidenceType type, const RunId& run, BytesView subject);
 
   /// Verify a received token against the claimed subject bytes; on success
-  /// the token and subject are persisted (log + state store).
+  /// the token and subject are persisted (log + state store). A persistence
+  /// failure is returned like a verification failure.
   Status accept(const EvidenceToken& token, BytesView subject);
 
   /// Verification only (no persistence side effects). Memoized: the token

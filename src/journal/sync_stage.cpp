@@ -264,13 +264,6 @@ void SyncStage::run_fallback_group(std::deque<Job>& group) {
     while (j + 1 < group.size() && group[j + 1].fd == group[i].fd) ++j;
     const Job& last = group[j];
     const std::uint64_t folded = j - i;
-
-    if (opt_.before_sync) {
-      if (auto ordered = opt_.before_sync(); !ordered.ok()) {
-        fail_locked_unlocked(std::move(ordered));
-        return;
-      }
-    }
     const auto t0 = std::chrono::steady_clock::now();
     if (::fdatasync(last.fd) != 0) {
       fail_locked_unlocked(errno_error("fdatasync"));
@@ -292,15 +285,6 @@ void SyncStage::run_fallback_group(std::deque<Job>& group) {
 }
 
 void SyncStage::run_uring_group(std::deque<Job>& group) {
-  // The hook runs once ahead of the whole submission: every barrier in the
-  // group covers data written before this point, so one dependency sync
-  // orders all of them.
-  if (opt_.before_sync) {
-    if (auto ordered = opt_.before_sync(); !ordered.ok()) {
-      fail_locked_unlocked(std::move(ordered));
-      return;
-    }
-  }
   for (const Job& job : group) {
     const std::uint64_t id = ledger_.submit(job.target_lsn, job.target_bytes);
     while (!ring_->push_fsync(job.fd, id)) {

@@ -18,10 +18,6 @@
 //     queued jobs for the same fd coalesce into one barrier per wakeup —
 //     classic group commit, just no longer on an appender's back.
 //
-// The writer's before_sync hook runs on the worker, once per taken job
-// group, immediately before the barrier(s) it covers — this is what keeps
-// object-WAL-before-record-WAL ordering intact across in-flight batches.
-//
 // The stage also owns spare-segment preallocation: the worker fallocates
 // (FALLOC_FL_KEEP_SIZE — scan semantics require file size == content) a
 // hidden spare file in idle moments so rotation can rename it into place
@@ -33,7 +29,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -87,8 +82,6 @@ class RetireLedger {
 class SyncStage {
  public:
   struct Options {
-    /// Runs on the worker before every barrier group (see header comment).
-    std::function<Status()> before_sync = nullptr;
     /// Backpressure: request() blocks once this many barriers are queued or
     /// executing. Also the io_uring submission depth.
     std::size_t max_batches_in_flight = 4;
@@ -141,7 +134,7 @@ class SyncStage {
   };
   Stats stats() const;
 
-  /// First barrier/hook failure (sticky), ok otherwise.
+  /// First barrier failure (sticky), ok otherwise.
   Status error() const;
 
  private:

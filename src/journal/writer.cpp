@@ -114,7 +114,6 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
 
   w->state_ = std::make_shared<DurabilityState>();
   SyncStage::Options stage_opt;
-  stage_opt.before_sync = w->opt_.before_sync;
   stage_opt.max_batches_in_flight = w->opt_.max_batches_in_flight;
   stage_opt.want_uring =
       resolve_backend(w->opt_.sync_backend) != SyncBackend::kWorkerFdatasync;

@@ -49,7 +49,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -89,17 +88,6 @@ struct Options {
   std::size_t batch_records = 64;
   /// kTimed: maximum age of un-synced data, in wall milliseconds.
   std::uint32_t sync_interval_ms = 50;
-  /// Invoked on the sync-stage worker immediately before every device
-  /// barrier this writer issues (group commit, explicit sync(), seal,
-  /// rotation, close) — a per-batch pipeline stage. Lets a caller order
-  /// durability across journals: the object-mode record journal points this
-  /// at the object journal's sync(), so no record frame ever becomes durable
-  /// ahead of the object frame it references, however many batches are in
-  /// flight. A failure aborts the barrier (and sticks, like any sync
-  /// failure). Runs off the appender threads; it must not call back into
-  /// this writer (calling into *other* writers, e.g. the object journal, is
-  /// the intended use).
-  std::function<Status()> before_sync = nullptr;
   /// Barrier engine selection (see SyncBackend).
   SyncBackend sync_backend = SyncBackend::kAuto;
   /// Pipeline depth: barriers queued or executing before append triggers

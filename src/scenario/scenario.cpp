@@ -57,10 +57,9 @@ ScenarioEngine::ScenarioEngine(ScenarioConfig config)
     : config_(std::move(config)), world_(config_.seed, config_.rsa_bits) {
   auto backend_for = [&](const std::string& name) -> std::unique_ptr<store::LogBackend> {
     if (!config_.journal_backed) return nullptr;  // in-memory default
-    // Object mode against the world's fleet-wide store: each party journals
-    // thin records plus its own object segment, deduped per journal.
-    auto opened = store::JournalLogBackend::open(
-        {.dir = config_.journal_dir + "/" + name}, world_.objects());
+    // One self-contained journal per party; the party's EvidenceLog interns
+    // its records into the world's fleet-wide store.
+    auto opened = store::JournalLogBackend::open({.dir = config_.journal_dir + "/" + name});
     if (!opened) {
       if (setup_.ok()) setup_ = opened.error();
       return nullptr;
@@ -86,7 +85,10 @@ ScenarioEngine::ScenarioEngine(ScenarioConfig config)
   members_.reserve(config_.parties);
   std::vector<membership::Member> group;
   for (std::size_t i = 0; i < config_.parties; ++i) {
-    const std::string name = "p" + std::to_string(i);
+    // Appended, not `"p" + std::to_string(i)`: GCC 12 at -O3 raises a false
+    // -Wrestrict on the inlined operator+(const char*, string&&).
+    std::string name = "p";
+    name += std::to_string(i);
     Member m;
     m.party = &world_.add_party(name, {}, backend_for(name));
     members_.push_back(std::move(m));

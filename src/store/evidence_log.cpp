@@ -1,9 +1,6 @@
 #include "store/evidence_log.hpp"
 
-#include <fstream>
-
 #include "obs/trace.hpp"
-#include "util/hex.hpp"
 #include "util/serialize.hpp"
 
 namespace nonrep::store {
@@ -33,17 +30,21 @@ Bytes encode_log_record(const LogRecord& r) {
   return std::move(w).take();
 }
 
-namespace {
+std::uint32_t typesig_for_kind(std::string_view kind) {
+  if (kind.starts_with("token.")) return kTypeToken;
+  if (kind.starts_with("tsa.")) return kTypeTimestamp;
+  return kTypeBlob;
+}
 
-// Tag byte that opens the thin encoding. A fat record opens with the
-// little-endian u32 length prefix of its canonical bytes, whose *low* byte
-// can equally be 0x52 (any canonical length ≡ 0x52 mod 256), so the tag is
-// a fast hint, not a discriminator. A reader that can see both forms — an
-// object-mode open of a legacy journal — must fall back to the fat decode
-// when the thin decode fails rather than drop the frame.
-constexpr std::uint8_t kThinRecordTag = 0x52;  // 'R'
+Result<LogRecord> decode_log_record(BytesView b) {
+  BinaryReader outer(b);
+  auto canonical = outer.bytes();
+  if (!canonical) return canonical.error();
+  auto chain = outer.bytes();
+  if (!chain) return chain.error();
 
-Status decode_canonical_head(BinaryReader& r, LogRecord& rec) {
+  BinaryReader r(canonical.value());
+  LogRecord rec;
   auto seq = r.u64();
   if (!seq) return seq.error();
   rec.sequence = seq.value();
@@ -56,74 +57,6 @@ Status decode_canonical_head(BinaryReader& r, LogRecord& rec) {
   auto kind = r.str();
   if (!kind) return kind.error();
   rec.kind = kind.value();
-  return Status::ok_status();
-}
-
-}  // namespace
-
-std::uint32_t typesig_for_kind(std::string_view kind) {
-  if (kind.starts_with("token.")) return kTypeToken;
-  if (kind.starts_with("tsa.")) return kTypeTimestamp;
-  return kTypeBlob;
-}
-
-Bytes encode_log_record_ref(const LogRecord& r) {
-  BinaryWriter w;
-  w.u8(kThinRecordTag);
-  w.u64(r.sequence);
-  w.u64(r.time);
-  w.str(r.run.str());
-  w.str(r.kind);
-  w.bytes(crypto::digest_bytes(r.object));
-  w.u64(r.payload.size());
-  w.bytes(crypto::digest_bytes(r.chain));
-  return std::move(w).take();
-}
-
-Result<ThinLogRecord> decode_log_record_ref(BytesView b) {
-  BinaryReader r(b);
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  if (tag.value() != kThinRecordTag) {
-    return Error::make("log.not_a_record_ref", "bad tag byte");
-  }
-  ThinLogRecord out;
-  if (auto head = decode_canonical_head(r, out.record); !head.ok()) {
-    return head.error();
-  }
-  auto object = r.bytes();
-  if (!object) return object.error();
-  if (!crypto::digest_from_bytes(object.value(), out.record.object)) {
-    return Error::make("log.bad_object_id", "wrong length");
-  }
-  out.record.interned = true;
-  auto size = r.u64();
-  if (!size) return size.error();
-  out.payload_size = size.value();
-  auto chain = r.bytes();
-  if (!chain) return chain.error();
-  if (!crypto::digest_from_bytes(chain.value(), out.record.chain)) {
-    return Error::make("log.bad_chain_digest", "wrong length");
-  }
-  return out;
-}
-
-bool is_log_record_ref(BytesView b) {
-  return !b.empty() && b[0] == kThinRecordTag;
-}
-
-Result<LogRecord> decode_log_record(BytesView b) {
-  BinaryReader outer(b);
-  auto canonical = outer.bytes();
-  if (!canonical) return canonical.error();
-  auto chain = outer.bytes();
-  if (!chain) return chain.error();
-
-  BinaryReader r(canonical.value());
-  LogRecord rec;
-  if (auto head = decode_canonical_head(r, rec); !head.ok()) {
-    return head.error();
-  }
   auto payload = r.bytes();
   if (!payload) return payload.error();
   rec.payload = payload.value();
@@ -133,36 +66,12 @@ Result<LogRecord> decode_log_record(BytesView b) {
   return rec;
 }
 
-Status FileLogBackend::append(const LogRecord& record) {
-  std::ofstream out(path_, std::ios::app);
-  out << to_hex(encode_log_record(record)) << '\n';
-  out.flush();
-  if (!out) return Error::make("log.io", "append failed on " + path_);
-  return Status::ok_status();
-}
-
-std::vector<LogRecord> FileLogBackend::load() {
-  std::vector<LogRecord> out;
-  std::ifstream in(path_);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto bytes = from_hex(line);
-    if (!bytes) continue;  // skip corrupt lines; verify_chain flags the gap
-    auto rec = decode_log_record(*bytes);
-    if (rec) out.push_back(rec.value());
-  }
-  return out;
-}
-
 EvidenceLog::EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Clock> clock,
                          std::shared_ptr<ObjectStore> objects)
     : backend_(std::move(backend)), clock_(std::move(clock)), objects_(std::move(objects)) {
   records_ = backend_->load();
   for (auto& r : records_) {
     payload_bytes_ += r.payload.size();
-    // A backend that loaded through a store (the object-mode journal) hands
-    // records back already interned; anything else is interned here.
     if (objects_ && !r.interned) {
       r.object = objects_->put(typesig_for_kind(r.kind), r.payload).id;
       r.interned = true;
@@ -201,7 +110,7 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
   auto staged = backend_->append_async(records_.back());
   if (!staged) {
     if (backend_status_.ok()) backend_status_ = staged.error();
-    return {records_.back(), AppendReceipt{}};
+    return {records_.back(), AppendReceipt{journal::DurableFuture::ready(staged.error()), false}};
   }
   return {records_.back(), std::move(staged).take()};
 }

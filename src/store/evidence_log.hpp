@@ -55,12 +55,12 @@ struct AppendReceipt {
   bool policy_blocks = false;
 };
 
-/// Storage backend; MemoryBackend for tests/sim, FileBackend for legacy
-/// files, JournalLogBackend (store/journal_backend.hpp) for durable
-/// deployments. append() reports persistence failures so the caller can
-/// stop treating the record as evidence; append_async() defers the
-/// durability half of that report into the receipt's future so callers can
-/// overlap verification or protocol work with the device barrier.
+/// Storage backend; MemoryLogBackend for tests/sim, JournalLogBackend
+/// (store/journal_backend.hpp) for durable deployments. append() reports
+/// persistence failures so the caller can stop treating the record as
+/// evidence; append_async() defers the durability half of that report into
+/// the receipt's future so callers can overlap verification or protocol
+/// work with the device barrier.
 class LogBackend {
  public:
   virtual ~LogBackend() = default;
@@ -105,19 +105,6 @@ class MemoryLogBackend final : public LogBackend {
   std::vector<LogRecord> records_;
 };
 
-/// One line per record: hex(encoded record). Survives process restarts.
-/// Legacy format — no checksums, no batching; superseded by the journal
-/// backend, kept for old deployments and as the migration source.
-class FileLogBackend final : public LogBackend {
- public:
-  explicit FileLogBackend(std::string path) : path_(std::move(path)) {}
-  Status append(const LogRecord& record) override;
-  std::vector<LogRecord> load() override;
-
- private:
-  std::string path_;
-};
-
 /// Thread-safe for interleaved append/find: a party may issue evidence
 /// from its application thread while its delivery strand logs accepted
 /// tokens. records() is the one unlocked accessor — it returns a direct
@@ -141,7 +128,9 @@ class EvidenceLog {
   /// Pipelined append: the record is chained and staged, and the receipt's
   /// future settles once it is durable. Protocol code that can overlap
   /// signing/verification with the barrier uses this and later settle()s
-  /// the receipt (or checks backend_status()).
+  /// the receipt (or checks backend_status()). If the backend refuses to
+  /// stage the record, the receipt comes back already settled with that
+  /// error.
   std::pair<LogRecord, AppendReceipt> append_async(const RunId& run, std::string kind,
                                                    Bytes payload);
 
@@ -183,38 +172,16 @@ class EvidenceLog {
 /// Chain digest helper (exposed for tests).
 crypto::Digest chain_digest(const crypto::Digest& prev, const LogRecord& record);
 
-/// Canonical wire form of a whole record, chain digest included — the byte
-/// string both file and journal backends persist (exposed for the journal
-/// backend, migration and the audit tool).
+/// Canonical wire form of a whole record, chain digest included — the one
+/// frame layout the journal backend persists (exposed for it and the audit
+/// tool).
 Bytes encode_log_record(const LogRecord& record);
 Result<LogRecord> decode_log_record(BytesView b);
 
 /// Object typesig for a record kind: "token.*" payloads are evidence
 /// tokens, "tsa.*" are TSA countersignatures, anything else is an untyped
-/// blob. Shared by EvidenceLog interning and the journal backend.
+/// blob. Used by EvidenceLog interning; exposed so tools that rebuild a
+/// store from a journal file payloads the same way.
 std::uint32_t typesig_for_kind(std::string_view kind);
-
-/// Thin (reference) wire form: the canonical head of the record plus the
-/// payload's object id and size instead of the payload bytes. This is what
-/// the object-mode journal persists — the payload itself lives once in the
-/// side-loaded object segment, however many records reference it.
-///
-///   +------+-----+------+-----+------+-----------+--------------+-------+
-///   | 0x52 | seq | time | run | kind | object id | payload size | chain |
-///   +------+-----+------+-----+------+-----------+--------------+-------+
-struct ThinLogRecord {
-  LogRecord record;  // payload empty; object/interned set
-  std::uint64_t payload_size = 0;
-};
-
-/// The record must be interned (carry its object id).
-Bytes encode_log_record_ref(const LogRecord& record);
-Result<ThinLogRecord> decode_log_record_ref(BytesView b);
-
-/// Cheap probe: does this buffer start with the thin-record tag? A hint
-/// only — a fat record whose canonical length ≡ 0x52 mod 256 starts with
-/// the same byte (little-endian length prefix), so a positive probe must
-/// be confirmed by decode_log_record_ref succeeding.
-bool is_log_record_ref(BytesView b);
 
 }  // namespace nonrep::store

@@ -1,27 +1,18 @@
-// Journal-backed evidence persistence (§3.5, assumption 3) — the durable
-// replacement for the legacy one-hex-line-per-record FileLogBackend.
+// Journal-backed evidence persistence (§3.5, assumption 3).
 //
-// Records keep their hash-chaining semantics (EvidenceLog computes chain
-// digests exactly as before); this backend persists the canonical record
-// bytes inside the segmented write-ahead journal, gaining CRC-checked
-// framing, group commit, segment rotation with Merkle checkpoints, and
-// crash recovery that truncates torn tails and resumes sequence numbering.
+// One write-ahead journal per party, one frame layout: every record is
+// persisted as its self-contained encoding (encode_log_record — canonical
+// bytes, payload included, plus chain digest) inside the segmented journal,
+// gaining CRC-checked framing, group commit, segment rotation with Merkle
+// checkpoints, and crash recovery that truncates torn tails and resumes
+// sequence numbering. Because a frame carries its own payload, the barrier
+// that makes a record durable covers its evidence too: there is no second
+// log to order against and no reference that can dangle after a crash.
 //
-// Object mode (open with an ObjectStore): record frames carry object ids
-// instead of payload bytes (the thin encoding in evidence_log.hpp), and
-// payloads are persisted once each in a side-loaded object journal at
-// `<dir>/objects` — its own writer, its own sequence space, same framing.
-// An object frame is always written before the first record that references
-// it, and — because the two journals have independent group-commit state,
-// so append order alone proves nothing about what survives a crash — the
-// record journal's every device barrier first syncs the object journal
-// (journal::Options::before_sync). A crash can therefore orphan an object
-// (harmless) but never strand a durable record without its payload.
-// Recovery rebuilds the store from the object journal, then resolves thin
-// records against it.
+// Fleet-wide dedup is an in-memory concern: EvidenceLog interns every
+// appended and loaded record into its (possibly shared) ObjectStore. Chain
+// digests never covered the object id, so they are the same either way.
 #pragma once
-
-#include <unordered_set>
 
 #include "journal/reader.hpp"
 #include "journal/writer.hpp"
@@ -29,105 +20,42 @@
 
 namespace nonrep::store {
 
-/// Outcome of resolving recovered record frames against the object store
-/// (object-mode open and scan_object_journal). Non-zero counts mean records
-/// were dropped; verify_chain on the loaded log reports the resulting gap.
-struct ResolveStats {
-  std::uint64_t dangling_refs = 0;  // thin records whose object is missing
-  std::uint64_t undecodable = 0;    // frames that pass CRC but not decode
-  /// Records truncated away as a torn *async* tail: a crash with batches in
-  /// flight can persist record frames whose object frames never reached
-  /// their barrier. When every dangling reference is a contiguous suffix of
-  /// the unsealed tail segment, the open treats it exactly like a torn
-  /// write — the suffix is cut off, sequence numbering resumes before it —
-  /// and counts the records here instead of dangling_refs.
-  std::uint64_t truncated_tail_records = 0;
-};
-
 class JournalLogBackend final : public LogBackend {
  public:
   /// Opens the journal at options.dir, running crash recovery (repair mode:
-  /// torn tails are truncated) before the writer resumes.
-  static Result<std::unique_ptr<JournalLogBackend>> open(journal::Options options);
-
-  /// Object-mode open: payloads are interned into `store` (shared with the
-  /// evidence log, possibly fleet-wide) and journalled once each under
-  /// `<dir>/objects`. A legacy fat-record journal opened this way keeps
-  /// working — existing records are interned on load, new ones are thin.
+  /// torn tails are truncated) before the writer resumes. A directory laid
+  /// out by an older build with a separate `objects/` payload journal is
+  /// refused ("journal.unsupported_format"). The store argument is ignored
+  /// (EvidenceLog interns what load() returns); it stays only until the
+  /// benchmark's call sites drop it.
   static Result<std::unique_ptr<JournalLogBackend>> open(
-      journal::Options options, std::shared_ptr<ObjectStore> store);
+      journal::Options options, std::shared_ptr<ObjectStore> store = nullptr);
 
   Status append(const LogRecord& record) override;
-  /// Pipelined append: object frame (object mode) and record frame are
-  /// staged, and the receipt's future settles when the *record* barrier
-  /// retires — which, via the journal's before_sync coupling, implies the
-  /// object frame is durable too.
+  /// Pipelined append: the record frame is staged, and the receipt's future
+  /// settles when the barrier covering it retires.
   Result<AppendReceipt> append_async(const LogRecord& record) override;
   std::vector<LogRecord> load() override;
-  /// Sticky failures from either journal, including barriers retired after
-  /// append_async returned.
+  /// Sticky journal failures, including barriers retired after append_async
+  /// returned.
   Status health() const override;
 
   /// Durability escape hatch for batched/timed sync policies.
   Status sync() override;
 
   journal::Writer& writer() noexcept { return *writer_; }
-  /// Object-journal writer (object mode only, nullptr otherwise). Exposed
-  /// for tests and crash drills, like writer().
-  journal::Writer* object_writer() noexcept { return object_writer_.get(); }
+  /// Always nullptr: there is no second journal. Stays only until the
+  /// benchmark drops its call.
+  journal::Writer* object_writer() noexcept { return nullptr; }
   const journal::RecoveryReport& recovery() const noexcept { return recovery_; }
-  /// Recovery report of the object journal (empty outside object mode).
-  const journal::RecoveryReport& object_recovery() const noexcept {
-    return object_recovery_;
-  }
-  /// What the object-mode open had to drop while resolving records (all
-  /// zero outside object mode and on a healthy journal).
-  const ResolveStats& resolve_stats() const noexcept { return resolve_stats_; }
-  bool object_mode() const noexcept { return store_ != nullptr; }
-  /// Distinct objects persisted in this backend's object journal.
-  std::size_t persisted_objects() const noexcept { return persisted_.size(); }
 
  private:
   JournalLogBackend(std::unique_ptr<journal::Writer> writer,
                     journal::RecoveryReport recovery)
       : writer_(std::move(writer)), recovery_(std::move(recovery)) {}
 
-  // Object mode only. Declared before writer_: the record writer's barriers
-  // (including its destructor's final seal) sync the object journal through
-  // journal::Options::before_sync, so the object writer must outlive it.
-  std::shared_ptr<ObjectStore> store_;
-  std::unique_ptr<journal::Writer> object_writer_;
-  journal::RecoveryReport object_recovery_;
-  std::unordered_set<ObjectId, crypto::DigestHash> persisted_;
-  std::vector<LogRecord> resolved_;  // thin records resolved at open
-  ResolveStats resolve_stats_;       // what resolving them dropped
-
   std::unique_ptr<journal::Writer> writer_;
   journal::RecoveryReport recovery_;
 };
-
-/// True when `dir` holds an object-mode journal (side-loaded `objects/`
-/// sub-journal present).
-bool is_object_journal(const std::string& dir);
-
-/// Read-only walk of an object-mode journal (audit tooling): scans both
-/// journals without repairing, rebuilds a fresh store from the object
-/// segment and resolves every record reference through it.
-struct ObjectJournalScan {
-  std::shared_ptr<ObjectStore> store;
-  std::vector<LogRecord> records;
-  journal::RecoveryReport record_report;
-  journal::RecoveryReport object_report;
-  std::uint64_t dangling_refs = 0;  // records whose object is missing
-  std::uint64_t undecodable = 0;    // frames that pass CRC but not decode
-};
-Result<ObjectJournalScan> scan_object_journal(const std::string& dir);
-
-/// One-shot migration of a legacy FileLogBackend hex file into a journal
-/// directory. Refuses to run if the journal already contains segments; on
-/// success the legacy file is renamed to "<path>.migrated" and the number
-/// of records moved is returned.
-Result<std::uint64_t> migrate_file_log(const std::string& legacy_path,
-                                       journal::Options options);
 
 }  // namespace nonrep::store

@@ -36,32 +36,6 @@ std::string typesig_name(std::uint32_t typesig) {
   return "0x" + to_hex(to_bytes(out));
 }
 
-Bytes encode_object(std::uint32_t typesig, BytesView payload) {
-  BinaryWriter w;
-  w.u32(typesig);
-  w.u64(payload.size());
-  Bytes out = std::move(w).take();
-  append(out, payload);
-  return out;
-}
-
-Result<DecodedObject> decode_object(BytesView encoded) {
-  BinaryReader r(encoded);
-  auto typesig = r.u32();
-  if (!typesig) return typesig.error();
-  auto size = r.u64();
-  if (!size) return size.error();
-  if (size.value() != r.remaining()) {
-    return Error::make("store.bad_object",
-                       "header claims " + std::to_string(size.value()) + " bytes, " +
-                           std::to_string(r.remaining()) + " present");
-  }
-  DecodedObject out;
-  out.typesig = typesig.value();
-  out.payload = encoded.subspan(kObjectHeaderBytes);
-  return out;
-}
-
 ObjectId object_id(std::uint32_t typesig, BytesView payload) {
   BinaryWriter w;
   w.u32(typesig);

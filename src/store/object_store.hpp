@@ -10,7 +10,7 @@
 // bytes is a hash plus a map probe, and evidence chains become digest DAGs
 // whose nodes reference children by object id instead of embedding bytes.
 //
-//   object encoding
+//   object id preimage
 //   +---------+--------+-----------+
 //   | typesig |  size  |  payload  |      id = SHA-256(header || payload)
 //   |   u32   |  u64   |  size B   |
@@ -21,8 +21,8 @@
 // disjoint digest slices), so puts and gets from party threads and delivery
 // strands touch exactly one shard mutex. The dedup counters are atomics.
 // Objects are never removed or evicted: a stored payload (and its id) stays
-// valid for the store's lifetime, which is what lets the journal backend
-// and audit walks resolve references without re-checking liveness.
+// valid for the store's lifetime, which is what lets audit walks resolve
+// references without re-checking liveness.
 #pragma once
 
 #include <atomic>
@@ -62,21 +62,8 @@ inline constexpr std::uint32_t kTypeChainSegment = make_typesig('s', 'e', 'g', '
 /// are not printable ASCII).
 std::string typesig_name(std::uint32_t typesig);
 
-inline constexpr std::size_t kObjectHeaderBytes = 12;  // typesig u32 + size u64
-
-/// Full wire form (header + payload) — what the object journal persists.
-Bytes encode_object(std::uint32_t typesig, BytesView payload);
-
-struct DecodedObject {
-  std::uint32_t typesig = 0;
-  BytesView payload;  // view into the encoded input
-};
-
-/// Validates the header (size field must match the remaining bytes).
-Result<DecodedObject> decode_object(BytesView encoded);
-
-/// Object id without materializing the encoding: SHA-256 over header then
-/// payload in one pass.
+/// Object id: SHA-256 over the {typesig, size} header then the payload, in
+/// one pass without materializing the encoding.
 ObjectId object_id(std::uint32_t typesig, BytesView payload);
 
 class ObjectStore {

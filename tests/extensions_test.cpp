@@ -4,14 +4,14 @@
 // randomized multi-proposer convergence.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 
 #include "common.hpp"
 #include "core/fair_exchange.hpp"
 #include "core/nr_interceptor.hpp"
 #include "container/proxy.hpp"
 #include "core/sharing.hpp"
+#include "store/journal_backend.hpp"
 
 namespace nonrep::core {
 namespace {
@@ -91,29 +91,34 @@ TEST(ForwardSecureSigner, ExhaustionSurfacesCleanly) {
 }
 
 TEST(EvidencePersistence, LogSurvivesRestartAndContinuesChain) {
-  const std::string path = "/tmp/nonrep_restart_test.log";
-  std::remove(path.c_str());
+  namespace fs = std::filesystem;
+  const std::string dir = (fs::temp_directory_path() / "nonrep_restart_test").string();
+  fs::remove_all(dir);
   auto clock = std::make_shared<SimClock>(100);
+  auto reopen = [&] {
+    return std::make_unique<store::EvidenceLog>(store::JournalLogBackend::open({.dir = dir}).take(),
+                                                clock);
+  };
   {
-    store::EvidenceLog log(std::make_unique<store::FileLogBackend>(path), clock);
-    log.append(RunId("r1"), "token.NRO-request", to_bytes("before restart"));
-    log.append(RunId("r1"), "token.NRR-request", to_bytes("also before"));
+    auto log = reopen();
+    log->append(RunId("r1"), "token.NRO-request", to_bytes("before restart"));
+    log->append(RunId("r1"), "token.NRR-request", to_bytes("also before"));
   }
   {
     // "Restart": reload from disk, verify, continue appending.
-    store::EvidenceLog log(std::make_unique<store::FileLogBackend>(path), clock);
-    ASSERT_EQ(log.size(), 2u);
-    ASSERT_TRUE(log.verify_chain().ok());
-    log.append(RunId("r2"), "token.NRO-request", to_bytes("after restart"));
-    ASSERT_TRUE(log.verify_chain().ok());
+    auto log = reopen();
+    ASSERT_EQ(log->size(), 2u);
+    ASSERT_TRUE(log->verify_chain().ok());
+    log->append(RunId("r2"), "token.NRO-request", to_bytes("after restart"));
+    ASSERT_TRUE(log->verify_chain().ok());
   }
   {
-    store::EvidenceLog log(std::make_unique<store::FileLogBackend>(path), clock);
-    EXPECT_EQ(log.size(), 3u);
-    EXPECT_TRUE(log.verify_chain().ok());
-    EXPECT_TRUE(log.find(RunId("r2"), "token.NRO-request").has_value());
+    auto log = reopen();
+    EXPECT_EQ(log->size(), 3u);
+    EXPECT_TRUE(log->verify_chain().ok());
+    EXPECT_TRUE(log->find(RunId("r2"), "token.NRO-request").has_value());
   }
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 // Randomized schedules: several proposers, lossy links, random order —

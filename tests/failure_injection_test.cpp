@@ -336,116 +336,157 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
   EXPECT_TRUE(journal::Reader::audit(jdir).ok);
 }
 
-// ---- torn async batches ----
+// ---- fail closed on a failed barrier ----
+
+TEST_F(FailureFixture, CrashedJournalFailsIssueAndAcceptClosed) {
+  namespace fs = std::filesystem;
+  const std::string jdir = (fs::temp_directory_path() / "nonrep_fi_fail_closed").string();
+  fs::remove_all(jdir);
+  auto backend =
+      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord})
+          .take();
+  auto* journal_backend = backend.get();
+  auto& client = world.add_party("client", {}, std::move(backend));
+  auto& server = world.add_party("server");
+  container::Container cont;
+  auto bean = std::make_shared<container::Component>();
+  bean->bind("echo", [](const Invocation& inv) -> Result<Bytes> { return inv.arguments; });
+  cont.deploy(ServiceUri("svc://server/echo"), bean,
+              container::DeploymentDescriptor{.non_repudiation = true});
+  auto nr = install_nr_server(*server.coordinator, cont);
+
+  // A token from a healthy peer, for the accept half below.
+  const Bytes subject = to_bytes("subject");
+  auto foreign = server.evidence->issue(EvidenceType::kNroRequest, RunId("r-accept"), subject);
+  ASSERT_TRUE(foreign.ok());
+
+  journal_backend->writer().simulate_crash();
+  const std::size_t logged = client.log->size();
+
+  // issue: the token's record cannot be persisted, so no token comes back.
+  auto issued = client.evidence->issue(EvidenceType::kNroRequest, RunId("r-issue"), subject);
+  ASSERT_FALSE(issued.ok());
+  EXPECT_TRUE(issued.error().code.starts_with("journal.")) << issued.error().code;
+
+  // accept: verification passes, persistence does not — the failure is
+  // returned instead of being recorded and ignored.
+  auto accepted = client.evidence->accept(foreign.value(), subject);
+  ASSERT_FALSE(accepted.ok());
+  EXPECT_TRUE(accepted.error().code.starts_with("journal.")) << accepted.error().code;
+
+  // End to end: the client's NRO_req is never released, so the server sees
+  // no request and logs nothing.
+  const std::size_t server_logged = server.log->size();
+  const std::uint64_t sent_before = world.network.stats().sent;
+  DirectInvocationClient handler(*client.coordinator);
+  Invocation inv;
+  inv.service = ServiceUri("svc://server/echo");
+  inv.method = "echo";
+  inv.arguments = to_bytes("payload");
+  inv.caller = client.id;
+  auto result = handler.invoke("server", inv);
+  world.network.run();
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(server.log->size(), server_logged);
+  EXPECT_EQ(world.network.stats().sent, sent_before);
+  // Records stay in memory (the party can still audit what it attempted),
+  // but none of them became evidence on disk.
+  EXPECT_GT(client.log->size(), logged);
+  EXPECT_FALSE(client.log->backend_status().ok());
+}
+
+// ---- one journal, crashed with batches in flight ----
 //
-// The pipelined writer can crash with several group-commit batches in
-// flight. Power loss then leaves each WAL cut at its own durable watermark:
-// the record journal may retain frames whose object frames never reached
-// their barrier (the object journal is synced *before* every record
-// barrier, so only the un-barriered record suffix can dangle). Recovery
-// must keep exactly the durable prefix — the dangling suffix is truncated
-// like any torn write, with zero dangling references surviving.
+// The pipelined writer can crash with several group-commit batches still
+// in flight. Power loss then leaves the journal cut somewhere past its
+// durable watermark. Each frame carries its own payload, so whatever
+// survives is self-contained evidence: recovery keeps a gap-free prefix,
+// and no record whose ticket settled ok may be missing from it.
 
 struct TornAsyncFixture : ::testing::Test {
   std::string dir;
-  std::string record_tail;
-  std::string object_tail;
   std::shared_ptr<SimClock> clock = std::make_shared<SimClock>(1000);
   RunId run{"torn-async"};
 
-  journal::Options record_options(std::uint64_t segment_max_bytes = 4ull << 20) const {
+  journal::Options options(std::uint64_t segment_max_bytes = 4ull << 20) const {
     return {.dir = dir,
             .segment_max_bytes = segment_max_bytes,
             .sync = journal::SyncPolicy::kEveryBatch,
             .batch_records = 2};
   }
 
-  // Build an object-mode journal with `records` distinct payloads, make
-  // everything durable, then crash both writers — the on-disk state of a
-  // process that died with its WAL tails unsealed. File surgery afterwards
-  // emulates what power loss does to each journal's un-barriered suffix.
-  void build(int records, std::uint64_t segment_max_bytes = 4ull << 20) {
+  void reset() {
     namespace fs = std::filesystem;
     dir = (fs::temp_directory_path() / "nonrep_fi_torn_async").string();
     fs::remove_all(dir);
-    auto store = std::make_shared<store::ObjectStore>();
-    auto opened = store::JournalLogBackend::open(record_options(segment_max_bytes), store);
+  }
+
+  // Build a journal with `records` distinct payloads, make everything
+  // durable, then crash the writer — the on-disk state of a process that
+  // died with its tail segment unsealed.
+  void build(int records, std::uint64_t segment_max_bytes = 4ull << 20) {
+    reset();
+    auto opened = store::JournalLogBackend::open(options(segment_max_bytes));
     ASSERT_TRUE(opened.ok()) << opened.error().detail;
     auto* jb = opened.value().get();
-    store::EvidenceLog log(std::move(opened).take(), clock, store);
+    store::EvidenceLog log(std::move(opened).take(), clock);
     for (int i = 0; i < records; ++i) {
       log.append(run, "blob", to_bytes("payload-" + std::to_string(i)));
     }
     ASSERT_TRUE(jb->sync().ok());
     ASSERT_TRUE(log.backend_status().ok());
     jb->writer().simulate_crash();
-    jb->object_writer()->simulate_crash();
-
-    auto rsegs = journal::Segment::list(dir);
-    ASSERT_TRUE(rsegs.ok());
-    ASSERT_FALSE(rsegs.value().empty());
-    record_tail = rsegs.value().back();
-    auto osegs = journal::Segment::list(dir + "/objects");
-    ASSERT_TRUE(osegs.ok());
-    ASSERT_FALSE(osegs.value().empty());
-    object_tail = osegs.value().back();
   }
 };
 
-TEST_F(TornAsyncFixture, DanglingSuffixTruncatedToDurablePrefix) {
-  // k = number of record frames whose object frames the power loss ate —
-  // k >= 2 is the genuinely-async case (two-plus batches still in flight).
-  for (const std::size_t k : {1u, 2u, 3u}) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    build(7);
-    // Cut the object journal after its (7-k)-th frame: the last k records
-    // now reference objects that were never durable. Distinct payloads mean
-    // record i references exactly object i, so the danglers are precisely
-    // the record suffix.
-    auto scan = journal::Segment::scan(object_tail);
-    ASSERT_TRUE(scan.ok());
-    ASSERT_EQ(scan->records.size(), 7u);
-    std::filesystem::resize_file(object_tail, scan->records[7 - k].offset);
+TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
+  // Vary where the kill lands: after `settled_first` records were appended
+  // and settled, a burst of 48 more is staged with append_async (several
+  // per-record barriers in flight, none awaited) and the writer dies.
+  for (const int settled_first : {0, 5, 23}) {
+    SCOPED_TRACE("settled_first=" + std::to_string(settled_first));
+    reset();
+    auto objects = std::make_shared<store::ObjectStore>();
+    std::vector<store::LogRecord> staged;
+    std::vector<store::AppendReceipt> receipts;
+    {
+      auto opened =
+          store::JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
+      ASSERT_TRUE(opened.ok()) << opened.error().detail;
+      auto* jb = opened.value().get();
+      store::EvidenceLog log(std::move(opened).take(), clock, objects);
+      for (int i = 0; i < settled_first + 48; ++i) {
+        auto [rec, receipt] = log.append_async(run, "token.NRO-request",
+                                               to_bytes("evidence-" + std::to_string(i)));
+        if (i < settled_first) ASSERT_TRUE(log.settle(receipt).ok());
+        staged.push_back(std::move(rec));
+        receipts.push_back(std::move(receipt));
+      }
+      jb->writer().simulate_crash();
+    }
 
-    auto rebuilt = std::make_shared<store::ObjectStore>();
-    auto reopened = store::JournalLogBackend::open(record_options(), rebuilt);
+    // Every ticket settles one way or the other once the writer is dead.
+    std::size_t settled_ok = 0;
+    for (std::size_t i = 0; i < receipts.size(); ++i) {
+      if (receipts[i].durable.wait().ok()) settled_ok = i + 1;
+    }
+    EXPECT_GE(settled_ok, static_cast<std::size_t>(settled_first));
+
+    auto reopened = store::JournalLogBackend::open({.dir = dir});
     ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-    EXPECT_EQ(reopened.value()->resolve_stats().dangling_refs, 0u);
-    EXPECT_EQ(reopened.value()->resolve_stats().truncated_tail_records, k);
-
-    store::EvidenceLog recovered(std::move(reopened).take(), clock, rebuilt);
-    ASSERT_EQ(recovered.size(), 7u - k);
-    EXPECT_TRUE(recovered.verify_chain().ok());
-    // Sequence numbering resumes exactly where durability ended.
+    store::EvidenceLog recovered(std::move(reopened).take(), clock, objects);
+    EXPECT_TRUE(recovered.verify_chain().ok());  // gap-free, untampered prefix
+    ASSERT_GE(recovered.size(), settled_ok);
+    ASSERT_LE(recovered.size(), staged.size());
+    for (std::size_t i = 0; i < recovered.size(); ++i) {
+      EXPECT_EQ(recovered.records()[i].chain, staged[i].chain) << i;
+      EXPECT_EQ(recovered.records()[i].payload, staged[i].payload) << i;
+    }
+    // And the journal keeps going from exactly the recovered prefix.
     recovered.append(run, "blob", to_bytes("post-recovery"));
     EXPECT_TRUE(recovered.backend_status().ok());
-    EXPECT_EQ(recovered.records().back().sequence, 7u - k);
     EXPECT_TRUE(recovered.verify_chain().ok());
   }
-}
-
-TEST_F(TornAsyncFixture, RecordTailShorterThanObjectJournalIsBenign) {
-  // The mirror image — barriers retired out of order can leave the object
-  // journal ahead of the record journal. Orphan objects are harmless; the
-  // record prefix loads with nothing dangling and nothing to truncate.
-  build(7);
-  auto scan = journal::Segment::scan(record_tail);
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(scan->records.size(), 7u);
-  std::filesystem::resize_file(record_tail, scan->records[4].offset);
-
-  auto rebuilt = std::make_shared<store::ObjectStore>();
-  auto reopened = store::JournalLogBackend::open(record_options(), rebuilt);
-  ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-  EXPECT_EQ(reopened.value()->resolve_stats().dangling_refs, 0u);
-  EXPECT_EQ(reopened.value()->resolve_stats().truncated_tail_records, 0u);
-
-  store::EvidenceLog recovered(std::move(reopened).take(), clock, rebuilt);
-  ASSERT_EQ(recovered.size(), 4u);
-  EXPECT_TRUE(recovered.verify_chain().ok());
-  recovered.append(run, "blob", to_bytes("post-recovery"));
-  EXPECT_TRUE(recovered.backend_status().ok());
-  EXPECT_EQ(recovered.records().back().sequence, 4u);
 }
 
 TEST_F(TornAsyncFixture, CrashMidRotationLeavesRecoverableJournal) {
@@ -458,13 +499,11 @@ TEST_F(TornAsyncFixture, CrashMidRotationLeavesRecoverableJournal) {
     std::ofstream out(dir + "/.spare.wal", std::ios::binary | std::ios::trunc);
     out << "half-prepared spare, never swapped in";
   }
-  auto rebuilt = std::make_shared<store::ObjectStore>();
-  auto reopened = store::JournalLogBackend::open(record_options(2048), rebuilt);
+  auto reopened = store::JournalLogBackend::open(options(2048));
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
   EXPECT_FALSE(fs::exists(dir + "/.spare.wal"));  // stale spare removed
-  EXPECT_EQ(reopened.value()->resolve_stats().dangling_refs, 0u);
 
-  store::EvidenceLog recovered(std::move(reopened).take(), clock, rebuilt);
+  store::EvidenceLog recovered(std::move(reopened).take(), clock);
   ASSERT_EQ(recovered.size(), 40u);
   EXPECT_TRUE(recovered.verify_chain().ok());
   recovered.append(run, "blob", to_bytes("post-recovery"));
@@ -477,10 +516,10 @@ TEST_F(TornAsyncFixture, VanishedUnsealedTailAfterRotationKeepsSealedPrefix) {
   // renamed tail segment vanish entirely: the sealed prefix must load and
   // the writer must resume after its last record.
   build(40, /*segment_max_bytes=*/2048);
-  auto rsegs = journal::Segment::list(dir);
-  ASSERT_TRUE(rsegs.ok());
-  ASSERT_GE(rsegs.value().size(), 2u) << "need a rotation for this scenario";
-  fs::remove(rsegs.value().back());
+  auto segs = journal::Segment::list(dir);
+  ASSERT_TRUE(segs.ok());
+  ASSERT_GE(segs.value().size(), 2u) << "need a rotation for this scenario";
+  fs::remove(segs.value().back());
 
   auto expected = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
   ASSERT_TRUE(expected.ok());
@@ -488,12 +527,10 @@ TEST_F(TornAsyncFixture, VanishedUnsealedTailAfterRotationKeepsSealedPrefix) {
   ASSERT_GT(surviving, 0u);
   ASSERT_LT(surviving, 40u);
 
-  auto rebuilt = std::make_shared<store::ObjectStore>();
-  auto reopened = store::JournalLogBackend::open(record_options(2048), rebuilt);
+  auto reopened = store::JournalLogBackend::open(options(2048));
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-  EXPECT_EQ(reopened.value()->resolve_stats().dangling_refs, 0u);
 
-  store::EvidenceLog recovered(std::move(reopened).take(), clock, rebuilt);
+  store::EvidenceLog recovered(std::move(reopened).take(), clock);
   ASSERT_EQ(recovered.size(), surviving);
   EXPECT_TRUE(recovered.verify_chain().ok());
   recovered.append(run, "blob", to_bytes("post-recovery"));

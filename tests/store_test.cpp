@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -10,6 +9,7 @@
 #include "store/evidence_log.hpp"
 #include "store/journal_backend.hpp"
 #include "store/state_store.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nonrep::store {
@@ -72,49 +72,6 @@ TEST(EvidenceLog, ChainDigestDetectsTamper) {
   LogRecord tampered = log.records()[0];
   tampered.payload = to_bytes("doctored");
   EXPECT_NE(chain_digest(crypto::Digest{}, tampered), log.records()[0].chain);
-}
-
-TEST(EvidenceLog, FileBackendRoundTrip) {
-  const std::string path = "/tmp/nonrep_log_test.log";
-  std::remove(path.c_str());
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
-    log.append(RunId("r1"), "token.NRO-request", to_bytes("persisted"));
-    log.append(RunId("r2"), "vote", Bytes{0x00, 0xff, 0x10});
-  }
-  EvidenceLog reloaded(std::make_unique<FileLogBackend>(path), make_clock());
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_TRUE(reloaded.verify_chain().ok());
-  auto rec = reloaded.find(RunId("r1"), "token.NRO-request");
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(to_string(rec->payload), "persisted");
-  std::remove(path.c_str());
-}
-
-TEST(EvidenceLog, FileBackendTamperDetectedOnReload) {
-  const std::string path = "/tmp/nonrep_log_tamper.log";
-  std::remove(path.c_str());
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
-    log.append(RunId("r1"), "k", to_bytes("a"));
-    log.append(RunId("r1"), "k", to_bytes("b"));
-  }
-  // Truncate the first line (drop a record) — the chain must not verify.
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
-    EXPECT_TRUE(log.verify_chain().ok());
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  in.close();
-  std::ofstream out(path, std::ios::trunc);
-  out << line2 << '\n';  // second record without its predecessor
-  out.close();
-  EvidenceLog log(std::make_unique<FileLogBackend>(path), make_clock());
-  EXPECT_FALSE(log.verify_chain().ok());
-  std::remove(path.c_str());
 }
 
 TEST(EvidenceLog, EmptyChainVerifies) {
@@ -201,23 +158,23 @@ TEST(EvidenceLog, SettleForcesBarrierForBatchedReceipts) {
   EXPECT_TRUE(log.backend_status().ok());
 }
 
-TEST(EvidenceLog, ObjectModeReceiptCoversObjectFrame) {
-  const std::string dir = temp_dir("receipt_objects");
-  auto objects = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open(
-      {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
+TEST(EvidenceLog, RefusedStagingComesBackAsFailedReceipt) {
+  const std::string dir = temp_dir("receipt_refused");
+  auto backend =
+      JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
   ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), make_clock(), objects);
-  auto [rec, receipt] = log.append_async(RunId("r"), "token.vote", to_bytes("tok"));
-  EXPECT_TRUE(rec.interned);
-  ASSERT_TRUE(log.settle(receipt).ok());
-  // The settled record barrier implies the object frame's durability
-  // (before_sync ordering): a fresh store rebuilt from disk has the object.
-  auto rebuilt = std::make_shared<ObjectStore>();
-  auto reopened = JournalLogBackend::open({.dir = dir}, rebuilt);
-  ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-  EXPECT_EQ(reopened.value()->resolve_stats().dangling_refs, 0u);
-  EXPECT_TRUE(rebuilt->contains(rec.object));
+  auto* jb = backend.value().get();
+  EvidenceLog log(std::move(backend).take(), make_clock());
+  jb->writer().simulate_crash();
+  // The backend refuses to stage at all: the receipt is already settled
+  // with that error, so a caller settling it cannot mistake the record for
+  // durable evidence.
+  auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("never persisted"));
+  EXPECT_TRUE(receipt.durable.ready());
+  auto settled = log.settle(receipt);
+  ASSERT_FALSE(settled.ok());
+  EXPECT_EQ(settled.error().code, "journal.closed");
+  EXPECT_FALSE(log.backend_status().ok());
 }
 
 TEST(StateStore, PutGetRoundTrip) {
@@ -374,77 +331,6 @@ TEST(JournalBackend, SequenceDivergenceSurfaces) {
   EXPECT_EQ(reopened.value()->recovery().records.size(), 1u);
 }
 
-TEST(JournalBackend, MigrationFromLegacyHexLog) {
-  const std::string legacy = "/tmp/nonrep_store_legacy.log";
-  const std::string dir = temp_dir("backend_migrate");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-  auto clock = make_clock();
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(legacy), clock);
-    for (int i = 0; i < 8; ++i) {
-      log.append(RunId("r" + std::to_string(i % 3)), "kind", to_bytes("p" + std::to_string(i)));
-    }
-  }
-  auto migrated = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_TRUE(migrated.ok()) << migrated.error().detail;
-  EXPECT_EQ(migrated.value(), 8u);
-  EXPECT_FALSE(fs::exists(legacy));
-  EXPECT_TRUE(fs::exists(legacy + ".migrated"));
-
-  // Hash chain, sequence numbers and payloads all survive the format change.
-  auto backend = JournalLogBackend::open({.dir = dir});
-  ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), clock);
-  ASSERT_EQ(log.size(), 8u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(to_string(log.records()[5].payload), "p5");
-  // And the migrated journal is sealed + auditable.
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
-
-  // One-shot: a second migration attempt must refuse.
-  {
-    EvidenceLog again(std::make_unique<FileLogBackend>(legacy), clock);
-    again.append(RunId("r"), "k", to_bytes("x"));
-  }
-  auto second = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.error().code, "log.migrate_exists");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-}
-
-TEST(JournalBackend, MigrationSurvivesStaleStagingAndExistingDir) {
-  const std::string legacy = "/tmp/nonrep_store_legacy2.log";
-  const std::string dir = temp_dir("backend_migrate2");
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".migrated").c_str());
-  auto clock = make_clock();
-  {
-    EvidenceLog log(std::make_unique<FileLogBackend>(legacy), clock);
-    for (int i = 0; i < 4; ++i) log.append(RunId("r"), "k", to_bytes("p" + std::to_string(i)));
-  }
-  // A previous migration died mid-way: its staging directory is still there,
-  // and the (segment-free) destination directory already exists.
-  fs::create_directories(dir);
-  fs::create_directories(dir + ".migrating");
-  {
-    std::ofstream junk((fs::path(dir + ".migrating") / "seg-00000000000000000000.wal"));
-    junk << "partial garbage";
-  }
-  auto migrated = migrate_file_log(legacy, {.dir = dir});
-  ASSERT_TRUE(migrated.ok()) << migrated.error().detail;
-  EXPECT_EQ(migrated.value(), 4u);
-  EXPECT_FALSE(fs::exists(dir + ".migrating"));
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
-  auto backend = JournalLogBackend::open({.dir = dir});
-  ASSERT_TRUE(backend.ok());
-  EvidenceLog log(std::move(backend).take(), clock);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  std::remove((legacy + ".migrated").c_str());
-}
-
 TEST(StateStore, ManyDistinctStates) {
   StateStore store;
   std::vector<crypto::Digest> digests;
@@ -525,23 +411,17 @@ TEST(StateStore, EightThreadMixedReadWrite) {
 
 // ---- content-addressed object store ----
 
-TEST(ObjectStore, EncodeDecodeRoundTrip) {
+TEST(ObjectStore, IdCoversTypedHeader) {
+  // The id is the hash of {typesig u32, size u64} || payload, so the same
+  // bytes filed under two types are two objects.
   const Bytes payload = to_bytes("evidence bytes");
-  const Bytes encoded = encode_object(kTypeToken, payload);
-  ASSERT_EQ(encoded.size(), kObjectHeaderBytes + payload.size());
-  auto decoded = decode_object(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().detail;
-  EXPECT_EQ(decoded.value().typesig, kTypeToken);
-  EXPECT_EQ(Bytes(decoded.value().payload.begin(), decoded.value().payload.end()), payload);
-  // The streaming id matches a hash of the materialized encoding.
+  BinaryWriter w;
+  w.u32(kTypeToken);
+  w.u64(payload.size());
+  Bytes encoded = std::move(w).take();
+  append(encoded, payload);
   EXPECT_EQ(object_id(kTypeToken, payload), crypto::Sha256::hash(encoded));
-}
-
-TEST(ObjectStore, DecodeRejectsBadHeader) {
-  EXPECT_FALSE(decode_object(Bytes(kObjectHeaderBytes - 1, 0)).ok());
-  Bytes encoded = encode_object(kTypeBlob, to_bytes("abc"));
-  encoded.pop_back();  // size field no longer matches the remaining bytes
-  EXPECT_FALSE(decode_object(encoded).ok());
+  EXPECT_NE(object_id(kTypeToken, payload), object_id(kTypeBlob, payload));
 }
 
 TEST(ObjectStore, PutGetRoundTrip) {
@@ -645,27 +525,6 @@ TEST(ObjectStore, EightThreadDoublePutIsIdempotent) {
   EXPECT_EQ(store.dedup_hits(), static_cast<std::uint64_t>(kPayloads * (kThreads - 1)));
 }
 
-TEST(ObjectStore, ThinRecordCodecRoundTrip) {
-  auto objects = std::make_shared<ObjectStore>();
-  EvidenceLog log(std::make_unique<MemoryLogBackend>(), make_clock(), objects);
-  const LogRecord rec = log.append(RunId("r1"), "token.NRO-request", to_bytes("payload"));
-  ASSERT_TRUE(rec.interned);
-  EXPECT_EQ(rec.object, object_id(kTypeToken, rec.payload));
-
-  const Bytes thin = encode_log_record_ref(rec);
-  EXPECT_TRUE(is_log_record_ref(thin));
-  EXPECT_FALSE(is_log_record_ref(encode_log_record(rec)));
-  auto decoded = decode_log_record_ref(thin);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().detail;
-  EXPECT_EQ(decoded.value().record.sequence, rec.sequence);
-  EXPECT_EQ(decoded.value().record.run, rec.run);
-  EXPECT_EQ(decoded.value().record.kind, rec.kind);
-  EXPECT_EQ(decoded.value().record.object, rec.object);
-  EXPECT_EQ(decoded.value().record.chain, rec.chain);
-  EXPECT_EQ(decoded.value().payload_size, rec.payload.size());
-  EXPECT_TRUE(decoded.value().record.payload.empty());
-}
-
 TEST(ObjectStore, EvidenceLogInternsSharedStoreDedups) {
   // Two logs share one store — identical payloads across parties are stored
   // once, and the chain digests are unchanged by interning.
@@ -687,64 +546,65 @@ TEST(ObjectStore, EvidenceLogInternsSharedStoreDedups) {
   }
 }
 
-// ---- object-mode journal backend ----
+// ---- one self-contained journal per party ----
 
-TEST(ObjectJournal, RoundTripAcrossRestartRebuildsStore) {
-  const std::string dir = temp_dir("object_roundtrip");
+TEST(JournalBackend, SharedStoreInternsLoadedRecords) {
+  const std::string dir = temp_dir("shared_store_roundtrip");
   auto clock = make_clock();
   {
     auto objects = std::make_shared<ObjectStore>();
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
+    auto backend =
+        JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
     ASSERT_TRUE(backend.ok()) << backend.error().detail;
-    EXPECT_TRUE(backend.value()->object_mode());
-    auto* raw = backend.value().get();
     EvidenceLog log(std::move(backend).take(), clock, objects);
     for (int i = 0; i < 12; ++i) {
       log.append(RunId("r" + std::to_string(i % 3)), "token.NRO-request",
                  to_bytes("payload " + std::to_string(i % 4)));
     }
     EXPECT_TRUE(log.backend_status().ok());
-    // Twelve thin records, but only the four distinct payloads hit the disk.
-    EXPECT_EQ(raw->persisted_objects(), 4u);
+    EXPECT_EQ(objects->size(), 4u);  // dedup is in memory, fleet-wide
   }
-  ASSERT_TRUE(is_object_journal(dir));
+  // One journal: every frame carries its own payload, nothing else on disk.
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "objects"));
 
+  // The two-argument open still compiles and behaves the same: the store
+  // argument is ignored, the EvidenceLog does the interning.
   auto rebuilt = std::make_shared<ObjectStore>();
   auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
+  EXPECT_EQ(rebuilt->size(), 0u);
   EvidenceLog reloaded(std::move(backend).take(), clock, rebuilt);
   ASSERT_EQ(reloaded.size(), 12u);
   EXPECT_TRUE(reloaded.verify_chain().ok());
-  EXPECT_EQ(rebuilt->size(), 4u);  // store rebuilt from the object segment
+  EXPECT_EQ(rebuilt->size(), 4u);  // the log interned what it loaded
   auto rec = reloaded.find(RunId("r1"), "token.NRO-request");
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(to_string(rec->payload), "payload 1");
   EXPECT_TRUE(rec->interned);
+  EXPECT_TRUE(rebuilt->contains(rec->object));
   // Appends keep working after restart.
   reloaded.append(RunId("r9"), "token.NRR-response", to_bytes("fresh"));
   EXPECT_TRUE(reloaded.backend_status().ok());
   EXPECT_TRUE(reloaded.verify_chain().ok());
 }
 
-TEST(ObjectJournal, CrashRecoveryTruncatesTornTailKeepsObjects) {
-  const std::string dir = temp_dir("object_crash");
+TEST(JournalBackend, CrashRecoveryTruncatesTornTail) {
+  const std::string dir = temp_dir("backend_crash");
   auto clock = make_clock();
   std::size_t live_records = 0;
   {
-    auto objects = std::make_shared<ObjectStore>();
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
+    auto backend =
+        JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
     ASSERT_TRUE(backend.ok());
     auto* raw = backend.value().get();
-    EvidenceLog log(std::move(backend).take(), clock, objects);
+    EvidenceLog log(std::move(backend).take(), clock);
     for (int i = 0; i < 10; ++i) {
       log.append(RunId("r"), "token.NRO-request", to_bytes("p" + std::to_string(i % 2)));
     }
     ASSERT_TRUE(log.backend_status().ok());
     live_records = log.size();
     raw->writer().simulate_crash();
-    // Torn final record: half a frame reaches the record journal.
+    // Torn final record: half a frame reaches the journal.
     auto segments = journal::Segment::list(dir);
     ASSERT_TRUE(segments.ok());
     ASSERT_FALSE(segments.value().empty());
@@ -755,142 +615,53 @@ TEST(ObjectJournal, CrashRecoveryTruncatesTornTailKeepsObjects) {
               static_cast<std::streamsize>(torn.size() / 2));
   }
 
-  auto rebuilt = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
+  auto backend = JournalLogBackend::open({.dir = dir});
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
   EXPECT_GT(backend.value()->recovery().truncated_bytes, 0u);
-  EvidenceLog log(std::move(backend).take(), clock, rebuilt);
+  EvidenceLog log(std::move(backend).take(), clock);
   EXPECT_EQ(log.size(), live_records);
   EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(rebuilt->size(), 2u);
-
-  auto scan = scan_object_journal(dir);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan.value().records.size(), live_records);
-  EXPECT_EQ(scan.value().dangling_refs, 0u);
-  EXPECT_EQ(scan.value().undecodable, 0u);
+  EXPECT_EQ(to_string(log.records().back().payload), "p1");
 }
 
-TEST(ObjectJournal, ScanReportsDanglingReferences) {
-  const std::string dir = temp_dir("object_dangling");
-  auto clock = make_clock();
-  {
-    auto objects = std::make_shared<ObjectStore>();
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord}, objects);
-    ASSERT_TRUE(backend.ok());
-    EvidenceLog log(std::move(backend).take(), clock, objects);
-    for (int i = 0; i < 4; ++i) {
-      log.append(RunId("r"), "token.NRO-request", to_bytes("p" + std::to_string(i)));
-    }
-    ASSERT_TRUE(log.backend_status().ok());
-  }
-  // Lose the object segment: every thin record now points at nothing. The
-  // scan counts each dangling reference and drops the record (a record
-  // without its payload is not evidence); nothing resolves.
-  fs::remove_all(fs::path(dir) / "objects");
-  fs::create_directories(fs::path(dir) / "objects");
-  auto scan = scan_object_journal(dir);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan.value().dangling_refs, 4u);
-  EXPECT_TRUE(scan.value().records.empty());
-  EXPECT_EQ(scan.value().store->size(), 0u);
-}
-
-TEST(ObjectJournal, LegacyFatJournalOpensInObjectMode) {
-  const std::string dir = temp_dir("object_legacy");
+TEST(JournalBackend, OneBarrierCoversPayloadsAcrossCrash) {
+  // Batches large enough that nothing syncs on its own: a single explicit
+  // barrier must make every staged record durable *with* its payload, since
+  // there is no second journal to lose it in.
+  const std::string dir = temp_dir("backend_one_barrier");
   auto clock = make_clock();
   {
     auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});  // fat records
-    ASSERT_TRUE(backend.ok());
-    EvidenceLog log(std::move(backend).take(), clock);
-    for (int i = 0; i < 5; ++i) {
-      log.append(RunId("r"), "token.NRO-request", to_bytes("legacy " + std::to_string(i)));
-    }
-    ASSERT_TRUE(log.backend_status().ok());
-  }
-  // Reopening with a store interns the legacy records and journals new ones
-  // thin; the chain spans both formats.
-  auto objects = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, objects);
-  ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EvidenceLog log(std::move(backend).take(), clock, objects);
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(objects->size(), 5u);
-  EXPECT_TRUE(log.records()[0].interned);
-  log.append(RunId("r"), "token.NRO-request", to_bytes("thin one"));
-  EXPECT_TRUE(log.backend_status().ok());
-  EXPECT_TRUE(log.verify_chain().ok());
-}
-
-TEST(ObjectJournal, LegacyFatRecordSharingThinTagByteSurvives) {
-  // A fat record opens with the little-endian u32 length of its canonical
-  // bytes; with run "r", kind "k" and a 52-byte payload that length is
-  // 8+8+5+5+56 = 82 = 0x52 — the thin-record tag. The object-mode reader
-  // must fall back to the fat decode when the thin decode fails, not drop
-  // the frame (which would leave a permanent chain gap).
-  const std::string dir = temp_dir("object_legacy_0x52");
-  auto clock = make_clock();
-  {
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});  // fat records
-    ASSERT_TRUE(backend.ok());
-    EvidenceLog log(std::move(backend).take(), clock);
-    const LogRecord rec = log.append(RunId("r"), "k", Bytes(52, 0xaa));
-    ASSERT_EQ(rec.canonical().size(), 0x52u);  // the collision under test
-    ASSERT_TRUE(is_log_record_ref(encode_log_record(rec)));
-    log.append(RunId("r"), "token.NRO-request", to_bytes("after"));
-    ASSERT_TRUE(log.backend_status().ok());
-  }
-  auto objects = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, objects);
-  ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EXPECT_EQ(backend.value()->resolve_stats().undecodable, 0u);
-  EXPECT_EQ(backend.value()->resolve_stats().dangling_refs, 0u);
-  EvidenceLog log(std::move(backend).take(), clock, objects);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(log.records()[0].payload, Bytes(52, 0xaa));
-}
-
-TEST(ObjectJournal, RecordBarrierSyncsObjectJournalFirst) {
-  // The two journals group-commit independently, so append order alone
-  // cannot stop a thin record from becoming durable while the object frame
-  // it references is still buffered. Batch sizes here are large enough that
-  // nothing syncs on its own — the record-journal barrier has to pull the
-  // object journal down with it (before_sync), or the crash below strands
-  // every record.
-  const std::string dir = temp_dir("object_sync_order");
-  auto clock = make_clock();
-  {
-    auto objects = std::make_shared<ObjectStore>();
-    auto backend = JournalLogBackend::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 1024},
-        objects);
+        {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 1024});
     ASSERT_TRUE(backend.ok());
     auto* raw = backend.value().get();
-    EvidenceLog log(std::move(backend).take(), clock, objects);
+    EvidenceLog log(std::move(backend).take(), clock);
     for (int i = 0; i < 8; ++i) {
       log.append(RunId("r"), "token.NRO-request", to_bytes("p" + std::to_string(i)));
     }
     ASSERT_TRUE(log.backend_status().ok());
-    // The record writer's own barrier — not the backend's sync(), which
-    // syncs the object journal itself and would mask a missing coupling.
-    ASSERT_TRUE(raw->writer().sync().ok());
+    ASSERT_TRUE(raw->sync().ok());
     raw->writer().simulate_crash();
-    raw->object_writer()->simulate_crash();  // unsynced object frames are gone
   }
 
-  auto rebuilt = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
+  auto objects = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open({.dir = dir});
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EXPECT_EQ(backend.value()->resolve_stats().dangling_refs, 0u);
-  EXPECT_EQ(backend.value()->resolve_stats().undecodable, 0u);
-  EvidenceLog log(std::move(backend).take(), clock, rebuilt);
-  EXPECT_EQ(log.size(), 8u);
+  EvidenceLog log(std::move(backend).take(), clock, objects);
+  ASSERT_EQ(log.size(), 8u);
   EXPECT_TRUE(log.verify_chain().ok());
-  EXPECT_EQ(rebuilt->size(), 8u);  // every distinct payload made it to disk
+  EXPECT_EQ(to_string(log.records()[7].payload), "p7");
+  EXPECT_EQ(objects->size(), 8u);
+}
+
+TEST(JournalBackend, RefusesSeparateObjectJournalLayout) {
+  // Older builds kept payloads in a second journal under <dir>/objects.
+  // Such a directory is refused outright rather than half-read.
+  const std::string dir = temp_dir("backend_old_layout");
+  fs::create_directories(fs::path(dir) / "objects");
+  auto backend = JournalLogBackend::open({.dir = dir});
+  ASSERT_FALSE(backend.ok());
+  EXPECT_EQ(backend.error().code, "journal.unsupported_format");
 }
 
 TEST(StateStore, ShardedSnapshotIsOneCoherentJournal) {
