@@ -151,12 +151,10 @@ void run_append_pipelined(benchmark::State& state, const std::string& name,
   state.counters["batches_in_flight_peak"] =
       static_cast<double>(stats.batches_in_flight_peak);
   state.counters["coalesced_barriers"] = static_cast<double>(stats.coalesced_barriers);
-  state.counters["out_of_order"] = static_cast<double>(stats.out_of_order_retirements);
   state.counters["ticket_wait_us_avg"] =
       stats.ticket_waits == 0 ? 0.0
                               : static_cast<double>(stats.ticket_wait_ns) / 1e3 /
                                     static_cast<double>(stats.ticket_waits);
-  state.counters["uring"] = stats.uring_active ? 1.0 : 0.0;
   (void)writer.value()->close();
   fs::remove_all(dir);
 }

@@ -23,18 +23,21 @@ bool Coordinator::has_handler(const std::string& protocol) const {
   return handlers_.contains(protocol);
 }
 
-void Coordinator::deliver(const net::Address& to, const ProtocolMessage& msg) {
+Status Coordinator::deliver(const net::Address& to, const ProtocolMessage& msg) {
   // Holding any subsystem lock here is a latent deadlock: the send may pump
   // the network inline (single-threaded mode) or block behind the very
   // strand that needs the held lock to make progress.
   NONREP_ASSERT_NO_LOCKS_HELD("Coordinator::deliver");
+  if (auto durable = evidence_->log().barrier(); !durable) return durable;
   rpc_.notify(to, msg.encode());
+  return Status::ok_status();
 }
 
 Result<ProtocolMessage> Coordinator::deliver_request(const net::Address& to,
                                                      const ProtocolMessage& msg,
                                                      TimeMs timeout) {
   NONREP_ASSERT_NO_LOCKS_HELD("Coordinator::deliver_request");
+  if (auto durable = evidence_->log().barrier(); !durable) return durable.error();
   auto raw = rpc_.call(to, msg.encode(), timeout);
   if (!raw) return raw.error();
   auto reply = ProtocolMessage::decode(raw.value());
@@ -64,6 +67,11 @@ Bytes Coordinator::on_request(const net::Address& from, BytesView raw) {
   }
   auto reply = handler->process_request(from, msg.value());
   if (!reply) return make_error_reply(msg.value(), party(), reply.error()).encode();
+  // The reply carries tokens this party just staged: if they cannot be made
+  // durable, the caller gets an error with no tokens instead.
+  if (auto durable = evidence_->log().barrier(); !durable) {
+    return make_error_reply(msg.value(), party(), durable.error()).encode();
+  }
   return reply.value().encode();
 }
 

@@ -83,8 +83,14 @@ class Coordinator {
   void register_handler(std::shared_ptr<ProtocolHandler> handler);
   bool has_handler(const std::string& protocol) const;
 
+  // Write-ahead rule: a message leaves this party only after every record
+  // it has staged is durable (EvidenceLog::barrier). deliver,
+  // deliver_request and the reply of a served request all pass that
+  // barrier first; if it fails, nothing is sent and the journal.* error
+  // comes back instead.
+
   /// deliver(msg): reliable one-way delivery to a remote coordinator.
-  void deliver(const net::Address& to, const ProtocolMessage& msg);
+  Status deliver(const net::Address& to, const ProtocolMessage& msg);
 
   /// deliverRequest(msg): deliver and synchronously await the reply
   /// (bounded by virtual-time `timeout`). Error replies are surfaced as

@@ -106,13 +106,13 @@ RunId EvidenceService::new_run() {
 
 namespace {
 
-// Fail closed at issue/accept: a record whose backend policy makes it
-// durable per call (kEveryRecord) is settled before the caller may act on
-// it, and a receipt that has already failed (staging error, crashed writer)
-// fails the call under any policy — evidence that never persisted is never
-// released.
-Status settle_before_release(store::EvidenceLog& log, const store::AppendReceipt& receipt) {
-  if (!receipt.policy_blocks && !receipt.durable.ready()) return Status::ok_status();
+// issue/accept only stage their records: the write-ahead wait belongs to the
+// send (Coordinator -> EvidenceLog::barrier). A receipt that has already
+// failed — the backend refused the record, or the writer crashed — still
+// fails the call under any policy, so evidence that can never persist is
+// never released.
+Status fail_if_refused(store::EvidenceLog& log, const store::AppendReceipt& receipt) {
+  if (!receipt.durable.ready()) return Status::ok_status();
   return log.settle(receipt);
 }
 
@@ -131,19 +131,18 @@ Result<EvidenceToken> EvidenceService::issue(EvidenceType type, const RunId& run
   token.signature = std::move(sig).take();
 
   states_->put(subject);
-  // Stage the token record and overlap its device barrier with the TSA
-  // countersignature (a signing round-trip, the other expensive half of
-  // issuance). Both receipts are settled before the token is handed out;
-  // if either record failed to persist, the token is not handed out at all.
+  // Stage the token record, then its TSA countersignature. Their device
+  // barrier overlaps the countersigning and whatever the caller does next;
+  // the message that carries the token waits for it at the send.
   auto [rec, receipt] = log_->append_async(run, log_kind(type), token.encode());
+  if (auto s = fail_if_refused(*log_, receipt); !s) return s.error();
   if (tsa_) {
     if (auto stamp = tsa_->countersign(token.encode())) {
       auto [stamp_rec, stamp_receipt] =
           log_->append_async(run, tsa_log_kind(type), std::move(stamp).take());
-      if (auto s = settle_before_release(*log_, stamp_receipt); !s) return s.error();
+      if (auto s = fail_if_refused(*log_, stamp_receipt); !s) return s.error();
     }
   }
-  if (auto s = settle_before_release(*log_, receipt); !s) return s.error();
   return token;
 }
 
@@ -183,7 +182,7 @@ Status EvidenceService::accept(const EvidenceToken& token, BytesView subject) {
   if (auto v = verify(token, subject); !v) return v;
   states_->put(subject);
   auto [rec, receipt] = log_->append_async(token.run, log_kind(token.type), token.encode());
-  return settle_before_release(*log_, receipt);
+  return fail_if_refused(*log_, receipt);
 }
 
 std::size_t EvidenceService::segment_memo_size() const {

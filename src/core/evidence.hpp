@@ -105,15 +105,17 @@ class EvidenceService {
   RunId new_run();
 
   /// Sign a token over `subject`; stores the subject in the state store
-  /// and appends the token to the evidence log. Fails closed: when the
-  /// token's record (or its TSA countersignature's) cannot be persisted
-  /// under the log's policy, the persistence error is returned and no token
-  /// is released.
+  /// and stages the token (and its TSA countersignature) in the evidence
+  /// log without waiting for durability: the message that carries the
+  /// token waits at the send (Coordinator, EvidenceLog::barrier). Fails
+  /// closed when a record is refused outright (staging error, crashed
+  /// writer): the persistence error is returned and no token is released.
   Result<EvidenceToken> issue(EvidenceType type, const RunId& run, BytesView subject);
 
   /// Verify a received token against the claimed subject bytes; on success
-  /// the token and subject are persisted (log + state store). A persistence
-  /// failure is returned like a verification failure.
+  /// the token and subject are staged for persistence (log + state store),
+  /// durable before this party's next send. A refused record is returned
+  /// like a verification failure.
   Status accept(const EvidenceToken& token, BytesView subject);
 
   /// Verification only (no persistence side effects). Memoized: the token

@@ -241,7 +241,10 @@ container::InvocationResult OptimisticInvocationClient::invoke(const net::Addres
       m3.step = 3;
       m3.sender = ev.self();
       m3.tokens.push_back(std::move(nrr_resp).take());
-      coordinator_->deliver(server, m3);
+      // Not durable, not sent: the server resolves the run through the TTP.
+      if (auto sent = coordinator_->deliver(server, m3); !sent) {
+        return InvocationResult::failure(Outcome::kFailure, sent.error().code);
+      }
     }
     last_outcome_ = LastOutcome::kNormal;
     return std::move(result).take();

@@ -75,7 +75,9 @@ container::InvocationResult DirectInvocationClient::invoke(const net::Address& s
   }
   last_evidence_.has_nro_response = true;
 
-  // Step 3: NRR_resp (one-way, reliable).
+  // Step 3: NRR_resp (one-way, reliable). If the receipt cannot be made
+  // durable it is never sent, and the application gets that error rather
+  // than a result it holds no durable evidence for.
   auto nrr_resp = ev.issue(EvidenceType::kNrrResponse, run, resp);
   if (nrr_resp) {
     last_evidence_.has_nrr_response = true;
@@ -85,7 +87,9 @@ container::InvocationResult DirectInvocationClient::invoke(const net::Address& s
     m3.step = 3;
     m3.sender = ev.self();
     m3.tokens.push_back(std::move(nrr_resp).take());
-    coordinator_->deliver(server, m3);
+    if (auto sent = coordinator_->deliver(server, m3); !sent) {
+      return InvocationResult::failure(Outcome::kFailure, sent.error().code);
+    }
   }
 
   return std::move(result).take();

@@ -338,9 +338,11 @@ Result<std::uint64_t> B2BObjectController::coordinate(Round round) {
   decide.tokens.push_back(decision.value());
   for (const auto& v : votes) decide.tokens.push_back(v);
 
+  Status sent = Status::ok_status();
   for (const auto& [party, address] : view.value().members) {
     if (party == ev.self()) continue;
-    coordinator_->deliver(address, decide);
+    sent = coordinator_->deliver(address, decide);
+    if (!sent) break;  // the decision is not durable: it goes nowhere
   }
 
   {
@@ -351,6 +353,7 @@ Result<std::uint64_t> B2BObjectController::coordinate(Round round) {
         held != locks_.end() && held->second.run == run) {
       locks_.erase(held);
     }
+    if (!sent) return sent.error();
     if (!commit) {
       return Error::make("sharing.rejected", "update was not unanimously agreed");
     }
@@ -458,8 +461,7 @@ Status B2BObjectController::connect(const ObjectId& object,
   join.sender = ev.self();
   join.body = std::move(join_body);
   join.tokens.push_back(std::move(connect_token).take());
-  coordinator_->deliver(newcomer.address, join);
-  return Status::ok_status();
+  return coordinator_->deliver(newcomer.address, join);
 }
 
 Status B2BObjectController::disconnect(const ObjectId& object, const PartyId& leaver) {

@@ -110,7 +110,8 @@ void InlineTtpRelay::process(const net::Address& /*from*/, const ProtocolMessage
     forward.protocol = kDirectInvocationProtocol;
     forward.body.clear();
   }
-  coordinator_->deliver(next_hop ? *next_hop : server, forward);
+  // A receipt the relay could not archive durably is not forwarded.
+  (void)coordinator_->deliver(next_hop ? *next_hop : server, forward);
 }
 
 container::InvocationResult InlineTtpInvocationClient::invoke(const net::Address& server,
@@ -177,7 +178,9 @@ container::InvocationResult InlineTtpInvocationClient::invoke(const net::Address
     m3.sender = ev.self();
     m3.body = encode_relay_body(server, resp);
     m3.tokens.push_back(std::move(nrr_resp).take());
-    coordinator_->deliver(ttp_, m3);
+    if (auto sent = coordinator_->deliver(ttp_, m3); !sent) {
+      return InvocationResult::failure(Outcome::kFailure, sent.error().code);
+    }
   }
   return std::move(result).take();
 }

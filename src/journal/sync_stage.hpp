@@ -8,15 +8,11 @@
 // accumulates and writes on appender threads while batch N's device barrier
 // is in flight here.
 //
-// Two engines retire barriers:
-//   - io_uring (NONREP_HAS_IOURING + runtime probe): IORING_OP_FSYNC SQEs,
-//     several barriers genuinely in flight; completions may arrive out of
-//     order and are retired via RetireLedger (an fsync covers every byte
-//     written before its submission, so completing a later-submitted barrier
-//     safely retires everything the earlier ones targeted).
-//   - worker-thread fdatasync loop (fallback, and the 1-core dev box):
-//     queued jobs for the same fd coalesce into one barrier per wakeup —
-//     classic group commit, just no longer on an appender's back.
+// One engine retires barriers: a worker thread running fdatasync. Group
+// commit happens at enqueue: a request for the same fd as the last queued
+// job widens that job instead of queueing another, so however many records
+// arrive while a barrier is in flight, they all ride the next one — and a
+// burst of per-record requests never meets backpressure.
 //
 // The stage also owns spare-segment preallocation: the worker fallocates
 // (FALLOC_FL_KEEP_SIZE — scan semantics require file size == content) a
@@ -39,54 +35,12 @@
 
 namespace nonrep::journal {
 
-/// Out-of-order completion bookkeeping for the io_uring engine, separated
-/// out so the ordering logic is unit-testable without a kernel ring.
-/// Barriers are submitted with monotonically non-decreasing targets; each
-/// submission gets an id, each completion retires the *maximum* target seen
-/// so far (late arrivals advance nothing and are counted).
-class RetireLedger {
- public:
-  /// Register a submitted barrier; returns its completion id.
-  std::uint64_t submit(std::uint64_t target_lsn, std::uint64_t target_bytes);
-
-  struct Retired {
-    std::uint64_t lsn = 0;    // watermark after this completion
-    std::uint64_t bytes = 0;
-    bool advanced = false;    // false: a late out-of-order arrival
-    bool known = false;       // false: id was never submitted
-  };
-  Retired complete(std::uint64_t id);
-
-  std::size_t outstanding() const { return outstanding_; }
-  std::uint64_t out_of_order() const { return out_of_order_; }
-  std::uint64_t retired_lsn() const { return retired_lsn_; }
-
-  /// Abandon every outstanding submission (submit failure / crash).
-  void abandon() { outstanding_ = 0; }
-
- private:
-  struct Entry {
-    std::uint64_t id = 0;
-    std::uint64_t lsn = 0;
-    std::uint64_t bytes = 0;
-    bool done = false;
-  };
-  std::deque<Entry> entries_;  // submission order
-  std::uint64_t next_id_ = 1;
-  std::size_t outstanding_ = 0;
-  std::uint64_t out_of_order_ = 0;
-  std::uint64_t retired_lsn_ = 0;
-  std::uint64_t retired_bytes_ = 0;
-};
-
 class SyncStage {
  public:
   struct Options {
     /// Backpressure: request() blocks once this many barriers are queued or
-    /// executing. Also the io_uring submission depth.
+    /// executing (a request that widens the last queued job never blocks).
     std::size_t max_batches_in_flight = 4;
-    /// Try the io_uring engine (falls back silently when unavailable).
-    bool want_uring = true;
   };
 
   SyncStage(std::shared_ptr<DurabilityState> state, Options options);
@@ -94,10 +48,10 @@ class SyncStage {
   SyncStage(const SyncStage&) = delete;
   SyncStage& operator=(const SyncStage&) = delete;
 
-  /// Enqueue a barrier covering (target_lsn, target_bytes) on fd. Always
-  /// enqueues (the writer decides when a barrier is redundant); blocks only
-  /// under backpressure. Safe to call with the writer's mutex held. After
-  /// crash()/shutdown() this is a no-op.
+  /// Enqueue a barrier covering (target_lsn, target_bytes) on fd, or widen
+  /// the last queued job when it is for the same fd (the writer decides when
+  /// a barrier is redundant); blocks only under backpressure. Safe to call
+  /// with the writer's mutex held. After crash()/shutdown() this is a no-op.
   void request(int fd, std::uint64_t target_lsn, std::uint64_t target_bytes);
 
   /// Wait until every requested barrier has been executed (or the stage has
@@ -125,12 +79,10 @@ class SyncStage {
 
   struct Stats {
     std::uint64_t barriers = 0;            // device barriers issued
-    std::uint64_t coalesced = 0;           // requests folded into one barrier
-    std::uint64_t out_of_order = 0;        // late uring completions
+    std::uint64_t coalesced = 0;           // requests folded into a queued job
     std::uint64_t backpressure_waits = 0;  // request() calls that blocked
     std::uint64_t in_flight_peak = 0;      // max queued+executing barriers
     std::uint64_t spares_prepared = 0;
-    bool uring_active = false;
   };
   Stats stats() const;
 
@@ -145,14 +97,12 @@ class SyncStage {
   };
 
   void worker();
-  void run_fallback_group(std::deque<Job>& group);
-  void run_uring_group(std::deque<Job>& group);
+  void run_group(const std::deque<Job>& group);
   void fail_locked_unlocked(Status s);  // takes mu_ itself
   void make_spare(std::string path, std::uint64_t bytes);
 
   std::shared_ptr<DurabilityState> state_;
   Options opt_;
-  std::unique_ptr<class UringQueue> ring_;  // null: fallback engine
 
   mutable util::Mutex mu_{util::LockRank::kJournalSync, "journal.sync_stage"};
   util::CondVar cv_;       // worker wakeups
@@ -174,7 +124,6 @@ class SyncStage {
   Stats stats_;
 
   // Worker-thread-only state (no locking needed).
-  RetireLedger ledger_;
   std::uint64_t last_retired_lsn_ = 0;
 
   std::thread thread_;

@@ -1,7 +1,6 @@
 #include "journal/writer.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -72,16 +71,6 @@ Status fsync_dir(const std::string& dir) {
   return Status::ok_status();
 }
 
-SyncBackend resolve_backend(SyncBackend configured) {
-  // CI runs every journal suite twice: NONREP_JOURNAL_SYNC_BACKEND=uring and
-  // =fallback. The env var wins over the per-writer option.
-  if (const char* env = std::getenv("NONREP_JOURNAL_SYNC_BACKEND")) {
-    if (std::strcmp(env, "fallback") == 0) return SyncBackend::kWorkerFdatasync;
-    if (std::strcmp(env, "uring") == 0) return SyncBackend::kIoUring;
-  }
-  return configured;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Writer>> Writer::open(Options options) {
@@ -115,8 +104,6 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
   w->state_ = std::make_shared<DurabilityState>();
   SyncStage::Options stage_opt;
   stage_opt.max_batches_in_flight = w->opt_.max_batches_in_flight;
-  stage_opt.want_uring =
-      resolve_backend(w->opt_.sync_backend) != SyncBackend::kWorkerFdatasync;
   w->stage_ = std::make_unique<SyncStage>(w->state_, std::move(stage_opt));
 
   w->next_seq_ = report.next_sequence;
@@ -434,9 +421,7 @@ Writer::Stats Writer::stats() const {
   s.syncs = stage.barriers;
   s.batches_in_flight_peak = stage.in_flight_peak;
   s.coalesced_barriers = stage.coalesced;
-  s.out_of_order_retirements = stage.out_of_order;
   s.backpressure_waits = stage.backpressure_waits;
-  s.uring_active = stage.uring_active;
   s.ticket_waits = state_->ticket_waits.load(std::memory_order_relaxed);
   s.ticket_wait_ns = state_->ticket_wait_ns.load(std::memory_order_relaxed);
   {

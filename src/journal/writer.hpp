@@ -5,22 +5,23 @@
 // monotonically increasing sequence numbers. The commit path is a two-stage
 // pipeline: append_async() encodes the frame, hands it to the OS according
 // to the sync policy, and returns an AppendTicket immediately; a dedicated
-// sync stage (journal/sync_stage.hpp) retires device barriers off-thread —
-// io_uring fsync completions where available, a worker-thread fdatasync
-// loop otherwise — and settles tickets in LSN order. Batch N+1 accumulates
-// and writes while batch N's barrier is in flight, so appenders never block
-// behind a leader's fdatasync.
+// sync stage (journal/sync_stage.hpp) retires device barriers off-thread on
+// a worker-thread fdatasync loop and settles tickets in LSN order. Batch N+1
+// accumulates and writes while batch N's barrier is in flight — requests
+// that arrive meanwhile fold into one queued barrier — so appenders never
+// block behind a leader's fdatasync.
 //
 // Policy → pipeline mapping (what each policy means under the async API):
 //
-//   kEveryRecord  append_async() flushes the frame to the OS and enqueues a
+//   kEveryRecord  append_async() flushes the frame to the OS and requests a
 //                 barrier covering it; the ticket settles when that barrier
 //                 retires. The ticket's policy_blocks flag is set: the
 //                 compatibility append() waits on it, preserving the classic
-//                 "returns only after fdatasync" contract. Concurrent
-//                 appenders still group-commit — queued barriers coalesce in
-//                 the sync stage — but an appender that uses the ticket can
-//                 overlap its own work with the barrier.
+//                 "returns only after fdatasync" contract, and the evidence
+//                 layer waits on it once per outgoing protocol message (the
+//                 write-ahead rule at the send). Appends staged while a
+//                 barrier is in flight widen the next queued one, so a
+//                 party that waits only at the send gets batches > 1.
 //   kEveryBatch   records accumulate in memory; every batch_records appends
 //                 trigger one flush + one queued barrier. Nobody waits (the
 //                 pre-pipeline writer blocked the appender that happened to
@@ -69,17 +70,6 @@ enum class SyncPolicy : std::uint8_t {
   kTimed = 2,
 };
 
-/// Which engine retires device barriers. kAuto probes io_uring at open and
-/// falls back to the worker-thread fdatasync loop; the probe (and kIoUring)
-/// degrade to the fallback when the kernel or sandbox says no. The
-/// NONREP_JOURNAL_SYNC_BACKEND environment variable ("uring" / "fallback")
-/// overrides this option — CI uses it to run both modes.
-enum class SyncBackend : std::uint8_t {
-  kAuto = 0,
-  kWorkerFdatasync = 1,
-  kIoUring = 2,
-};
-
 struct Options {
   std::string dir;
   std::uint64_t segment_max_bytes = 4ull << 20;
@@ -88,8 +78,6 @@ struct Options {
   std::size_t batch_records = 64;
   /// kTimed: maximum age of un-synced data, in wall milliseconds.
   std::uint32_t sync_interval_ms = 50;
-  /// Barrier engine selection (see SyncBackend).
-  SyncBackend sync_backend = SyncBackend::kAuto;
   /// Pipeline depth: barriers queued or executing before append triggers
   /// block. Also bounds the kEveryBatch crash window.
   std::size_t max_batches_in_flight = 4;
@@ -157,14 +145,15 @@ class Writer {
     // Pipeline behavior.
     std::uint64_t batches_in_flight_peak = 0;  // barriers queued+executing
     std::uint64_t coalesced_barriers = 0;      // requests folded together
-    std::uint64_t out_of_order_retirements = 0;  // late uring completions
     std::uint64_t backpressure_waits = 0;      // triggers that blocked
     std::uint64_t ticket_waits = 0;            // DurableFuture::wait blocks
     std::uint64_t ticket_wait_ns = 0;          // total ns spent in them
     std::uint64_t spare_swaps = 0;             // rotations served by a spare
     std::uint64_t durable_bytes = 0;  // active-segment bytes known durable
                                       // (high-water across rotations)
-    bool uring_active = false;        // io_uring engine in use
+    /// Always false. Kept only until the benchmark driver, which still
+    /// reads it, drops the field.
+    bool uring_active = false;
   };
   Stats stats() const;
 

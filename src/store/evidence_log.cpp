@@ -110,9 +110,11 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
   auto staged = backend_->append_async(records_.back());
   if (!staged) {
     if (backend_status_.ok()) backend_status_ = staged.error();
-    return {records_.back(), AppendReceipt{journal::DurableFuture::ready(staged.error()), false}};
+    tail_ = AppendReceipt{journal::DurableFuture::ready(staged.error()), false};
+  } else {
+    tail_ = std::move(staged).take();
   }
-  return {records_.back(), std::move(staged).take()};
+  return {records_.back(), tail_};
 }
 
 Status EvidenceLog::settle(const AppendReceipt& receipt) {
@@ -133,6 +135,16 @@ Status EvidenceLog::settle(const AppendReceipt& receipt) {
     if (backend_status_.ok()) backend_status_ = durable;
   }
   return durable;
+}
+
+Status EvidenceLog::barrier() {
+  AppendReceipt tail;
+  {
+    util::MutexLock lk(mu_);
+    tail = tail_;
+  }
+  if (!tail.policy_blocks && !tail.durable.ready()) return Status::ok_status();
+  return settle(tail);
 }
 
 std::size_t EvidenceLog::size() const {

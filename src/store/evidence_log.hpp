@@ -126,17 +126,22 @@ class EvidenceLog {
   LogRecord append(const RunId& run, std::string kind, Bytes payload);
 
   /// Pipelined append: the record is chained and staged, and the receipt's
-  /// future settles once it is durable. Protocol code that can overlap
-  /// signing/verification with the barrier uses this and later settle()s
-  /// the receipt (or checks backend_status()). If the backend refuses to
-  /// stage the record, the receipt comes back already settled with that
-  /// error.
+  /// future settles once it is durable. Protocol code stages with this and
+  /// waits once, at the send (barrier()). If the backend refuses to stage
+  /// the record, the receipt comes back already settled with that error.
   std::pair<LogRecord, AppendReceipt> append_async(const RunId& run, std::string kind,
                                                    Bytes payload);
 
   /// Wait for a receipt's barrier; a failure is recorded as the log's
   /// backend status (first failure sticks) and returned.
   Status settle(const AppendReceipt& receipt);
+
+  /// The write-ahead barrier a party passes before a protocol message
+  /// leaves it: wait until every record staged so far is durable. It
+  /// settle()s the newest receipt when that receipt's policy_blocks is set
+  /// (kEveryRecord) or it has already failed; batched and timed policies,
+  /// and memory logs, return at once.
+  Status barrier();
 
   std::size_t size() const;
   const std::vector<LogRecord>& records() const noexcept { return records_; }
@@ -167,6 +172,7 @@ class EvidenceLog {
   std::vector<LogRecord> records_ NONREP_GUARDED_BY(mu_);
   std::uint64_t payload_bytes_ NONREP_GUARDED_BY(mu_) = 0;
   Status backend_status_ NONREP_GUARDED_BY(mu_);
+  AppendReceipt tail_ NONREP_GUARDED_BY(mu_);  // receipt of the newest record
 };
 
 /// Chain digest helper (exposed for tests).

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common.hpp"
+#include "core/fair_exchange.hpp"
 #include "core/nr_interceptor.hpp"
 #include "core/sharing.hpp"
 #include "journal/reader.hpp"
@@ -394,6 +395,310 @@ TEST_F(FailureFixture, CrashedJournalFailsIssueAndAcceptClosed) {
   EXPECT_GT(client.log->size(), logged);
   EXPECT_FALSE(client.log->backend_status().ok());
 }
+
+// ---- write-ahead at the send ----
+//
+// issue/accept only stage records; a party makes them durable once, when a
+// message leaves it. GatedLogBackend lets a test fail that barrier after the
+// records were staged. Records go to `inner` at once, but every receipt
+// hangs on the double's own watermark, which moves only when the evidence
+// log asks for a barrier (EvidenceLog::settle -> sync). The barrier whose
+// newest record has kind `fail_kind` fails instead: `on_fail` runs first (a
+// crash drill kills the real journal there), then the watermark fails for
+// good. Single-threaded use only (classic network mode).
+class GatedLogBackend final : public store::LogBackend {
+ public:
+  GatedLogBackend(std::unique_ptr<store::LogBackend> inner, std::string fail_kind,
+                  std::function<void()> on_fail = {})
+      : inner_(std::move(inner)), fail_kind_(std::move(fail_kind)), on_fail_(std::move(on_fail)) {}
+
+  Status append(const store::LogRecord& record) override {
+    auto staged = append_async(record);
+    if (!staged) return staged.error();
+    if (auto synced = sync(); !synced) return synced;
+    return staged.value().durable.wait();
+  }
+  Result<store::AppendReceipt> append_async(const store::LogRecord& record) override {
+    auto staged = inner_->append_async(record);
+    if (!staged) return staged.error();
+    last_kind_ = record.kind;
+    return store::AppendReceipt{journal::DurableFuture(gate_, ++staged_), true};
+  }
+  std::vector<store::LogRecord> load() override { return inner_->load(); }
+  Status health() const override {
+    if (auto failed = gate_error(); !failed) return failed;
+    return inner_->health();
+  }
+  Status sync() override {
+    if (auto failed = gate_error(); !failed) return failed;
+    Status synced = Status::ok_status();
+    if (last_kind_ == fail_kind_) {
+      if (on_fail_) on_fail_();
+      synced = inner_->health();
+      if (synced) synced = Error::make("journal.injected", "barrier failed after staging");
+    } else {
+      synced = inner_->sync();
+    }
+    if (!synced) {
+      gate_->fail(synced);
+      return synced;
+    }
+    gate_->retire(staged_, 0);
+    return Status::ok_status();
+  }
+
+ private:
+  Status gate_error() const {
+    util::MutexLock lk(gate_->mu);
+    return gate_->error;
+  }
+
+  std::unique_ptr<store::LogBackend> inner_;
+  std::string fail_kind_;
+  std::function<void()> on_fail_;
+  std::shared_ptr<journal::DurabilityState> gate_ = std::make_shared<journal::DurabilityState>();
+  std::uint64_t staged_ = 0;
+  std::string last_kind_;
+};
+
+std::unique_ptr<store::LogBackend> gated_memory(std::string fail_kind) {
+  return std::make_unique<GatedLogBackend>(std::make_unique<store::MemoryLogBackend>(),
+                                           std::move(fail_kind));
+}
+
+Invocation echo_invocation(const PartyId& caller) {
+  Invocation inv;
+  inv.service = ServiceUri("svc://server/echo");
+  inv.method = "echo";
+  inv.arguments = to_bytes("payload");
+  inv.caller = caller;
+  return inv;
+}
+
+struct WriteAheadFixture : FailureFixture {
+  void serve(test::Party& server) {
+    auto bean = std::make_shared<container::Component>();
+    bean->bind("echo", [](const Invocation& inv) -> Result<Bytes> { return inv.arguments; });
+    cont.deploy(ServiceUri("svc://server/echo"), bean,
+                container::DeploymentDescriptor{.non_repudiation = true});
+    nr = install_nr_server(*server.coordinator, cont);
+  }
+
+  // A signed step-1 message for a fresh run of `client`.
+  ProtocolMessage step1(test::Party& client) {
+    Invocation inv = echo_invocation(client.id);
+    const RunId run = client.evidence->new_run();
+    inv.context[container::kRunIdContextKey] = run.str();
+    auto nro_req = client.evidence->issue(EvidenceType::kNroRequest, run, request_subject(inv));
+    EXPECT_TRUE(nro_req.ok());  // staged only: issue does not wait
+    ProtocolMessage m1;
+    m1.protocol = kDirectInvocationProtocol;
+    m1.run = run;
+    m1.step = 1;
+    m1.sender = client.id;
+    m1.body = container::encode_invocation(inv);
+    if (nro_req) m1.tokens.push_back(std::move(nro_req).take());
+    return m1;
+  }
+
+  container::Container cont;
+  std::shared_ptr<DirectInvocationServer> nr;
+};
+
+TEST_F(WriteAheadFixture, FailedBarrierBeforeRequestSendsNothing) {
+  auto& client = world.add_party("client", {}, gated_memory("token.NRO-request"));
+  auto& server = world.add_party("server");
+  serve(server);
+  const ProtocolMessage m1 = step1(client);
+  const std::size_t server_logged = server.log->size();
+  const std::uint64_t sent_before = world.network.stats().sent;
+
+  auto reply = client.coordinator->deliver_request("server", m1, 1000);
+  world.network.run();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, "journal.injected");
+  EXPECT_EQ(world.network.stats().sent, sent_before);
+  EXPECT_EQ(server.log->size(), server_logged);
+  EXPECT_FALSE(client.log->backend_status().ok());
+}
+
+TEST_F(WriteAheadFixture, FailedReplyBarrierRepliesWithErrorAndNoTokens) {
+  auto& client = world.add_party("client");
+  auto& server = world.add_party("server", {}, gated_memory("token.NRO-response"));
+  serve(server);
+  const ProtocolMessage m1 = step1(client);
+
+  // A raw endpoint sees the reply bytes the coordinator would turn into an
+  // error: the server signed and staged NRR_req and NRO_resp, but neither
+  // left it.
+  net::RpcEndpoint probe(world.network, "probe");
+  auto raw = probe.call("server", m1.encode(), 1000);
+  ASSERT_TRUE(raw.ok()) << raw.error().code;
+  auto reply = ProtocolMessage::decode(raw.value());
+  ASSERT_TRUE(reply.ok());
+  auto error = as_error(reply.value());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, "journal.injected");
+  EXPECT_TRUE(reply.value().tokens.empty());
+  EXPECT_TRUE(server.log->find(m1.run, "token.NRO-response").has_value());
+}
+
+TEST_F(WriteAheadFixture, FailedStep3BarrierWithholdsReceiptAndFailsInvoke) {
+  auto& client = world.add_party("client", {}, gated_memory("token.NRR-response"));
+  auto& server = world.add_party("server");
+  serve(server);
+  DirectInvocationClient handler(*client.coordinator);
+  Invocation inv = echo_invocation(client.id);
+  auto result = handler.invoke("server", inv);
+  world.network.run();
+
+  // The application gets the barrier's error, not the result.
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(nonrep::to_string(result.payload), "journal.injected");
+  const RunId run = handler.last_run();
+  EXPECT_TRUE(nr->evidence_for(run).has_nro_response);
+  EXPECT_FALSE(nr->evidence_for(run).has_nrr_response);
+  EXPECT_FALSE(nr->run_complete(run));
+  EXPECT_FALSE(server.log->find(run, "token.NRR-response").has_value());
+}
+
+// ---- crash drill at every send point ----
+//
+// The sending party's journal is killed (simulate_crash) inside the
+// barrier of one send: its message never leaves. Whatever the point, the
+// honest peer ends fair — the exchange completes, is aborted through the
+// TTP, or is resolved through reclaim_receipt — the TTP reaches exactly one
+// verdict, and the crashed journal reopens gap-free with a clean chain.
+
+enum class SendPoint { kClientStep1, kServerReply, kClientStep3 };
+
+struct CrashAtSendFixture : ::testing::TestWithParam<SendPoint> {
+  static std::string dir_of(const std::string& party) {
+    return (std::filesystem::temp_directory_path() / ("nonrep_fi_send_crash_" + party)).string();
+  }
+
+  // A fresh kEveryRecord journal for `party`; when `crash_kind` is set, the
+  // barrier whose newest record has that kind crashes the journal instead.
+  static std::unique_ptr<store::LogBackend> journal_for(const std::string& party,
+                                                        const std::string& crash_kind) {
+    std::filesystem::remove_all(dir_of(party));
+    auto opened = store::JournalLogBackend::open(
+        {.dir = dir_of(party), .sync = journal::SyncPolicy::kEveryRecord});
+    EXPECT_TRUE(opened.ok());
+    std::unique_ptr<store::JournalLogBackend> backend = std::move(opened).take();
+    if (crash_kind.empty()) return backend;
+    store::JournalLogBackend* jb = backend.get();
+    return std::make_unique<GatedLogBackend>(std::move(backend), crash_kind,
+                                             [jb] { jb->writer().simulate_crash(); });
+  }
+
+  test::TestWorld world;
+};
+
+TEST_P(CrashAtSendFixture, HonestPeerEndsFairAndJournalReopensClean) {
+  const SendPoint point = GetParam();
+  const bool client_crashes = point != SendPoint::kServerReply;
+  const std::string crash_kind = point == SendPoint::kClientStep1   ? "token.NRO-request"
+                                 : point == SendPoint::kServerReply ? "token.NRO-response"
+                                                                    : "token.NRR-response";
+  auto& client = world.add_party("client", {},
+                                 journal_for("client", client_crashes ? crash_kind : ""));
+  auto& server = world.add_party("server", {},
+                                 journal_for("server", client_crashes ? "" : crash_kind));
+  auto& ttp = world.add_party("ttp");
+  auto ttp_handler = std::make_shared<OptimisticTtp>(*ttp.coordinator);
+  ttp.coordinator->register_handler(ttp_handler);
+  container::Container cont;
+  auto bean = std::make_shared<container::Component>();
+  bean->bind("echo", [](const Invocation& inv) -> Result<Bytes> { return inv.arguments; });
+  cont.deploy(ServiceUri("svc://server/echo"), bean, container::DeploymentDescriptor{});
+  auto nr = install_nr_server(*server.coordinator, cont);
+
+  OptimisticInvocationClient handler(*client.coordinator, "ttp",
+                                     InvocationConfig{.request_timeout = 300});
+  Invocation inv = echo_invocation(client.id);
+  auto result = handler.invoke("server", inv);
+  world.network.run();
+  const RunId run = handler.last_run();
+  EXPECT_FALSE(result.ok());  // the crashed party's message never left
+
+  test::Party& crashed = client_crashes ? client : server;
+  const std::string crashed_dir = dir_of(client_crashes ? "client" : "server");
+  const std::vector<store::LogRecord> staged = crashed.log->records();
+
+  // The crashed journal reopens as a gap-free prefix of what was staged.
+  auto reopened = store::JournalLogBackend::open(
+      {.dir = crashed_dir, .sync = journal::SyncPolicy::kEveryRecord});
+  ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
+  auto recovered = std::make_shared<store::EvidenceLog>(std::move(reopened).take(), world.clock);
+  EXPECT_TRUE(recovered->verify_chain().ok());
+  ASSERT_GT(recovered->size(), 0u);
+  ASSERT_LE(recovered->size(), staged.size());
+  for (std::size_t i = 0; i < recovered->size(); ++i) {
+    EXPECT_EQ(recovered->records()[i].sequence, i);
+    EXPECT_EQ(recovered->records()[i].chain, staged[i].chain) << i;
+  }
+  EXPECT_TRUE(journal::Reader::audit(crashed_dir).ok);
+
+  switch (point) {
+    case SendPoint::kClientStep1: {
+      // The server never saw the run and owes nothing. The client, back
+      // from its journal, asks the TTP to abort the run it had started.
+      EXPECT_TRUE(server.log->find_run(run).empty());
+      auto nro_req = recovered->find(run, "token.NRO-request");
+      ASSERT_TRUE(nro_req.has_value());
+      auto token = EvidenceToken::decode(nro_req->payload);
+      ASSERT_TRUE(token.ok());
+      auto& restarted = world.add_party("client-restarted");
+      ProtocolMessage abort_msg;
+      abort_msg.protocol = kFairTtpProtocol;
+      abort_msg.run = run;
+      abort_msg.step = kStepAbortRequest;
+      abort_msg.sender = client.id;
+      abort_msg.body = request_subject(inv);
+      abort_msg.tokens.push_back(std::move(token).take());
+      auto verdict = restarted.coordinator->deliver_request("ttp", abort_msg, 1000);
+      ASSERT_TRUE(verdict.ok()) << verdict.error().code;
+      EXPECT_EQ(verdict.value().step, kStepAborted);
+      EXPECT_EQ(ttp_handler->verdict(run), OptimisticTtp::Verdict::kAborted);
+      break;
+    }
+    case SendPoint::kServerReply:
+      // The client got an error instead of tokens and aborted through the
+      // TTP; it holds the TTP's abort token.
+      EXPECT_EQ(handler.last_outcome(), OptimisticInvocationClient::LastOutcome::kAborted);
+      EXPECT_EQ(result.outcome, container::Outcome::kAborted);
+      EXPECT_TRUE(client.log->find(run, "token.abort").has_value());
+      EXPECT_FALSE(client.log->find(run, "token.NRO-response").has_value());
+      EXPECT_EQ(ttp_handler->verdict(run), OptimisticTtp::Verdict::kAborted);
+      break;
+    case SendPoint::kClientStep3: {
+      // The server holds NRO_req but no receipt: it resolves through the TTP.
+      EXPECT_FALSE(nr->run_complete(run));
+      auto reclaimed = reclaim_receipt(*server.coordinator, *nr, run, "ttp", 1000);
+      ASSERT_TRUE(reclaimed.ok()) << reclaimed.error().code;
+      EXPECT_TRUE(nr->run_complete(run));
+      EXPECT_TRUE(nr->evidence_for(run).receipt_substituted);
+      EXPECT_EQ(ttp_handler->verdict(run), OptimisticTtp::Verdict::kResolved);
+      EXPECT_TRUE(server.log->backend_status().ok());
+      break;
+    }
+  }
+  const auto [aborted, resolved] = ttp_handler->verdict_counts();
+  EXPECT_EQ(aborted + resolved, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EverySendPoint, CrashAtSendFixture,
+                         ::testing::Values(SendPoint::kClientStep1, SendPoint::kServerReply,
+                                           SendPoint::kClientStep3),
+                         [](const ::testing::TestParamInfo<SendPoint>& info) -> std::string {
+                           switch (info.param) {
+                             case SendPoint::kClientStep1: return "ClientBeforeStep1";
+                             case SendPoint::kServerReply: return "ServerBeforeReply";
+                             case SendPoint::kClientStep3: return "ClientBeforeStep3";
+                           }
+                           return "Unknown";
+                         });
 
 // ---- one journal, crashed with batches in flight ----
 //
