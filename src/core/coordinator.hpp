@@ -79,6 +79,8 @@ class Coordinator {
   const PartyId& party() const noexcept { return evidence_->self(); }
   const net::Address& address() const noexcept { return rpc_.address(); }
   net::SimNetwork& network() noexcept { return rpc_.network(); }
+  /// The reliable channel's per-message state (see net::ReliableEndpoint).
+  std::size_t per_message_entries() const { return rpc_.per_message_entries(); }
 
   void register_handler(std::shared_ptr<ProtocolHandler> handler);
   bool has_handler(const std::string& protocol) const;

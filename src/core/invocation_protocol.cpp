@@ -124,11 +124,6 @@ Result<ProtocolMessage> DirectInvocationServer::process_request(const net::Addre
   }
   if (auto ok = ev.accept(nro_req.value(), req); !ok) return ok.error();
 
-  {
-    util::MutexLock lk(runs_mu_);
-    runs_[msg.run].evidence.has_nro_request = true;
-  }
-
   // Execute (container enforces at-most-once on the run id). Duplicate
   // step-1 messages re-enter here; the container returns the recorded
   // result without re-execution, so the reply is regenerated losslessly.
@@ -136,21 +131,14 @@ Result<ProtocolMessage> DirectInvocationServer::process_request(const net::Addre
                                       : InvocationResult::failure(Outcome::kNotExecuted,
                                                                   "no executor bound");
 
-  const Bytes resp = response_subject(msg.run, result);
-  {
-    util::MutexLock lk(runs_mu_);
-    runs_[msg.run].response_subject = resp;
-  }
-
+  Bytes resp = response_subject(msg.run, result);
   auto nrr_req = ev.issue(EvidenceType::kNrrRequest, msg.run, req);
   if (!nrr_req) return nrr_req.error();
   auto nro_resp = ev.issue(EvidenceType::kNroResponse, msg.run, resp);
   if (!nro_resp) return nro_resp.error();
   {
     util::MutexLock lk(runs_mu_);
-    RunEvidence& run_evidence = runs_[msg.run].evidence;
-    run_evidence.has_nrr_request = true;
-    run_evidence.has_nro_response = true;
+    awaiting_receipt_[msg.run] = std::move(resp);
   }
 
   ProtocolMessage reply;
@@ -169,47 +157,52 @@ void DirectInvocationServer::process(const net::Address& /*from*/, const Protoco
   Bytes expected_subject;
   {
     util::MutexLock lk(runs_mu_);
-    auto it = runs_.find(msg.run);
-    if (it == runs_.end()) return;  // unknown run: ignore (assumption 4)
-    expected_subject = it->second.response_subject;
+    auto it = awaiting_receipt_.find(msg.run);
+    if (it == awaiting_receipt_.end()) return;  // unknown or finished run: ignore (assumption 4)
+    expected_subject = it->second;
   }
 
   auto nrr_resp = msg.token(EvidenceType::kNrrResponse);
   if (!nrr_resp) return;
-  EvidenceService& ev = coordinator_->evidence();
-  if (ev.accept(nrr_resp.value(), expected_subject)) {
+  if (coordinator_->evidence().accept(nrr_resp.value(), expected_subject)) {
     util::MutexLock lk(runs_mu_);
-    if (auto it = runs_.find(msg.run); it != runs_.end()) {
-      it->second.evidence.has_nrr_response = true;
-    }
+    awaiting_receipt_.erase(msg.run);
   }
 }
 
 bool DirectInvocationServer::run_complete(const RunId& run) const {
-  util::MutexLock lk(runs_mu_);
-  auto it = runs_.find(run);
-  return it != runs_.end() && it->second.evidence.complete_for_server();
+  return evidence_for(run).complete_for_server();
 }
 
 RunEvidence DirectInvocationServer::evidence_for(const RunId& run) const {
-  util::MutexLock lk(runs_mu_);
-  auto it = runs_.find(run);
-  return it != runs_.end() ? it->second.evidence : RunEvidence{};
+  RunEvidence evidence;
+  for (const store::LogRecord& rec : coordinator_->evidence().log().find_run(run)) {
+    if (rec.kind == log_kind(EvidenceType::kNroRequest)) evidence.has_nro_request = true;
+    if (rec.kind == log_kind(EvidenceType::kNrrRequest)) evidence.has_nrr_request = true;
+    if (rec.kind == log_kind(EvidenceType::kNroResponse)) evidence.has_nro_response = true;
+    if (rec.kind == log_kind(EvidenceType::kNrrResponse)) evidence.has_nrr_response = true;
+    if (rec.kind == log_kind(EvidenceType::kAffidavit)) evidence.receipt_substituted = true;
+  }
+  return evidence;
 }
 
 Result<Bytes> DirectInvocationServer::response_subject_for(const RunId& run) const {
   util::MutexLock lk(runs_mu_);
-  auto it = runs_.find(run);
-  if (it == runs_.end()) {
+  auto it = awaiting_receipt_.find(run);
+  if (it == awaiting_receipt_.end()) {
     return Error::make("nr.invocation.unknown_run", run.str());
   }
-  return it->second.response_subject;
+  return it->second;
 }
 
 void DirectInvocationServer::mark_receipt_substitute(const RunId& run) {
   util::MutexLock lk(runs_mu_);
-  auto it = runs_.find(run);
-  if (it != runs_.end()) it->second.evidence.receipt_substituted = true;
+  awaiting_receipt_.erase(run);
+}
+
+std::size_t DirectInvocationServer::pending_runs() const {
+  util::MutexLock lk(runs_mu_);
+  return awaiting_receipt_.size();
 }
 
 }  // namespace nonrep::core

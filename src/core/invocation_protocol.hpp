@@ -15,8 +15,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "util/lock_discipline.hpp"
 #include "container/container.hpp"
@@ -82,6 +82,14 @@ class DirectInvocationClient final : public InvocationHandler {
 /// through `executor` (at-most-once is enforced by the container via the
 /// run id in the invocation context), signs NRR_req/NRO_resp, and awaits
 /// the client's NRR_resp.
+///
+/// The party's evidence log is the one record of a run (assumption 3): the
+/// handler keeps only the runs that have replied and wait for step 3, each
+/// with the response subject the NRR_resp must cover. An entry is erased
+/// when the receipt is accepted or a TTP affidavit substitutes for it, so
+/// a drained server holds no per-run state here. run_complete() and
+/// evidence_for() read the log; they are audit and recovery calls, not
+/// per-exchange ones.
 class DirectInvocationServer final : public ProtocolHandler {
  public:
   DirectInvocationServer(Coordinator& coordinator, Executor executor,
@@ -92,31 +100,32 @@ class DirectInvocationServer final : public ProtocolHandler {
                                           const ProtocolMessage& msg) override;
   void process(const net::Address& from, const ProtocolMessage& msg) override;
 
-  /// True once the client's NRR_resp for `run` has been verified & logged.
+  /// True once the log holds NRO_req and the client's NRR_resp (or a TTP
+  /// affidavit standing in for it) for `run`.
   bool run_complete(const RunId& run) const;
   RunEvidence evidence_for(const RunId& run) const;
 
-  /// Canonical response subject recorded for `run` (fair-exchange resolve
-  /// needs it to ask a TTP for a substitute receipt).
+  /// Canonical response subject of a run still waiting for step 3
+  /// (fair-exchange resolve needs it to ask a TTP for a substitute receipt).
   Result<Bytes> response_subject_for(const RunId& run) const;
-  /// Record that a TTP affidavit now substitutes for the missing NRR_resp.
+  /// Record that a TTP affidavit now substitutes for the missing NRR_resp:
+  /// the run stops waiting for step 3.
   void mark_receipt_substitute(const RunId& run);
+
+  /// Runs that have replied and still wait for step 3.
+  std::size_t pending_runs() const;
 
  private:
   Coordinator* coordinator_;
   Executor executor_;
   InvocationConfig config_;
 
-  struct PendingRun {
-    Bytes response_subject;  // canonical response the NRR_resp must cover
-    RunEvidence evidence;
-  };
   // A party's strand serializes its upcalls, but a handler that blocks on
   // a nested call yields the strand — the resumed frame then runs
   // concurrently with the successor's upcalls, so the run table needs its
   // own lock (as must any stateful ProtocolHandler used that way).
   mutable util::Mutex runs_mu_{util::LockRank::kHandler, "invocation.runs"};
-  std::map<RunId, PendingRun> runs_ NONREP_GUARDED_BY(runs_mu_);
+  std::unordered_map<RunId, Bytes> awaiting_receipt_ NONREP_GUARDED_BY(runs_mu_);
 };
 
 /// Canonical subject bytes the evidence tokens sign.

@@ -9,6 +9,17 @@ constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kAck = 2;
 }  // namespace
 
+bool ReliableEndpoint::Delivered::first(std::uint64_t id) {
+  if (id <= mark) return false;
+  if (id != mark + 1) return above.insert(id).second;
+  ++mark;
+  while (!above.empty() && *above.begin() == mark + 1) {
+    above.erase(above.begin());
+    ++mark;
+  }
+  return true;
+}
+
 ReliableEndpoint::ReliableEndpoint(SimNetwork& network, Address address,
                                    ReliableConfig config)
     : network_(network), address_(std::move(address)), config_(config) {
@@ -23,8 +34,8 @@ ReliableEndpoint::~ReliableEndpoint() {
   // otherwise fire into a destroyed endpoint if the pump keeps running.
   {
     util::MutexLock lk(mu_);
-    for (auto& [id, pending] : pending_) {
-      (void)id;
+    for (auto& [key, pending] : pending_) {
+      (void)key;
       if (pending.retry_timer) *pending.retry_timer = false;
     }
     pending_.clear();
@@ -44,8 +55,8 @@ void ReliableEndpoint::send(const Address& to, Bytes payload) {
   std::uint64_t id;
   {
     util::MutexLock lk(mu_);
-    id = next_msg_id_++;
-    pending_[id] = Pending{to, std::move(payload), 0, false, {}};
+    id = ++next_msg_id_[to];
+    pending_[{to, id}] = Pending{std::move(payload), 0, {}};
   }
   try_send(to, id);
 }
@@ -54,8 +65,8 @@ void ReliableEndpoint::try_send(const Address& to, std::uint64_t msg_id) {
   Bytes frame;
   {
     util::MutexLock lk(mu_);
-    auto it = pending_.find(msg_id);
-    if (it == pending_.end() || it->second.acked) return;
+    auto it = pending_.find({to, msg_id});
+    if (it == pending_.end()) return;
     Pending& p = it->second;
     if (p.attempts > config_.max_retries) {
       gave_up_.fetch_add(1);
@@ -76,11 +87,21 @@ void ReliableEndpoint::try_send(const Address& to, std::uint64_t msg_id) {
   auto timer = network_.schedule_cancelable(
       config_.retry_interval, [this, to, msg_id] { try_send(to, msg_id); });
   util::MutexLock lk(mu_);
-  if (auto it = pending_.find(msg_id); it != pending_.end()) {
+  if (auto it = pending_.find({to, msg_id}); it != pending_.end()) {
     it->second.retry_timer = std::move(timer);
   } else {
     *timer = false;  // ACKed between send and re-arm: kill the fresh timer
   }
+}
+
+std::size_t ReliableEndpoint::per_message_entries() const {
+  util::MutexLock lk(mu_);
+  std::size_t n = pending_.size();
+  for (const auto& [from, d] : delivered_) {
+    (void)from;
+    n += d.above.size();
+  }
+  return n;
 }
 
 void ReliableEndpoint::on_raw(const Address& from, BytesView raw) {
@@ -92,7 +113,7 @@ void ReliableEndpoint::on_raw(const Address& from, BytesView raw) {
 
   if (type.value() == kAck) {
     util::MutexLock lk(mu_);
-    auto it = pending_.find(id.value());
+    auto it = pending_.find({from, id.value()});
     if (it != pending_.end()) {
       if (it->second.retry_timer) *it->second.retry_timer = false;
       pending_.erase(it);
@@ -110,7 +131,7 @@ void ReliableEndpoint::on_raw(const Address& from, BytesView raw) {
   Handler handler;
   {
     util::MutexLock lk(mu_);
-    if (!seen_.insert({from, id.value()}).second) return;  // duplicate
+    if (!delivered_[from].first(id.value())) return;  // duplicate
     handler = handler_;
   }
   auto payload = r.bytes();

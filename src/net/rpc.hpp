@@ -49,6 +49,7 @@ class RpcEndpoint {
   Result<Bytes> call(const Address& to, Bytes request, TimeMs timeout);
 
   std::uint64_t retransmissions() const noexcept { return endpoint_.retransmissions(); }
+  std::size_t per_message_entries() const { return endpoint_.per_message_entries(); }
 
  private:
   void on_message(const Address& from, BytesView raw);

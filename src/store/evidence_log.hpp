@@ -88,28 +88,29 @@ class LogBackend {
   virtual Status sync() { return Status::ok_status(); }
 };
 
+/// In-memory backend: persists nothing. EvidenceLog::records_ already holds
+/// every record, so keeping a second copy here would double the log's heap
+/// for a view that is read once, by EvidenceLog's constructor, before
+/// anything is appended. The pre-seeded form (audit tooling, tests) hands
+/// its records to that one load() and keeps none.
 class MemoryLogBackend final : public LogBackend {
  public:
   MemoryLogBackend() = default;
-  /// Pre-seeded view over already-loaded records (audit tooling).
-  explicit MemoryLogBackend(std::vector<LogRecord> records)
-      : records_(std::move(records)) {}
+  explicit MemoryLogBackend(std::vector<LogRecord> records) : seed_(std::move(records)) {}
 
-  Status append(const LogRecord& record) override {
-    records_.push_back(record);
-    return Status::ok_status();
-  }
-  std::vector<LogRecord> load() override { return records_; }
+  Status append(const LogRecord&) override { return Status::ok_status(); }
+  std::vector<LogRecord> load() override { return std::exchange(seed_, {}); }
 
  private:
-  std::vector<LogRecord> records_;
+  std::vector<LogRecord> seed_;
 };
 
-/// Thread-safe for interleaved append/find: a party may issue evidence
-/// from its application thread while its delivery strand logs accepted
-/// tokens. records() is the one unlocked accessor — it returns a direct
-/// reference for audit tooling and tests, valid only once the party is
-/// quiescent (no concurrent appends).
+/// The party's one in-memory record of what happened: backends persist,
+/// they keep no copy. Thread-safe for interleaved append/find: a party may
+/// issue evidence from its application thread while its delivery strand
+/// logs accepted tokens. records() is the one unlocked accessor — it
+/// returns a direct reference for audit tooling and tests, valid only once
+/// the party is quiescent (no concurrent appends).
 class EvidenceLog {
  public:
   /// With `objects` set, every appended (and every loaded-but-uninterned)

@@ -116,6 +116,69 @@ TEST_F(FairFixture, ReclaimIsNoOpWhenReceiptArrived) {
   EXPECT_EQ(ttp_handler->verdict(run), OptimisticTtp::Verdict::kNone);  // never contacted
 }
 
+// A retired run is answered from the server's evidence log: the pending
+// table forgets it once NRR_resp is accepted, yet run_complete, evidence_for
+// and reclaim_receipt still see the whole exchange.
+TEST_F(FairFixture, RetiredRunAnsweredFromLog) {
+  OptimisticInvocationClient handler(*client->coordinator, "ttp");
+  auto inv = make_inv();
+  ASSERT_TRUE(handler.invoke("server", inv).ok());
+  world.network.run();
+  const RunId run = handler.last_run();
+  EXPECT_EQ(server_handler->pending_runs(), 0u);
+  EXPECT_FALSE(server_handler->response_subject_for(run).ok());
+
+  EXPECT_TRUE(server_handler->run_complete(run));
+  const RunEvidence evidence = server_handler->evidence_for(run);
+  EXPECT_TRUE(evidence.has_nro_request);
+  EXPECT_TRUE(evidence.has_nrr_request);
+  EXPECT_TRUE(evidence.has_nro_response);
+  EXPECT_TRUE(evidence.has_nrr_response);
+  EXPECT_FALSE(evidence.receipt_substituted);
+  EXPECT_TRUE(evidence.complete_for_server());
+
+  const auto sent = world.network.stats().sent;
+  ASSERT_TRUE(reclaim_receipt(*server->coordinator, *server_handler, run, "ttp", 1000).ok());
+  EXPECT_EQ(world.network.stats().sent, sent);  // the TTP was never contacted
+  EXPECT_EQ(ttp->log->size(), 0u);
+}
+
+// A run whose client never sends step 3 stays pending until
+// reclaim_receipt resolves it through the TTP, and then retires.
+TEST_F(FairFixture, WithheldReceiptPendingUntilReclaimed) {
+  EvidenceService& cev = *client->evidence;
+  auto inv = make_inv();
+  const RunId run = cev.new_run();
+  inv.context[container::kRunIdContextKey] = run.str();
+  auto nro_req = cev.issue(EvidenceType::kNroRequest, run, request_subject(inv));
+  ASSERT_TRUE(nro_req.ok());
+  ProtocolMessage m1;
+  m1.protocol = kDirectInvocationProtocol;
+  m1.run = run;
+  m1.step = 1;
+  m1.sender = client->id;
+  m1.body = container::encode_invocation(inv);
+  m1.tokens.push_back(std::move(nro_req).take());
+  ASSERT_TRUE(client->coordinator->deliver_request("server", m1, 1000).ok());
+  world.network.run();
+
+  EXPECT_EQ(server_handler->pending_runs(), 1u);
+  EXPECT_TRUE(server_handler->response_subject_for(run).ok());
+  EXPECT_FALSE(server_handler->run_complete(run));
+
+  auto status = reclaim_receipt(*server->coordinator, *server_handler, run, "ttp", 1000);
+  ASSERT_TRUE(status.ok()) << status.error().code;
+  EXPECT_EQ(server_handler->pending_runs(), 0u);
+  EXPECT_TRUE(server_handler->run_complete(run));
+  EXPECT_TRUE(server_handler->evidence_for(run).receipt_substituted);
+  EXPECT_FALSE(server_handler->evidence_for(run).has_nrr_response);
+
+  // Retired: a second reclaim is answered from the log alone.
+  const auto ttp_records = ttp->log->size();
+  ASSERT_TRUE(reclaim_receipt(*server->coordinator, *server_handler, run, "ttp", 1000).ok());
+  EXPECT_EQ(ttp->log->size(), ttp_records);
+}
+
 TEST_F(FairFixture, AbortThenResolveReturnsAborted) {
   // Client aborts first; server's later resolve is refused.
   world.network.set_partitioned("client", "server", true);

@@ -157,6 +157,39 @@ TEST_F(InvocationFixture, ExchangeSurvivesLossyLinks) {
   EXPECT_EQ(container.executions(), 5u);
 }
 
+// Per-run and per-message state retires with the run: after a fleet of
+// clients has finished its exchanges over lossy, duplicating links and the
+// network has drained, the server waits on no run and no endpoint keeps a
+// dedup entry per message. The evidence log alone records every run.
+TEST_F(InvocationFixture, DrainedFleetHoldsNoPerRunOrPerMessageState) {
+  world.network.set_default_link(net::LinkConfig{.latency = 1, .drop = 0.15, .duplicate = 0.15});
+  std::vector<test::Party*> clients{client, &world.add_party("client-2"),
+                                    &world.add_party("client-3")};
+  std::vector<std::unique_ptr<DirectInvocationClient>> handlers;
+  for (test::Party* party : clients) {
+    handlers.push_back(std::make_unique<DirectInvocationClient>(
+        *party->coordinator, InvocationConfig{.request_timeout = 20000}));
+  }
+  constexpr int kRounds = 10;
+  std::vector<RunId> runs;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      auto inv = make_inv("fleet-" + std::to_string(round));
+      inv.caller = clients[i]->id;
+      ASSERT_TRUE(handlers[i]->invoke("server", inv).ok()) << round << "/" << i;
+      runs.push_back(handlers[i]->last_run());
+    }
+  }
+  world.network.run();
+  ASSERT_GT(server->coordinator->evidence().log().size(), 0u);
+
+  EXPECT_EQ(server_handler->pending_runs(), 0u);
+  EXPECT_EQ(server->coordinator->per_message_entries(), 0u);
+  for (test::Party* party : clients) EXPECT_EQ(party->coordinator->per_message_entries(), 0u);
+  for (const RunId& run : runs) EXPECT_TRUE(server_handler->run_complete(run)) << run.str();
+  EXPECT_EQ(container.executions(), runs.size());
+}
+
 TEST_F(InvocationFixture, EachRunHasDistinctId) {
   DirectInvocationClient handler(*client->coordinator);
   auto inv1 = make_inv();

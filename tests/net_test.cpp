@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -202,6 +203,64 @@ TEST_F(ReliableFixture, GivesUpAfterBoundedRetries) {
   net.run();
   EXPECT_EQ(a.gave_up(), 1u);
 }
+
+// One sender interleaves messages to two receivers over lossy, duplicating
+// links (data and ACKs alike). Ids are numbered per destination, and each
+// receiver's dedup state is a mark plus the ids delivered above it.
+class ReliableDedupSeeds : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  ReliableDedupSeeds() : clock(std::make_shared<SimClock>(0)), net(clock, GetParam()) {}
+  std::shared_ptr<SimClock> clock;
+  SimNetwork net;
+};
+
+TEST_P(ReliableDedupSeeds, InterleavedSendsUpcallExactlyOnceAndStaleRetransmitDropped) {
+  const ReliableConfig config{.retry_interval = 20, .max_retries = 40};
+  ReliableEndpoint a(net, "a", config);
+  ReliableEndpoint b(net, "b", config);
+  ReliableEndpoint c(net, "c", config);
+  const LinkConfig lossy{.latency = 3, .drop = 0.3, .duplicate = 0.3};
+  for (const char* peer : {"b", "c"}) {
+    net.set_link("a", peer, lossy);
+    net.set_link(peer, "a", lossy);
+  }
+  std::map<std::string, int> upcalls;
+  auto record = [&](const Address& from, BytesView p) { ++upcalls[from + ">" + to_string(p)]; };
+  b.set_handler(record);
+  c.set_handler(record);
+
+  constexpr int kPerReceiver = 40;
+  for (int i = 0; i < kPerReceiver; ++i) {
+    a.send("b", to_bytes("b" + std::to_string(i)));
+    a.send("c", to_bytes("c" + std::to_string(i)));
+  }
+  net.run();
+
+  ASSERT_EQ(a.gave_up(), 0u);
+  EXPECT_GT(a.retransmissions(), 0u);
+  EXPECT_GT(net.stats().duplicated, 0u);
+  ASSERT_EQ(upcalls.size(), 2u * kPerReceiver);
+  for (const auto& [message, count] : upcalls) EXPECT_EQ(count, 1) << message;
+  // Drained: no un-ACKed send, and every receiver's mark covers its link.
+  EXPECT_EQ(a.per_message_entries(), 0u);
+  EXPECT_EQ(b.per_message_entries(), 0u);
+  EXPECT_EQ(c.per_message_entries(), 0u);
+
+  // A late retransmit of an id the mark has passed (frame: u8 data type,
+  // u64 id, payload) is ACKed again but never upcalled.
+  BinaryWriter stale;
+  stale.u8(1);
+  stale.u64(kPerReceiver / 2);
+  stale.bytes(to_bytes("stale"));
+  net.set_link("a", "b", LinkConfig{.latency = 3});
+  net.send("a", "b", std::move(stale).take());
+  net.run();
+  EXPECT_EQ(upcalls.count("a>stale"), 0u);
+  EXPECT_EQ(upcalls.size(), 2u * kPerReceiver);
+  EXPECT_EQ(b.per_message_entries(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReliableDedupSeeds, ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 // ---- RpcEndpoint ----
 
