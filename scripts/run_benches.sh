@@ -32,13 +32,10 @@ script_dir="$(cd "$(dirname "$0")" && pwd)"
 # loss), so they get the widest band — the gate exists to catch
 # order-of-magnitude regressions in the end-to-end protocol path.
 # objectstore mixes pure hashing with journal I/O and a ~1M-record corpus
-# build, so it rides the journal band. load drives an open-loop arrival
-# timeline into the full fleet, so its wall time is dominated by the
-# configured rates — the gate only catches the protocol path falling off a
-# cliff (saturating at rates it used to sustain).
-gated_benches=(crypto invocation journal objectstore scenarios load)
-declare -A gate_tolerance=([crypto]=2.0 [invocation]=3.0 [journal]=3.0 [objectstore]=3.0 [scenarios]=4.0 [load]=4.0)
-declare -A gate_tolerance_quick=([crypto]=4.0 [invocation]=6.0 [journal]=6.0 [objectstore]=6.0 [scenarios]=8.0 [load]=8.0)
+# build, so it rides the journal band.
+gated_benches=(crypto invocation journal objectstore scenarios)
+declare -A gate_tolerance=([crypto]=2.0 [invocation]=3.0 [journal]=3.0 [objectstore]=3.0 [scenarios]=4.0)
+declare -A gate_tolerance_quick=([crypto]=4.0 [invocation]=6.0 [journal]=6.0 [objectstore]=6.0 [scenarios]=8.0)
 declare -A gate_baseline=()
 for nm in "${gated_benches[@]}"; do
   if [[ -f "$out_dir/BENCH_$nm.json" ]]; then
@@ -227,30 +224,4 @@ if families:
 PYEOF
 fi
 
-# Open-loop load sweep: coordinated-omission-safe latency percentiles per
-# offered arrival rate, plus the max sustainable throughput (highest offered
-# rate the fleet achieved within tolerance of, i.e. `sustained` == 1).
-if [[ -f "$out_dir/BENCH_load.json" ]] && command -v python3 >/dev/null; then
-  python3 - "$out_dir/BENCH_load.json" <<'PYEOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-rows = [b for b in report.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration" and "offered_rate" in b]
-if rows:
-    print("=== open-loop load (CO-safe latency per offered rate) ===")
-    sustainable = 0.0
-    for b in rows:
-        name = b["name"].split("/real_time")[0]
-        sustained = b.get("sustained", 0) >= 1
-        if name.startswith("BM_Load_RateSweep") and sustained:
-            sustainable = max(sustainable, b.get("offered_rate", 0))
-        print(f"  {name:<34} offered {b.get('offered_rate', 0):>6.0f}/s  "
-              f"achieved {b.get('achieved_rate', 0):>6.0f}/s  "
-              f"p50 {b.get('p50_ms', 0):>5.0f}ms  p99 {b.get('p99_ms', 0):>5.0f}ms  "
-              f"p999 {b.get('p999_ms', 0):>5.0f}ms"
-              f"{'' if sustained else '  << SATURATED'}")
-    if sustainable:
-        print(f"  max sustainable throughput: {sustainable:.0f} req/s")
-PYEOF
-fi
 exit $failed

@@ -52,7 +52,10 @@ InvocationResult Container::invoke(Invocation& inv) {
   if (!run_key.empty()) {
     if (auto done = completed_runs_.find(run_key); done != completed_runs_.end()) {
       auto replay = InvocationResult::from_canonical(done->second);
-      if (replay) return replay.value();
+      if (replay) {
+        inv.context.emplace(kReplayedContextKey, "1");
+        return replay.value();
+      }
     }
   }
 

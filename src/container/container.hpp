@@ -63,7 +63,8 @@ class Container {
 
   /// Run the invocation through the component's server-side chain.
   /// At-most-once: when the invocation carries a run id that was already
-  /// executed, the recorded result is returned without re-execution.
+  /// executed, the recorded result is returned without re-execution and
+  /// `inv.context` gains kReplayedContextKey.
   InvocationResult invoke(Invocation& inv);
 
   std::uint64_t executions() const noexcept { return executions_; }
@@ -83,5 +84,8 @@ class Container {
 
 /// Context key carrying the protocol run id for at-most-once filtering.
 inline constexpr const char* kRunIdContextKey = "nonrep.run";
+/// Context key Container::invoke sets when it answers a run id it already
+/// executed.
+inline constexpr const char* kReplayedContextKey = "nonrep.replayed";
 
 }  // namespace nonrep::container

@@ -2,6 +2,16 @@
 
 namespace nonrep::core {
 
+namespace {
+Result<ProtocolMessage> decode_reply(const Result<Bytes>& raw) {
+  if (!raw) return raw.error();
+  auto reply = ProtocolMessage::decode(raw.value());
+  if (!reply) return reply.error();
+  if (auto err = as_error(reply.value())) return *err;
+  return reply;
+}
+}  // namespace
+
 Coordinator::Coordinator(std::shared_ptr<EvidenceService> evidence, net::SimNetwork& network,
                          net::Address address, net::ReliableConfig reliable)
     : evidence_(std::move(evidence)), rpc_(network, std::move(address), reliable) {
@@ -24,9 +34,8 @@ bool Coordinator::has_handler(const std::string& protocol) const {
 }
 
 Status Coordinator::deliver(const net::Address& to, const ProtocolMessage& msg) {
-  // Holding any subsystem lock here is a latent deadlock: the send may pump
-  // the network inline (single-threaded mode) or block behind the very
-  // strand that needs the held lock to make progress.
+  // Holding any subsystem lock here is a latent deadlock: the barrier may
+  // wait on the journal, and the party's own upcalls may need the lock.
   NONREP_ASSERT_NO_LOCKS_HELD("Coordinator::deliver");
   if (auto durable = evidence_->log().barrier(); !durable) return durable;
   rpc_.notify(to, msg.encode());
@@ -38,12 +47,39 @@ Result<ProtocolMessage> Coordinator::deliver_request(const net::Address& to,
                                                      TimeMs timeout) {
   NONREP_ASSERT_NO_LOCKS_HELD("Coordinator::deliver_request");
   if (auto durable = evidence_->log().barrier(); !durable) return durable.error();
-  auto raw = rpc_.call(to, msg.encode(), timeout);
-  if (!raw) return raw.error();
-  auto reply = ProtocolMessage::decode(raw.value());
-  if (!reply) return reply.error();
-  if (auto err = as_error(reply.value())) return *err;
-  return reply;
+  return decode_reply(rpc_.call(to, msg.encode(), timeout));
+}
+
+void Coordinator::deliver_request_async(const net::Address& to, const ProtocolMessage& msg,
+                                        TimeMs timeout, ReplyHandler done) {
+  NONREP_ASSERT_NO_LOCKS_HELD("Coordinator::deliver_request_async");
+  if (auto durable = evidence_->log().barrier(); !durable) {
+    done(durable.error());
+    return;
+  }
+  rpc_.call_async(to, msg.encode(), timeout,
+                  [done = std::move(done)](Result<Bytes> raw) { done(decode_reply(raw)); });
+}
+
+Coordinator::ReplyHandler Coordinator::defer_reply(const ProtocolMessage& request) {
+  ProtocolMessage head;  // run and step, for an error reply
+  head.run = request.run;
+  head.step = request.step;
+  return [this, send = rpc_.defer_reply(), head](const Result<ProtocolMessage>& reply) {
+    NONREP_ASSERT_NO_LOCKS_HELD("Coordinator deferred reply");
+    send(encode_reply(head, reply));
+  };
+}
+
+Bytes Coordinator::encode_reply(const ProtocolMessage& request,
+                                const Result<ProtocolMessage>& reply) {
+  if (!reply) return make_error_reply(request, party(), reply.error()).encode();
+  // The reply carries tokens this party just staged: if they cannot be made
+  // durable, the caller gets an error with no tokens instead.
+  if (auto durable = evidence_->log().barrier(); !durable) {
+    return make_error_reply(request, party(), durable.error()).encode();
+  }
+  return reply.value().encode();
 }
 
 Bytes Coordinator::on_request(const net::Address& from, BytesView raw) {
@@ -66,13 +102,8 @@ Bytes Coordinator::on_request(const net::Address& from, BytesView raw) {
         .encode();
   }
   auto reply = handler->process_request(from, msg.value());
-  if (!reply) return make_error_reply(msg.value(), party(), reply.error()).encode();
-  // The reply carries tokens this party just staged: if they cannot be made
-  // durable, the caller gets an error with no tokens instead.
-  if (auto durable = evidence_->log().barrier(); !durable) {
-    return make_error_reply(msg.value(), party(), durable.error()).encode();
-  }
-  return reply.value().encode();
+  if (rpc_.reply_deferred()) return {};  // answered through defer_reply()
+  return encode_reply(msg.value(), reply);
 }
 
 void Coordinator::on_notify(const net::Address& from, BytesView raw) {

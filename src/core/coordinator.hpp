@@ -10,8 +10,16 @@
 // incoming message to the handler registered for its protocol string and
 // provides handlers access to the local, protocol-agnostic services
 // (evidence, credentials, state storage) via EvidenceService.
+//
+// Handlers never block on the network. The blocking deliver_request is
+// for application threads (a client invoking a service); a handler that
+// must consult another party while serving a request — the inline TTP
+// relaying a deliverRequest (Fig. 3(a)) — forwards with
+// deliver_request_async, takes defer_reply(), and answers from the
+// continuation, which runs later on the same party's strand.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -23,12 +31,12 @@ namespace nonrep::core {
 
 /// B2BProtocolHandler (§4.1): processes incoming steps of one protocol.
 ///
-/// Concurrency contract (PR-4 runtime): a party's strand serialises its
-/// upcalls, BUT a handler that blocks on a nested deliver_request yields
-/// the strand — the resumed frame then runs concurrently with its
-/// successors, so every stateful handler guards its own per-run/per-object
-/// state with its own mutex (DirectInvocationServer::runs_mu_,
-/// OptimisticTtp::runs_mu_, B2BObjectController::mu_, ...).
+/// Concurrency contract: a party's strand serialises all of its upcalls —
+/// process_request, process and the continuations of its
+/// deliver_request_async calls — so no two of them overlap. A stateful
+/// handler still guards its state with its own mutex, because application
+/// threads read and drive it too (DirectInvocationServer::runs_mu_ against
+/// reclaim_receipt, B2BObjectController::mu_ against propose_update, ...).
 ///
 /// Lock ordering: the single source of truth is util::LockRank in
 /// src/util/lock_discipline.hpp — every mutex in the tree is a ranked
@@ -39,12 +47,13 @@ namespace nonrep::core {
 /// EvidenceService leaf locks (kEvidenceRng/kEvidenceLog/kStateStore) <
 /// pki/crypto caches. So a handler mutex may be held across
 /// EvidenceService::issue/accept and membership reads, but must NEVER be
-/// held across Coordinator::deliver / deliver_request (the nested wait
-/// would deadlock with the handler's own incoming traffic) — both entry
-/// points abort under NONREP_ASSERT_NO_LOCKS_HELD in checked builds, and
-/// the lockdep runtime aborts on any rank inversion with the full held
-/// stack. Coordinator itself only takes handlers_mu_ (kCoordinator)
-/// around registry lookup, released before the handler runs.
+/// held across Coordinator::deliver / deliver_request / the async forms
+/// (the write-ahead barrier waits on the journal, and the party's own
+/// upcalls may need the lock) — the entry points abort under
+/// NONREP_ASSERT_NO_LOCKS_HELD in checked builds, and the lockdep runtime
+/// aborts on any rank inversion with the full held stack. Coordinator
+/// itself only takes handlers_mu_ (kCoordinator) around registry lookup,
+/// released before the handler runs.
 ///
 /// obs instruments (obs::Registry counters/gauges/histograms, span
 /// finish) sit BELOW every lock above: recording is lock-free (or, for
@@ -62,7 +71,9 @@ class ProtocolHandler {
   /// Key this handler serves, e.g. "nr.invocation.direct".
   virtual std::string protocol() const = 0;
 
-  /// Synchronous step: serve a deliverRequest and produce the reply.
+  /// Synchronous step: serve a deliverRequest and produce the reply — or
+  /// take Coordinator::defer_reply() and answer later, in which case the
+  /// value returned here is discarded.
   virtual Result<ProtocolMessage> process_request(const net::Address& from,
                                                   const ProtocolMessage& msg) = 0;
 
@@ -72,6 +83,11 @@ class ProtocolHandler {
 
 class Coordinator {
  public:
+  /// A reply, or why there is none: the continuation of
+  /// deliver_request_async, and the answer a handler sends after
+  /// defer_reply().
+  using ReplyHandler = std::function<void(const Result<ProtocolMessage>&)>;
+
   Coordinator(std::shared_ptr<EvidenceService> evidence, net::SimNetwork& network,
               net::Address address, net::ReliableConfig reliable = {});
 
@@ -96,12 +112,27 @@ class Coordinator {
 
   /// deliverRequest(msg): deliver and synchronously await the reply
   /// (bounded by virtual-time `timeout`). Error replies are surfaced as
-  /// Result errors.
+  /// Result errors. Application threads only: from inside a handler it
+  /// fails with "rpc.blocking_in_upcall".
   Result<ProtocolMessage> deliver_request(const net::Address& to, const ProtocolMessage& msg,
                                           TimeMs timeout);
 
+  /// deliverRequest without the wait: `done` runs exactly once, on this
+  /// party's strand, with the reply or the error (barrier failure,
+  /// timeout, error reply).
+  void deliver_request_async(const net::Address& to, const ProtocolMessage& msg,
+                             TimeMs timeout, ReplyHandler done);
+
+  /// Called from ProtocolHandler::process_request: `request` is answered
+  /// by calling the returned handler, not by process_request's return
+  /// value. The answer passes the write-ahead barrier first, like a
+  /// returned reply; the caller takes the first answer.
+  ReplyHandler defer_reply(const ProtocolMessage& request);
+
  private:
   Bytes on_request(const net::Address& from, BytesView raw);
+  /// The bytes answering `request`: `reply` once durable, else an error reply.
+  Bytes encode_reply(const ProtocolMessage& request, const Result<ProtocolMessage>& reply);
   void on_notify(const net::Address& from, BytesView raw);
 
   std::shared_ptr<EvidenceService> evidence_;

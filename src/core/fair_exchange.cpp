@@ -201,9 +201,10 @@ container::InvocationResult OptimisticInvocationClient::invoke(const net::Addres
   last_outcome_ = LastOutcome::kFailed;
   inv.context[container::kRunIdContextKey] = run.str();
 
-  // Root span of the exchange: evidence appended below (here, and by the
-  // strand handlers this thread's nested deliver_request calls run inline)
-  // is annotated with this span id, tying the run's records to the trace.
+  // Root span of the exchange: evidence appended below (here, and in
+  // classic mode by the handlers this thread's deliver_request pumps
+  // inline) is annotated with this span id, tying the run's records to the
+  // trace.
   obs::Span span("fx.invoke", run.str(), ev.self().str());
 
   const Bytes req = request_subject(inv);

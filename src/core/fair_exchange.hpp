@@ -63,11 +63,10 @@ class OptimisticTtp final : public ProtocolHandler {
   };
 
   Coordinator* coordinator_;
-  // Abort and resolve requests for the same run arrive on concurrent
-  // delivery frames (a strand yield lets a resumed handler overlap its
-  // successor). The mutex serialises the verdict decision so each run
-  // reaches exactly one terminal verdict and a repeated request reissues
-  // the recorded token instead of minting a second one. Lock ordering:
+  // Each run reaches exactly one terminal verdict, and a repeated request
+  // reissues the recorded token instead of minting a second one. The TTP's
+  // strand already serialises abort and resolve requests; the mutex guards
+  // the records against application threads reading verdicts. Lock ordering:
   // runs_mu_ may be held across EvidenceService::issue (leaf log/store
   // locks) but never across Coordinator::deliver/deliver_request.
   mutable util::Mutex runs_mu_{util::LockRank::kHandler, "ttp.runs"};

@@ -136,7 +136,12 @@ Result<ProtocolMessage> DirectInvocationServer::process_request(const net::Addre
   if (!nrr_req) return nrr_req.error();
   auto nro_resp = ev.issue(EvidenceType::kNroResponse, msg.run, resp);
   if (!nro_resp) return nro_resp.error();
-  {
+  // A replay of a run whose receipt is already in must not wait for step 3
+  // again. Only replays (the container answered from its at-most-once
+  // table) pay for reading the log.
+  const bool settled =
+      invocation.context.contains(container::kReplayedContextKey) && run_complete(msg.run);
+  if (!settled) {
     util::MutexLock lk(runs_mu_);
     awaiting_receipt_[msg.run] = std::move(resp);
   }

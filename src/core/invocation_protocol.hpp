@@ -120,10 +120,10 @@ class DirectInvocationServer final : public ProtocolHandler {
   Executor executor_;
   InvocationConfig config_;
 
-  // A party's strand serializes its upcalls, but a handler that blocks on
-  // a nested call yields the strand — the resumed frame then runs
-  // concurrently with the successor's upcalls, so the run table needs its
-  // own lock (as must any stateful ProtocolHandler used that way).
+  // The party's strand serialises the handler's own upcalls; the lock is
+  // for application threads that read and settle the table while the
+  // strand serves (response_subject_for, mark_receipt_substitute,
+  // pending_runs).
   mutable util::Mutex runs_mu_{util::LockRank::kHandler, "invocation.runs"};
   std::unordered_map<RunId, Bytes> awaiting_receipt_ NONREP_GUARDED_BY(runs_mu_);
 };

@@ -79,11 +79,10 @@ struct SharedObjectState {
 
 /// The local controller + protocol handler for all objects a party shares.
 ///
-/// Thread-safe per the PR-4 handler conventions: in the concurrent runtime
-/// an application thread coordinates a round (blocking on nested
-/// deliver_request calls) while the party's delivery strand serves other
-/// proposers' votes and decision fan-ins — and a strand yield lets a
-/// resumed frame overlap its successor. One shared_mutex guards all
+/// Thread-safe: in the concurrent runtime an application thread
+/// coordinates a round (blocking on deliver_request calls) while the
+/// party's delivery strand serves other proposers' votes and decision
+/// fan-ins. One shared_mutex guards all
 /// per-object state (replicas, validators, staging, proposal locks);
 /// reads that dominate (get/hosts/in_rollup) take it shared. Lock
 /// ordering: mu_ -> MembershipService / EvidenceService-store leaf locks;

@@ -56,14 +56,26 @@ Result<ProtocolMessage> InlineTtpRelay::process_request(const net::Address& /*fr
     forward.body = inner;
   }
 
-  auto reply = coordinator_->deliver_request(next_hop ? *next_hop : server, forward,
-                                             config_.request_timeout);
+  // Answer the client from the continuation, which runs on this party's
+  // strand once the next hop replies or the call times out.
+  Coordinator::ReplyHandler answer = coordinator_->defer_reply(msg);
+  coordinator_->deliver_request_async(
+      next_hop ? *next_hop : server, forward, config_.request_timeout,
+      [this, answer, run = msg.run, req](const Result<ProtocolMessage>& reply) {
+        answer(relay_reply(run, req, reply));
+      });
+  return ProtocolMessage{};  // discarded: `answer` replies
+}
+
+Result<ProtocolMessage> InlineTtpRelay::relay_reply(const RunId& run, const Bytes& req,
+                                                    const Result<ProtocolMessage>& reply) {
   if (!reply) return reply.error();
+  EvidenceService& ev = coordinator_->evidence();
 
   // Verify and archive the server-side evidence before relaying back.
   auto result = container::InvocationResult::from_canonical(reply.value().body);
   if (!result) return result.error();
-  const Bytes resp = response_subject(msg.run, result.value());
+  const Bytes resp = response_subject(run, result.value());
   auto nrr_req = reply.value().token(EvidenceType::kNrrRequest);
   if (!nrr_req) return nrr_req.error();
   if (auto ok = ev.accept(nrr_req.value(), req); !ok) return ok.error();
@@ -73,7 +85,7 @@ Result<ProtocolMessage> InlineTtpRelay::process_request(const net::Address& /*fr
 
   // Countersign: the TTP's affidavit over the response subject binds the
   // whole exchange in the TTP's archive.
-  auto affidavit = ev.issue(EvidenceType::kAffidavit, msg.run, resp);
+  auto affidavit = ev.issue(EvidenceType::kAffidavit, run, resp);
   if (!affidavit) return affidavit.error();
 
   relayed_.fetch_add(1, std::memory_order_relaxed);

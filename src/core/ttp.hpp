@@ -11,6 +11,11 @@
 // a dispute from the TTP's log alone. A chain of relays (client -> TTP_A
 // -> TTP_B -> server) realises the distributed inline construction: each
 // relay consults its router for the next hop.
+//
+// The relay never blocks its strand on the next hop: it forwards with
+// Coordinator::deliver_request_async and answers the client from the
+// continuation, so any number of relayed exchanges can be in flight on a
+// fixed worker pool.
 #pragma once
 
 #include <atomic>
@@ -40,11 +45,15 @@ class InlineTtpRelay final : public ProtocolHandler {
   std::uint64_t relayed() const noexcept { return relayed_.load(std::memory_order_relaxed); }
 
  private:
+  /// Step 2 on the way back: verify and archive the next hop's evidence,
+  /// countersign it, and build the reply to the client.
+  Result<ProtocolMessage> relay_reply(const RunId& run, const Bytes& req,
+                                      const Result<ProtocolMessage>& reply);
+
   Coordinator* coordinator_;
   Router router_;
   InvocationConfig config_;
-  // The relay blocks on a nested deliver_request mid-handler, yielding its
-  // strand — concurrent relay frames then race on the counter.
+  // Read by application threads while the relay runs.
   std::atomic<std::uint64_t> relayed_{0};
 };
 

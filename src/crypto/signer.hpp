@@ -89,9 +89,9 @@ class MerkleSchemeSigner final : public Signer {
 
   SigAlgorithm algorithm() const noexcept override { return SigAlgorithm::kMerkle; }
   Bytes public_key() const override;
-  /// Serialized: the scheme consumes one-time leaves, and two concurrent
-  /// handler frames of one party (a resumed yielded frame plus its strand
-  /// successor) must never sign with the same leaf — that would void the
+  /// Serialized: the scheme consumes one-time leaves, and a party's
+  /// application threads sign concurrently with its strand's handlers.
+  /// Two signatures must never use the same leaf — that would void the
   /// one-time-signature security the evidence rests on.
   Result<Bytes> sign(BytesView msg) override {
     util::MutexLock lk(mu_);

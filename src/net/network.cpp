@@ -15,7 +15,6 @@ struct NetMetrics {
   obs::Gauge& queue_depth = obs::Registry::global().gauge("net.queue_depth");
   obs::Histogram& delivery_wait_ns =
       obs::Registry::global().histogram("net.delivery_wait_ns");
-  obs::Counter& yields = obs::Registry::global().counter("net.yields");
   obs::Counter& delivered = obs::Registry::global().counter("net.delivered");
   obs::Counter& dropped = obs::Registry::global().counter("net.dropped");
 };
@@ -31,21 +30,17 @@ std::uint64_t steady_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-// Strand ownership marker: set while a worker runs a party's delivery
-// handler, so yield_strand() knows which strand (if any) to hand over.
-// `tls_strand_yielded` records that the frame already handed its strand to
-// a successor — later parks in the same (resumed) frame only release the
-// carried in-flight registration, they don't hand over again.
-thread_local SimNetwork* tls_strand_net = nullptr;
-thread_local const Address* tls_strand_addr = nullptr;
-thread_local bool tls_strand_yielded = false;
-// Callbacks this thread is currently executing out of pump_one(). Idle
-// checks subtract it so a nested pump inside a handler doesn't wait for
-// its own enclosing callback to "finish".
-thread_local std::size_t tls_callback_depth = 0;
-// Timer closures this thread is currently executing (subset of the above);
-// quiesce_timers() must not wait for the caller's own frame.
-thread_local std::size_t tls_timer_depth = 0;
+
+// The upcall this thread is running, if any. `strand` names the endpoint
+// whose strand a worker drains, so an endpoint tearing itself down from
+// its own handler does not wait for itself; `timer` marks a timer closure
+// run by the pump, which quiesce_timers() must not wait for either.
+struct Upcall {
+  const SimNetwork* net = nullptr;
+  const Address* strand = nullptr;
+  bool timer = false;
+};
+thread_local Upcall tls_upcall;
 }  // namespace
 
 SimNetwork::SimNetwork(std::shared_ptr<SimClock> clock, std::uint64_t seed)
@@ -56,23 +51,9 @@ SimNetwork::SimNetwork(std::shared_ptr<SimClock> clock, std::uint64_t seed)
       }()) {}
 
 SimNetwork::~SimNetwork() {
-  // Workers hold `this` while draining strands; wait them out. Parked
-  // nested calls wake via their real-time capped waits.
+  // Workers hold `this` while draining strands; wait them out.
   util::UniqueLock lk(mu_);
   cv_.wait(lk, [&] { return inflight_ == 0; });
-}
-
-SimNetwork::PumpScope::PumpScope(SimNetwork& n) : net(n) {
-  util::MutexLock lk(net.mu_);
-  ++net.pump_depth_;
-  net.pump_thread_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-}
-
-SimNetwork::PumpScope::~PumpScope() {
-  util::MutexLock lk(net.mu_);
-  if (--net.pump_depth_ == 0) {
-    net.pump_thread_.store(std::thread::id{}, std::memory_order_relaxed);
-  }
 }
 
 void SimNetwork::register_endpoint(const Address& addr, Handler handler) {
@@ -84,18 +65,15 @@ void SimNetwork::unregister_endpoint(const Address& addr) {
   util::UniqueLock lk(mu_);
   endpoints_.erase(addr);
   // Concurrent mode: a worker may have copied this endpoint's handler out
-  // before the erase. Wait for every in-flight upcall to the address to
-  // return so the caller can safely destroy the endpoint — discounting our
-  // own frame if we *are* such an upcall (an endpoint tearing itself down
-  // from its own handler; after a yield a successor frame may also be
-  // inside the endpoint, and that one must still be waited out).
-  const int own_frames =
-      (tls_strand_net == this && tls_strand_addr != nullptr && *tls_strand_addr == addr)
-          ? 1
-          : 0;
+  // before the erase. Wait for the upcall in flight on the address's strand
+  // to return so the caller can safely destroy the endpoint — unless it is
+  // our own frame (an endpoint tearing itself down from its own handler).
+  if (tls_upcall.net == this && tls_upcall.strand != nullptr && *tls_upcall.strand == addr) {
+    return;
+  }
   cv_.wait(lk, [&] {
     auto it = strands_.find(addr);
-    return it == strands_.end() || it->second.executing <= own_frames;
+    return it == strands_.end() || !it->second.executing;
   });
 }
 
@@ -180,14 +158,15 @@ void SimNetwork::schedule(TimeMs delay, std::function<void()> fn) {
   cv_.notify_all();
 }
 
-SimNetwork::TimerHandle SimNetwork::schedule_cancelable(TimeMs delay,
-                                                        std::function<void()> fn) {
+SimNetwork::TimerHandle SimNetwork::schedule_cancelable(TimeMs delay, std::function<void()> fn,
+                                                        const Address& strand) {
   auto handle = std::make_shared<std::atomic<bool>>(true);
   {
     util::MutexLock lk(mu_);
     Event e;
     e.at = clock_->now() + delay;
     e.seq = next_seq_++;
+    e.to = strand;
     e.timer = std::move(fn);
     e.timer_active = handle;
     events_.push(std::move(e));
@@ -204,76 +183,44 @@ void SimNetwork::spawn_drain_locked(const Address& to) {
 }
 
 void SimNetwork::drain_strand(Address to) {
-  tls_strand_net = this;
-  tls_strand_addr = &to;
-  tls_strand_yielded = false;
+  tls_upcall = Upcall{this, &to, false};
   util::UniqueLock lk(mu_);
-  for (;;) {
-    Strand& s = strands_[to];
-    if (s.q.empty()) {
-      s.active = false;
-      break;
-    }
+  Strand& s = strands_[to];  // map nodes are stable; strands are never erased
+  while (!s.q.empty()) {
     Event e = std::move(s.q.front());
     s.q.pop_front();
     Handler handler;
-    if (auto it = endpoints_.find(to); it != endpoints_.end()) {
-      ++stats_.delivered;
-      metrics().delivered.add();
-      if (e.enqueue_ns != 0) {
-        metrics().delivery_wait_ns.record(steady_ns() - e.enqueue_ns);
+    if (!e.timer) {
+      if (auto it = endpoints_.find(to); it != endpoints_.end()) {
+        ++stats_.delivered;
+        metrics().delivered.add();
+        if (e.enqueue_ns != 0) {
+          metrics().delivery_wait_ns.record(steady_ns() - e.enqueue_ns);
+        }
+        handler = it->second;
       }
-      handler = it->second;
     }
-    const std::uint64_t epoch = s.epoch;
-    ++s.executing;
+    s.executing = true;
     lk.unlock();
-    NONREP_ASSERT_NO_LOCKS_HELD("SimNetwork::drain_strand handler upcall");
-    if (handler) handler(e.from, e.payload);
-    lk.lock();
-    --strands_[to].executing;
-    cv_.notify_all();  // unregister_endpoint may be waiting on `executing`
-    if (strands_[to].epoch != epoch) {
-      // The handler yielded mid-flight (nested blocking call): a successor
-      // drain owns the strand now, so this task must bow out.
-      break;
+    NONREP_ASSERT_NO_LOCKS_HELD("SimNetwork::drain_strand upcall");
+    if (e.timer) {
+      // Re-check cancellation at the last moment, as the pump does.
+      if (!e.timer_active || *e.timer_active) e.timer();
+    } else if (handler) {
+      handler(e.from, e.payload);
     }
+    lk.lock();
+    s.executing = false;
+    cv_.notify_all();  // unregister_endpoint may be waiting on `executing`
   }
+  s.active = false;
   --inflight_;
   cv_.notify_all();  // under the lock: see pump_one
   lk.unlock();
-  tls_strand_net = nullptr;
-  tls_strand_addr = nullptr;
-  tls_strand_yielded = false;
+  tls_upcall = Upcall{};
 }
 
-bool SimNetwork::yield_strand() {
-  if (tls_strand_net != this || tls_strand_addr == nullptr) return false;
-  {
-    util::MutexLock lk(mu_);
-    if (!tls_strand_yielded) {
-      // First park in this frame: hand the strand to a successor so later
-      // traffic to the party (including the awaited response) is served.
-      metrics().yields.add();
-      Strand& s = strands_[*tls_strand_addr];
-      ++s.epoch;
-      if (!s.q.empty()) {
-        spawn_drain_locked(*tls_strand_addr);
-      } else {
-        s.active = false;
-      }
-      tls_strand_yielded = true;
-    }
-    // Either way the parked caller stops counting as in-flight. The slot
-    // is re-acquired at wake-up (begin_external_work, by the waker or the
-    // caller's fixup) — a resumed frame carries exactly one registration
-    // until the superseded drain task unwinds and releases it — so every
-    // park of the same frame has a matching re-acquire.
-    --inflight_;
-    cv_.notify_all();  // under the lock: see pump_one
-  }
-  return true;
-}
+bool SimNetwork::in_upcall() const { return tls_upcall.net == this; }
 
 void SimNetwork::begin_external_work() {
   util::MutexLock lk(mu_);
@@ -287,7 +234,7 @@ void SimNetwork::end_external_work() {
 }
 
 void SimNetwork::quiesce_timers() {
-  if (tls_timer_depth > 0) return;  // our own frame would never drain
+  if (tls_upcall.net == this && tls_upcall.timer) return;  // our own frame would never drain
   util::UniqueLock lk(mu_);
   cv_.wait(lk, [&] { return timer_callbacks_ == 0; });
 }
@@ -316,11 +263,9 @@ bool SimNetwork::pump_one() {
       // work is in flight — they are about to inject earlier events, and
       // advancing now would fire timeouts under live traffic. Same-time
       // events are always safe to dispatch.
-      if (pool_ && inflight_ > tls_callback_depth &&
-          events_.top().at > clock_->now()) {
+      if (pool_ && inflight_ > 0 && events_.top().at > clock_->now()) {
         cv_.wait(lk, [&] {
-          return stop_live_ || events_.empty() ||
-                 inflight_ <= tls_callback_depth ||
+          return stop_live_ || events_.empty() || inflight_ == 0 ||
                  events_.top().at <= clock_->now();
         });
         if (stop_live_) return false;
@@ -332,16 +277,16 @@ bool SimNetwork::pump_one() {
     events_.pop();
     metrics().queue_depth.set(static_cast<std::int64_t>(events_.size()));
     if (e.at > clock_->now()) clock_->set(e.at);
+    if (pool_ && !e.to.empty()) {
+      // Concurrent dispatch: append to the destination strand; exactly one
+      // worker drains it, preserving per-party upcall order.
+      const Address dest = e.to;
+      Strand& s = strands_[dest];
+      s.q.push_back(std::move(e));
+      if (!s.active) spawn_drain_locked(dest);
+      return true;
+    }
     if (!e.timer) {
-      if (pool_) {
-        // Concurrent dispatch: append to the destination strand; exactly
-        // one worker drains it, preserving per-party delivery order.
-        const Address dest = e.to;
-        Strand& s = strands_[dest];
-        s.q.push_back(std::move(e));
-        if (!s.active) spawn_drain_locked(dest);
-        return true;
-      }
       auto it = endpoints_.find(e.to);
       if (it == endpoints_.end()) return true;
       ++stats_.delivered;
@@ -357,17 +302,15 @@ bool SimNetwork::pump_one() {
     ++inflight_;
     if (e.timer) ++timer_callbacks_;
   }
-  ++tls_callback_depth;
+  tls_upcall = Upcall{this, nullptr, static_cast<bool>(e.timer)};
   if (e.timer) {
-    ++tls_timer_depth;
     // Re-check cancellation at the last moment: the owner may have
     // cancelled (e.g. an endpoint tearing down) between pop and invoke.
     if (!e.timer_active || *e.timer_active) e.timer();
-    --tls_timer_depth;
   } else if (deliver_inline) {
     handler(e.from, e.payload);
   }
-  --tls_callback_depth;
+  tls_upcall = Upcall{};
   {
     util::MutexLock lk(mu_);
     --inflight_;
@@ -380,10 +323,10 @@ bool SimNetwork::pump_one() {
   return true;
 }
 
-bool SimNetwork::step() { return pump_one(); }
+bool SimNetwork::step() { return !in_upcall() && pump_one(); }
 
 std::size_t SimNetwork::run(std::size_t max_events) {
-  PumpScope scope(*this);
+  if (in_upcall()) return 0;
   std::size_t n = 0;
   while (n < max_events) {
     if (pump_one()) {
@@ -391,18 +334,18 @@ std::size_t SimNetwork::run(std::size_t max_events) {
       continue;
     }
     util::UniqueLock lk(mu_);
-    if (inflight_ <= tls_callback_depth) {
+    if (inflight_ == 0) {
       if (events_.empty()) break;
       continue;  // a worker raced new events in
     }
-    cv_.wait(lk, [&] { return !events_.empty() || inflight_ <= tls_callback_depth; });
-    if (events_.empty() && inflight_ <= tls_callback_depth) break;
+    cv_.wait(lk, [&] { return !events_.empty() || inflight_ == 0; });
+    if (events_.empty() && inflight_ == 0) break;
   }
   return n;
 }
 
 bool SimNetwork::run_until(const std::function<bool()>& predicate, std::size_t max_events) {
-  PumpScope scope(*this);
+  if (in_upcall()) return predicate();
   std::size_t n = 0;
   while (!predicate()) {
     if (n >= max_events) return predicate();
@@ -411,17 +354,16 @@ bool SimNetwork::run_until(const std::function<bool()>& predicate, std::size_t m
       continue;
     }
     util::UniqueLock lk(mu_);
-    if (inflight_ <= tls_callback_depth) {
+    if (inflight_ == 0) {
       if (events_.empty()) return predicate();
       continue;
     }
-    cv_.wait(lk, [&] { return !events_.empty() || inflight_ <= tls_callback_depth; });
+    cv_.wait(lk, [&] { return !events_.empty() || inflight_ == 0; });
   }
   return true;
 }
 
 void SimNetwork::run_live() {
-  PumpScope scope(*this);
   for (;;) {
     {
       util::MutexLock lk(mu_);
@@ -451,10 +393,6 @@ void SimNetwork::stop_live() {
 void SimNetwork::drain() {
   util::UniqueLock lk(mu_);
   cv_.wait(lk, [&] { return events_.empty() && inflight_ == 0; });
-}
-
-bool SimNetwork::on_pump_thread() const {
-  return pump_thread_.load(std::memory_order_relaxed) == std::this_thread::get_id();
 }
 
 bool SimNetwork::idle() const {

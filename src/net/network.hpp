@@ -10,18 +10,21 @@
 // Two dispatch modes:
 //
 //  * Classic (default): single-threaded and fully deterministic — step()
-//    invokes endpoint handlers inline in virtual-time order.
+//    invokes endpoint handlers and timers inline in virtual-time order.
 //  * Concurrent: attach a util::ThreadPool with set_executor() and message
 //    handlers run on worker threads, the RMI analogue of thread-per-call.
-//    Delivery stays *ordered per destination party*: each endpoint owns a
-//    strand (a FIFO of its pending deliveries) and at most one worker
-//    drains it at a time, so one party never observes reordered or
-//    overlapping upcalls. A handler that must block on a nested
-//    request/response yields its strand (yield_strand()) so later traffic
-//    to the same party — including the response it waits for — can be
-//    served by a fresh worker. One pump thread (run_live(), or any run*
-//    call) keeps popping the virtual-time event queue; other threads block
-//    in RPC waits instead of pumping.
+//    Each endpoint owns a strand: a FIFO of its pending deliveries and
+//    strand timers, drained by at most one worker at a time. So a party
+//    never observes reordered or overlapping upcalls, and a handler's
+//    state needs no lock against the party's other upcalls. One pump
+//    thread (run_live(), or any run* call) pops the virtual-time event
+//    queue.
+//
+// Upcalls never wait on the network. A handler that needs another party's
+// answer sends its request and continues from a callback that runs later
+// on its own strand (RpcEndpoint::call_async). Blocking waits belong to
+// application threads outside any upcall; in_upcall() lets the RPC layer
+// refuse the rest.
 #pragma once
 
 #include <atomic>
@@ -32,7 +35,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 
 #include "util/lock_discipline.hpp"
 #include "crypto/drbg.hpp"
@@ -97,10 +99,16 @@ class SimNetwork {
   /// Cancellation flag for a timer: set `*handle = false` to cancel. A
   /// cancelled timer neither fires nor advances the virtual clock.
   /// Atomic: cancellers run on party threads while the pump inspects it.
+  /// With `strand` set, the callback is an upcall of that endpoint: in
+  /// concurrent mode it queues on the endpoint's strand behind earlier
+  /// deliveries instead of running on the pump.
   using TimerHandle = std::shared_ptr<std::atomic<bool>>;
-  TimerHandle schedule_cancelable(TimeMs delay, std::function<void()> fn);
+  TimerHandle schedule_cancelable(TimeMs delay, std::function<void()> fn,
+                                  const Address& strand = {});
 
   /// Deliver the next pending event (advancing the clock). False if idle.
+  /// step(), run() and run_until() do nothing inside one of this network's
+  /// upcalls: the network is not pumped from within itself.
   bool step();
   /// Run until idle or `max_events`; returns events processed. In
   /// concurrent mode "idle" additionally means no in-flight worker strand.
@@ -121,21 +129,18 @@ class SimNetwork {
   /// traffic (final one-way steps, ACKs) land before shutdown.
   void drain();
 
-  /// True on the thread currently inside run()/run_until()/run_live().
-  bool on_pump_thread() const;
+  /// True while the calling thread runs one of this network's upcalls (a
+  /// delivery handler or a timer callback). Nothing may wait on the
+  /// network there: the awaited event could only be delivered by the
+  /// frame that is waiting.
+  bool in_upcall() const;
 
-  /// Release the calling worker's delivery strand so subsequent messages
-  /// to the same party are dispatched to other workers, and stop counting
-  /// the caller as in-flight (it is about to park). Called by blocking RPC
-  /// waits from inside a handler. Returns true if a strand was yielded;
-  /// false (and no accounting change) outside a strand.
-  bool yield_strand();
-
-  /// In-flight accounting hooks for work the network cannot see — a parked
-  /// RPC caller being resumed. While the count is non-zero the pump will
-  /// not advance virtual time past the present (it would fire timeouts
-  /// under work that is still running). Paired begin/end; the RPC layer
-  /// manages the pairing across the park/wake handoff.
+  /// In-flight accounting for work the network cannot see: an application
+  /// thread woken by an RPC response. While the count is non-zero the pump
+  /// will not advance virtual time past the present (it would fire
+  /// timeouts under work that is still running). The waker begins on the
+  /// woken thread's behalf before its own upcall retires; the woken thread
+  /// ends it.
   void begin_external_work();
   void end_external_work();
 
@@ -155,7 +160,7 @@ class SimNetwork {
     TimeMs at;
     std::uint64_t seq;  // FIFO tie-break for determinism
     Address from;
-    Address to;                   // empty for timers
+    Address to;                   // destination; for timers, the strand (or empty)
     Bytes payload;
     std::function<void()> timer;      // set for timer events
     TimerHandle timer_active;         // optional cancellation flag
@@ -168,23 +173,13 @@ class SimNetwork {
     }
   };
   /// Per-destination ordered delivery queue (concurrent mode only). At
-  /// most one drain task owns the strand; `epoch` increments when the
-  /// owner yields mid-handler so the stale owner stops after its upcall.
-  /// `executing` counts handler frames currently running (the owner plus
-  /// any yielded-then-resumed predecessors) — unregister_endpoint waits on
-  /// it so endpoint teardown cannot free an object a worker still holds.
+  /// most one drain task owns the strand (`active`). `executing` is set
+  /// while that task runs an upcall: unregister_endpoint waits on it so
+  /// endpoint teardown cannot free an object a worker still holds.
   struct Strand {
     std::deque<Event> q;
     bool active = false;
-    std::uint64_t epoch = 0;
-    int executing = 0;
-  };
-
-  /// RAII for the pump-thread marker; supports nested run_until pumps.
-  struct PumpScope {
-    explicit PumpScope(SimNetwork& n);
-    ~PumpScope();
-    SimNetwork& net;
+    bool executing = false;
   };
 
   LinkConfig link_for_locked(const Address& from, const Address& to) const
@@ -209,11 +204,10 @@ class SimNetwork {
 
   std::shared_ptr<util::ThreadPool> pool_;
   std::map<Address, Strand> strands_ NONREP_GUARDED_BY(mu_);
-  std::size_t inflight_ NONREP_GUARDED_BY(mu_) = 0;  // active drain tasks (including parked ones)
+  // Active drain tasks, pump upcalls and external work.
+  std::size_t inflight_ NONREP_GUARDED_BY(mu_) = 0;
   std::size_t timer_callbacks_ NONREP_GUARDED_BY(mu_) = 0;  // timer closures currently executing
   bool stop_live_ NONREP_GUARDED_BY(mu_) = false;
-  std::atomic<std::thread::id> pump_thread_{};
-  int pump_depth_ = 0;  // nested run_until from the pump thread
 };
 
 }  // namespace nonrep::net

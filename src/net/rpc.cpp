@@ -1,6 +1,8 @@
 #include "net/rpc.hpp"
 
 #include <chrono>
+#include <memory>
+#include <optional>
 
 #include "util/serialize.hpp"
 
@@ -14,12 +16,41 @@ constexpr std::uint8_t kOneWay = 3;
 // Real-time safety net for blocking waits: virtual-time timeouts need the
 // pump alive to fire, so a wedged pump must not hang callers forever.
 constexpr auto kRealTimeCap = std::chrono::seconds(30);
+
+// The request this thread's handler is serving, so defer_reply() can
+// claim it.
+struct Serving {
+  RpcEndpoint* endpoint;
+  const Address* from;
+  std::uint64_t rpc_id;
+  bool deferred = false;
+};
+thread_local Serving* tls_serving = nullptr;
+
+Error timeout_error(const Address& to, TimeMs timeout) {
+  return Error::make("rpc.timeout",
+                     "no response from " + to + " within " + std::to_string(timeout) + "ms");
+}
 }  // namespace
 
 RpcEndpoint::RpcEndpoint(SimNetwork& network, Address address, ReliableConfig config)
     : network_(network), endpoint_(network, std::move(address), config) {
   endpoint_.set_handler(
       [this](const Address& from, BytesView raw) { on_message(from, raw); });
+}
+
+RpcEndpoint::~RpcEndpoint() {
+  // Calls still outstanding never complete: cancel their timeouts, whose
+  // closures capture `this`, and drop the callbacks outside the lock.
+  std::unordered_map<std::uint64_t, Outstanding> dropped;
+  {
+    util::MutexLock lk(mu_);
+    for (auto& [id, call] : outstanding_) {
+      (void)id;
+      if (call.timeout) *call.timeout = false;
+    }
+    dropped.swap(outstanding_);
+  }
 }
 
 void RpcEndpoint::set_request_handler(RequestHandler handler) {
@@ -40,97 +71,110 @@ void RpcEndpoint::notify(const Address& to, Bytes payload) {
   endpoint_.send(to, std::move(w).take());
 }
 
-Result<Bytes> RpcEndpoint::take_outcome(std::uint64_t rpc_id, const Address& to,
-                                        TimeMs timeout) {
-  util::MutexLock lk(mu_);
-  auto it = outstanding_.find(rpc_id);
-  if (it == outstanding_.end() || !it->second.response.has_value()) {
-    outstanding_.erase(rpc_id);
-    return Error::make("rpc.timeout",
-                       "no response from " + to + " within " + std::to_string(timeout) + "ms");
-  }
-  Bytes response = std::move(*it->second.response);
-  outstanding_.erase(it);
-  return response;
-}
-
-Result<Bytes> RpcEndpoint::call(const Address& to, Bytes request, TimeMs timeout) {
-  const bool blocking = network_.concurrent() && !network_.on_pump_thread();
+void RpcEndpoint::call_async(const Address& to, Bytes request, TimeMs timeout, Done done) {
   std::uint64_t rpc_id;
   {
     util::MutexLock lk(mu_);
     rpc_id = next_rpc_id_++;
-    auto& entry = outstanding_[rpc_id];
-    entry.parked = blocking;  // registered before the request can answer
+    outstanding_.emplace(rpc_id, Outstanding{std::move(done), nullptr});
   }
-
   BinaryWriter w;
   w.u8(kRequest);
   w.u64(rpc_id);
   w.bytes(request);
   endpoint_.send(to, std::move(w).take());
 
-  // shared_ptr: the timer may fire after this frame returns.
-  auto timed_out = std::make_shared<std::atomic<bool>>(false);
-  auto timer = network_.schedule_cancelable(timeout, [this, rpc_id, timed_out] {
+  // The timeout is a strand timer, so it and the response reach `done`
+  // through the same serialised upcalls. Armed after the send: armed
+  // first, it could be the only pending event, and an idle pump would
+  // jump virtual time straight to it.
+  auto timer = network_.schedule_cancelable(
+      timeout, [this, rpc_id, to, timeout] { complete(rpc_id, timeout_error(to, timeout)); },
+      address());
+  util::MutexLock lk(mu_);
+  if (auto it = outstanding_.find(rpc_id); it != outstanding_.end()) {
+    it->second.timeout = std::move(timer);
+  } else {
+    *timer = false;  // answered between send and arm
+  }
+}
+
+void RpcEndpoint::complete(std::uint64_t rpc_id, Result<Bytes> outcome) {
+  Done done;
+  {
+    util::MutexLock lk(mu_);
+    auto it = outstanding_.find(rpc_id);
+    if (it == outstanding_.end()) return;  // already answered or timed out
+    // A satisfied call must not drag the clock forward.
+    if (it->second.timeout) *it->second.timeout = false;
+    done = std::move(it->second.done);
+    outstanding_.erase(it);
+  }
+  done(std::move(outcome));
+}
+
+Result<Bytes> RpcEndpoint::call(const Address& to, Bytes request, TimeMs timeout) {
+  if (network_.in_upcall()) {
+    return Error::make("rpc.blocking_in_upcall",
+                       "call to " + to + " from inside a network upcall; use call_async");
+  }
+  const bool concurrent = network_.concurrent();
+  struct Waiter {
+    std::optional<Result<Bytes>> outcome;
+    bool abandoned = false;  // the caller gave up at the real-time cap
+  };
+  // Shared: `done` may run after an abandoned caller has returned.
+  auto waiter = std::make_shared<Waiter>();
+  call_async(to, std::move(request), timeout, [this, waiter, concurrent](Result<Bytes> outcome) {
     {
       util::MutexLock lk(mu_);
-      timed_out->store(true);
-      resume_parked_locked(rpc_id);
+      if (waiter->abandoned) return;
+      waiter->outcome = std::move(outcome);
+      // Hold virtual time for the woken caller (it ends the hold): the
+      // pump must not see a quiet instant before the caller continues.
+      if (concurrent) network_.begin_external_work();
     }
     response_cv_.notify_all();
   });
 
-  if (blocking) {
-    // Blocking wait: the pump thread keeps the virtual world moving. Free
-    // our delivery strand first — the response lands on it.
-    const bool yielded = network_.yield_strand();
-    bool was_resumed;
-    {
-      util::UniqueLock lk(mu_);
-      response_cv_.wait_for(lk, kRealTimeCap, [&] {
-        if (timed_out->load()) return true;
-        auto it = outstanding_.find(rpc_id);
-        return it != outstanding_.end() && it->second.response.has_value();
-      });
-      auto it = outstanding_.find(rpc_id);
-      was_resumed = it != outstanding_.end() && it->second.resumed;
-      if (it != outstanding_.end()) it->second.parked = false;
-    }
-    // Balance the in-flight accounting across the park/wake handoff:
-    //  * yielded + resumed: the waker's begin pairs with the superseded
-    //    drain task's release once this handler unwinds — nothing to do;
-    //  * yielded + not resumed (response beat the park, or real-time cap):
-    //    re-register ourselves so that release stays balanced;
-    //  * external thread + resumed: the waker's begin is ours to end — but
-    //    not before the caller finishes the protocol step this response
-    //    unblocks, so hold it through take_outcome.
-    if (yielded && !was_resumed) network_.begin_external_work();
-    *timer = false;
-    auto outcome = take_outcome(rpc_id, to, timeout);
-    if (!yielded && was_resumed) network_.end_external_work();
-    return outcome;
+  if (!concurrent) {
+    network_.run_until([&] {
+      util::MutexLock lk(mu_);
+      return waiter->outcome.has_value();
+    });
   }
-
-  network_.run_until([&, timed_out] {
-    util::MutexLock lk(mu_);
-    if (timed_out->load()) return true;
-    auto it = outstanding_.find(rpc_id);
-    return it != outstanding_.end() && it->second.response.has_value();
-  });
-  *timer = false;  // cancel: a satisfied call must not drag the clock forward
-
-  return take_outcome(rpc_id, to, timeout);
+  util::UniqueLock lk(mu_);
+  if (concurrent) {
+    response_cv_.wait_for(lk, kRealTimeCap, [&] { return waiter->outcome.has_value(); });
+  }
+  if (!waiter->outcome) {
+    waiter->abandoned = true;
+    return timeout_error(to, timeout);
+  }
+  Result<Bytes> outcome = std::move(*waiter->outcome);
+  lk.unlock();
+  if (concurrent) network_.end_external_work();
+  return outcome;
 }
 
-void RpcEndpoint::resume_parked_locked(std::uint64_t rpc_id) {
-  auto it = outstanding_.find(rpc_id);
-  if (it != outstanding_.end() && it->second.parked && !it->second.resumed) {
-    it->second.resumed = true;
-    // On behalf of the parked caller, before our own in-flight slot can
-    // retire — the pump must not see a quiet gap in the handoff.
-    network_.begin_external_work();
-  }
+RpcEndpoint::Reply RpcEndpoint::defer_reply() {
+  if (tls_serving == nullptr || tls_serving->endpoint != this) return [](Bytes) {};
+  tls_serving->deferred = true;
+  return [this, to = *tls_serving->from, rpc_id = tls_serving->rpc_id](Bytes response) {
+    respond(to, rpc_id, std::move(response));
+  };
+}
+
+bool RpcEndpoint::reply_deferred() const {
+  return tls_serving != nullptr && tls_serving->endpoint == this && tls_serving->deferred;
+}
+
+void RpcEndpoint::respond(const Address& to, std::uint64_t rpc_id, Bytes response) {
+  BinaryWriter w;
+  w.u8(kResponse);
+  w.u64(rpc_id);
+  w.bytes(response);
+  endpoint_.send(to, std::move(w).take());
 }
 
 void RpcEndpoint::on_message(const Address& from, BytesView raw) {
@@ -150,26 +194,16 @@ void RpcEndpoint::on_message(const Address& from, BytesView raw) {
         handler = request_handler_;
       }
       if (!handler) return;
+      Serving serving{this, &from, rpc_id.value()};
+      tls_serving = &serving;
       Bytes response = handler(from, payload.value());
-      BinaryWriter w;
-      w.u8(kResponse);
-      w.u64(rpc_id.value());
-      w.bytes(response);
-      endpoint_.send(from, std::move(w).take());
+      tls_serving = nullptr;
+      if (!serving.deferred) respond(from, rpc_id.value(), std::move(response));
       break;
     }
-    case kResponse: {
-      {
-        util::MutexLock lk(mu_);
-        auto it = outstanding_.find(rpc_id.value());
-        if (it != outstanding_.end() && !it->second.response.has_value()) {
-          it->second.response = payload.value();
-          resume_parked_locked(rpc_id.value());
-        }
-      }
-      response_cv_.notify_all();
+    case kResponse:
+      complete(rpc_id.value(), std::move(payload).take());
       break;
-    }
     case kOneWay: {
       NotifyHandler handler;
       {

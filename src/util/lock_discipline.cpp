@@ -82,9 +82,9 @@ void print_held_stack() {
   std::fprintf(stderr, "  held by this thread (outermost first):\n");
   for (int i = 0; i < t_depth; ++i) {
     const ClassInfo& c = reg().classes[t_held[i].cls];
-    std::fprintf(stderr, "    #%d \"%s\" (rank %u%s) instance %p acquired at %s:%u\n", i,
-                 c.name, lock_rank_value(c.rank), c.traits.deliver_safe ? ", deliver-safe" : "",
-                 t_held[i].addr, t_held[i].file, t_held[i].line);
+    std::fprintf(stderr, "    #%d \"%s\" (rank %u) instance %p acquired at %s:%u\n", i,
+                 c.name, lock_rank_value(c.rank), t_held[i].addr, t_held[i].file,
+                 t_held[i].line);
   }
   std::fprintf(stderr,
                "  lock ranks are defined in src/util/lock_discipline.hpp (LockRank).\n");
@@ -158,9 +158,7 @@ std::uint32_t register_class(const char* name, LockRank rank, LockTraits traits)
   std::lock_guard<std::mutex> lk(r.mu);
   for (std::uint32_t i = 0; i < r.count; ++i) {
     if (std::strcmp(r.classes[i].name, name) == 0) {
-      if (r.classes[i].rank != rank ||
-          r.classes[i].traits.deliver_safe != traits.deliver_safe ||
-          r.classes[i].traits.multi != traits.multi) {
+      if (r.classes[i].rank != rank || r.classes[i].traits.multi != traits.multi) {
         std::fprintf(stderr,
                      "nonrep lockdep: lock class \"%s\" re-registered with different "
                      "rank/traits (%u vs %u)\n",
@@ -264,15 +262,11 @@ void note_release(std::uint32_t cls, const void* addr) {
 }
 
 void assert_no_locks_held(const char* where) {
-  for (int i = 0; i < t_depth; ++i) {
-    if (!reg().classes[t_held[i].cls].traits.deliver_safe) {
-      std::fprintf(stderr, "nonrep lockdep: LOCK HELD ACROSS DELIVER: entering %s with "
-                           "\"%s\" held\n",
-                   where, reg().classes[t_held[i].cls].name);
-      print_held_stack();
-      die();
-    }
-  }
+  if (t_depth == 0) return;
+  std::fprintf(stderr, "nonrep lockdep: LOCK HELD ACROSS DELIVER: entering %s with \"%s\" held\n",
+               where, reg().classes[t_held[0].cls].name);
+  print_held_stack();
+  die();
 }
 
 int held_count() noexcept { return t_depth; }

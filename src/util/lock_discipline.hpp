@@ -25,17 +25,15 @@
 //
 // LockRank is the single source of truth for the global lock order. Ranks
 // increase inward: a thread may only acquire a lock of strictly greater
-// rank than every lock it already holds. Exceptions, both explicit in the
-// traits a mutex is constructed with:
+// rank than every lock it already holds. Exceptions:
 //   - kUnranked locks skip the monotonicity check (they are still tracked
 //     in the acquisition-order graph, so cycles among them are caught);
-//   - `multi` classes (lock-striped stores) may acquire several same-class
-//     locks at equal rank, provided addresses are strictly increasing --
-//     exactly the order StateStore::AllShardsLock uses.
-// Locks whose traits say `deliver_safe` (the scenario load driver's
-// per-member mutex) are exempt from the "no lock held here" assertion at
-// Coordinator::deliver/deliver_request and the SimNetwork pump entry; they
-// sit below kHandler in the order and never participate in protocol state.
+//   - `multi` classes (lock-striped stores, a trait the mutex is
+//     constructed with) may acquire several same-class locks at equal
+//     rank, provided addresses are strictly increasing -- exactly the
+//     order StateStore::AllShardsLock uses.
+// No lock at all may be held at Coordinator::deliver/deliver_request, a
+// network upcall or the SimNetwork pump entry.
 #pragma once
 
 #include <chrono>
@@ -97,11 +95,6 @@ enum class LockRank : std::uint16_t {
   // in the hierarchy is not yet pinned down -- prefer a real rank.
   kUnranked = 0,
 
-  // -- Tier 0: test/load orchestration (deliver-safe; below all protocol
-  //    state; the only tier that may legally be held across deliver).
-  kLoadDriver = 100,     // scenario::LoadGenerator per-member driver mutex
-  kLoadReport = 150,     // scenario::LoadGenerator shared report aggregation
-
   // -- Tier 1: protocol handler state (the "handler mutex" of the
   //    documented order). Never held across deliver/deliver_request.
   kHandler = 200,        // InvocationProtocol/OptimisticTtp run maps,
@@ -151,9 +144,6 @@ constexpr std::uint16_t lock_rank_value(LockRank r) noexcept {
 
 // Per-class behavior flags, fixed at construction.
 struct LockTraits {
-  // Legal to hold across Coordinator::deliver/deliver_request and the
-  // SimNetwork pump. Orchestration tier only (rank < kHandler).
-  bool deliver_safe = false;
   // Lock-striped class: several same-class locks may be held at equal rank
   // if acquired in strictly increasing address order (AllShardsLock).
   bool multi = false;
@@ -171,8 +161,8 @@ std::uint32_t register_class(const char* name, LockRank rank, LockTraits traits)
 void note_acquire(std::uint32_t cls, const void* addr, const char* file, unsigned line);
 void note_release(std::uint32_t cls, const void* addr);
 
-// Abort with a diagnostic if the calling thread holds any lock whose class
-// is not deliver_safe. `where` names the enforcement point.
+// Abort with a diagnostic if the calling thread holds any lock. `where`
+// names the enforcement point.
 void assert_no_locks_held(const char* where);
 
 // Test observability.

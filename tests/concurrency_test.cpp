@@ -150,10 +150,11 @@ TEST(ConcurrentRuntimeTest, ManyPartyInvocationsAcrossThreads) {
   world.network.set_executor(nullptr);
 }
 
-TEST(ConcurrentRuntimeTest, NestedCallYieldsStrandInsteadOfDeadlocking) {
-  // server handles a request by calling a backend — a nested blocking call
-  // from inside its own delivery strand. The response arrives on the same
-  // strand, so without yield_strand() this would deadlock.
+TEST(ConcurrentRuntimeTest, HandlerRepliesFromContinuation) {
+  // server serves a request by consulting a backend. The backend's answer
+  // arrives on server's own strand, so a blocking call there could never
+  // be answered: it fails at once, and the handler forwards with
+  // call_async and answers from the continuation instead.
   auto clock = std::make_shared<SimClock>(0);
   net::SimNetwork network(clock, /*seed=*/5);
   auto pool = std::make_shared<util::ThreadPool>(3);
@@ -162,9 +163,15 @@ TEST(ConcurrentRuntimeTest, NestedCallYieldsStrandInsteadOfDeadlocking) {
   net::RpcEndpoint backend(network, "backend");
   backend.set_request_handler([](const net::Address&, BytesView) { return to_bytes("deep"); });
   net::RpcEndpoint server(network, "server");
+  std::string blocking_error;
   server.set_request_handler([&](const net::Address&, BytesView) {
-    auto inner = server.call("backend", to_bytes("q"), 2000);
-    return inner.ok() ? inner.value() : to_bytes("fail");
+    auto blocked = server.call("backend", to_bytes("q"), 2000);
+    blocking_error = blocked.ok() ? "none" : blocked.error().code;
+    auto reply = server.defer_reply();
+    server.call_async("backend", to_bytes("q"), 2000, [reply](Result<Bytes> inner) {
+      reply(inner.ok() ? inner.value() : to_bytes("fail"));
+    });
+    return to_bytes("discarded");
   });
   net::RpcEndpoint client(network, "client");
 
@@ -176,13 +183,15 @@ TEST(ConcurrentRuntimeTest, NestedCallYieldsStrandInsteadOfDeadlocking) {
 
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(to_string(result.value()), "deep");
+  EXPECT_EQ(blocking_error, "rpc.blocking_in_upcall");
   network.set_executor(nullptr);
 }
 
-TEST(ConcurrentRuntimeTest, HandlerMakesTwoSequentialNestedCalls) {
-  // A resumed frame must be able to park again: the second call() in one
-  // handler frame releases the carried in-flight registration, or the pump
-  // would refuse to advance virtual time and the call would stall.
+TEST(ConcurrentRuntimeTest, ContinuationsChainAndTimeOutOnTheStrand) {
+  // One request answered after three calls, each made from the previous
+  // call's continuation. The last backend never answers: its timeout
+  // continuation runs as an upcall of server's strand on a pool worker,
+  // never on the pump, and no two of server's upcalls overlap.
   auto clock = std::make_shared<SimClock>(0);
   net::SimNetwork network(clock, /*seed=*/6);
   auto pool = std::make_shared<util::ThreadPool>(3);
@@ -192,24 +201,65 @@ TEST(ConcurrentRuntimeTest, HandlerMakesTwoSequentialNestedCalls) {
   backend_a.set_request_handler([](const net::Address&, BytesView) { return to_bytes("a"); });
   net::RpcEndpoint backend_b(network, "backend-b");
   backend_b.set_request_handler([](const net::Address&, BytesView) { return to_bytes("b"); });
+  net::RpcEndpoint silent(network, "silent");
+  silent.set_request_handler([&](const net::Address&, BytesView) {
+    (void)silent.defer_reply();  // never answered
+    return Bytes{};
+  });
   net::RpcEndpoint server(network, "server");
+
+  std::atomic<int> inside{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<bool> timeout_in_upcall{false};
+  std::thread::id timeout_thread;
+  auto enter = [&] {
+    if (inside.fetch_add(1) != 0) overlaps.fetch_add(1);
+  };
+  auto leave = [&] { inside.fetch_sub(1); };
   server.set_request_handler([&](const net::Address&, BytesView) {
-    auto first = server.call("backend-a", to_bytes("q"), 2000);
-    auto second = server.call("backend-b", to_bytes("q"), 2000);
-    Bytes out = first.ok() ? first.value() : to_bytes("?");
-    append(out, second.ok() ? second.value() : to_bytes("?"));
-    return out;
+    enter();
+    auto reply = server.defer_reply();
+    server.call_async("backend-a", to_bytes("q"), 2000, [&, reply](Result<Bytes> first) {
+      enter();
+      Bytes out = first.ok() ? first.value() : to_bytes("?");
+      server.call_async("backend-b", to_bytes("q"), 2000, [&, reply, out](Result<Bytes> second) {
+        enter();
+        Bytes both = out;
+        append(both, second.ok() ? second.value() : to_bytes("?"));
+        server.call_async("silent", to_bytes("q"), 300,
+                          [&, reply, both](Result<Bytes> third) mutable {
+                            enter();
+                            timeout_in_upcall = network.in_upcall();
+                            timeout_thread = std::this_thread::get_id();
+                            const std::string how = third.ok() ? "answer" : third.error().code;
+                            append(both, to_bytes("+" + how));
+                            reply(both);
+                            leave();
+                          });
+        leave();
+      });
+      leave();
+    });
+    leave();
+    return Bytes{};
   });
   net::RpcEndpoint client(network, "client");
 
-  std::thread pump([&] { network.run_live(); });
+  std::thread::id pump_thread;
+  std::thread pump([&] {
+    pump_thread = std::this_thread::get_id();
+    network.run_live();
+  });
   auto result = client.call("server", to_bytes("outer"), 5000);
   network.drain();
   network.stop_live();
   pump.join();
 
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(to_string(result.value()), "ab");
+  EXPECT_EQ(to_string(result.value()), "ab+rpc.timeout");
+  EXPECT_TRUE(timeout_in_upcall.load());
+  EXPECT_NE(timeout_thread, pump_thread);
+  EXPECT_EQ(overlaps.load(), 0);
   network.set_executor(nullptr);
 }
 

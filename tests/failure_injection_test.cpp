@@ -10,6 +10,7 @@
 #include "core/fair_exchange.hpp"
 #include "core/nr_interceptor.hpp"
 #include "core/sharing.hpp"
+#include "core/ttp.hpp"
 #include "journal/reader.hpp"
 #include "journal/segment.hpp"
 #include "journal/writer.hpp"
@@ -560,6 +561,28 @@ TEST_F(WriteAheadFixture, FailedStep3BarrierWithholdsReceiptAndFailsInvoke) {
   EXPECT_FALSE(nr->evidence_for(run).has_nrr_response);
   EXPECT_FALSE(nr->run_complete(run));
   EXPECT_FALSE(server.log->find(run, "token.NRR-response").has_value());
+}
+
+TEST_F(WriteAheadFixture, FailedDeferredReplyBarrierRepliesWithErrorAndNoAffidavit) {
+  // The inline TTP answers from a continuation (defer_reply); that answer
+  // passes the same barrier as a returned reply.
+  auto& client = world.add_party("client");
+  auto& server = world.add_party("server");
+  auto& ttp = world.add_party("ttp", {}, gated_memory("token.affidavit"));
+  serve(server);
+  ttp.coordinator->register_handler(std::make_shared<InlineTtpRelay>(
+      *ttp.coordinator, [](const net::Address&) { return std::nullopt; }));
+
+  InlineTtpInvocationClient handler(*client.coordinator, "ttp");
+  Invocation inv = echo_invocation(client.id);
+  auto result = handler.invoke("server", inv);
+  world.network.run();
+
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(nonrep::to_string(result.payload), "journal.injected");
+  EXPECT_FALSE(handler.last_run_has_affidavit());
+  EXPECT_FALSE(handler.last_run_evidence().has_nro_response);
+  EXPECT_EQ(cont.executions(), 1u);  // the server ran; the TTP withheld its reply
 }
 
 // ---- crash drill at every send point ----

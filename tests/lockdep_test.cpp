@@ -69,7 +69,7 @@ void held_across_deliver_body() {
 }
 
 void stripe_against_address_order_body() {
-  LockTraits multi{.deliver_safe = false, .multi = true};
+  LockTraits multi{.multi = true};
   Mutex s0{LockRank::kStateStore, "lockdep_test.stripe", multi};
   Mutex s1{LockRank::kStateStore, "lockdep_test.stripe", multi};
   Mutex& lo = (&s0 < &s1) ? s0 : s1;
@@ -122,7 +122,7 @@ TEST(LockdepTest, OrderedRanksNestQuietly) {
 }
 
 TEST(LockdepTest, StripeNestingInAddressOrderIsLegal) {
-  LockTraits multi{.deliver_safe = false, .multi = true};
+  LockTraits multi{.multi = true};
   Mutex s0{LockRank::kStateStore, "lockdep_test.stripe_ok", multi};
   Mutex s1{LockRank::kStateStore, "lockdep_test.stripe_ok", multi};
   Mutex& lo = (&s0 < &s1) ? s0 : s1;
@@ -130,14 +130,6 @@ TEST(LockdepTest, StripeNestingInAddressOrderIsLegal) {
   MutexLock a(lo);
   MutexLock b(hi);
   EXPECT_EQ(lockdep::held_count(), 2);
-}
-
-TEST(LockdepTest, DeliverSafeLockIsExemptFromNoLocksHeld) {
-  Mutex m{LockRank::kLoadDriver, "lockdep_test.driver",
-          LockTraits{.deliver_safe = true, .multi = false}};
-  MutexLock l(m);
-  NONREP_ASSERT_NO_LOCKS_HELD("lockdep_test.deliver_safe");  // must not abort
-  EXPECT_EQ(lockdep::held_count(), 1);
 }
 
 TEST(LockdepTest, OutOfLifoReleaseClosesTheGap) {

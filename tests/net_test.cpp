@@ -300,16 +300,30 @@ TEST_F(RpcFixture, NotifyDelivered) {
   EXPECT_EQ(got[0], "client/oneway");
 }
 
-TEST_F(RpcFixture, NestedCallFromHandler) {
+TEST_F(RpcFixture, DeferredReplyFromHandler) {
+  // Classic mode: the handler runs inside the caller's pump. A blocking
+  // call there is refused instead of pumping again; the handler answers
+  // from its call_async continuation, which the same pump later runs.
   RpcEndpoint backend(net, "backend");
   backend.set_request_handler([](const Address&, BytesView) { return to_bytes("deep"); });
+  std::string blocking_error;
   server.set_request_handler([&](const Address&, BytesView) {
-    auto inner = server.call("backend", to_bytes("q"), 500);
-    return inner.ok() ? inner.value() : to_bytes("fail");
+    auto blocked = server.call("backend", to_bytes("q"), 500);
+    blocking_error = blocked.ok() ? "none" : blocked.error().code;
+    EXPECT_EQ(net.run(), 0u);  // nor is the network pumped from within
+    auto reply = server.defer_reply();
+    EXPECT_TRUE(server.reply_deferred());
+    server.call_async("backend", to_bytes("q"), 500, [&, reply](Result<Bytes> inner) {
+      EXPECT_TRUE(net.in_upcall());
+      reply(inner.ok() ? inner.value() : to_bytes("fail"));
+    });
+    return to_bytes("discarded");
   });
   auto result = client.call("server", to_bytes("outer"), 1000);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(to_string(result.value()), "deep");
+  EXPECT_EQ(blocking_error, "rpc.blocking_in_upcall");
+  EXPECT_FALSE(net.in_upcall());
 }
 
 TEST_F(RpcFixture, CallSurvivesLoss) {

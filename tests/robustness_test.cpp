@@ -178,6 +178,7 @@ TEST_F(RobustnessFixture, ReplayedRequestNotReExecuted) {
   }
   world.network.run();
   EXPECT_EQ(container.executions(), 1u);  // still exactly once
+  EXPECT_EQ(nr->pending_runs(), 0u);      // a finished run does not re-open
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common.hpp"
 #include "core/nr_interceptor.hpp"
@@ -183,10 +186,9 @@ TEST_F(TtpFixture, AtMostOnceThroughRelay) {
 }
 
 TEST_F(TtpFixture, ConcurrentClientsThroughOneRelayOverLiveRuntime) {
-  // The relay's process_request blocks on a nested deliver_request to the
-  // server, yielding its strand — so two clients' exchanges interleave
-  // INSIDE the relay. Regression for the unguarded relayed_ counter, and
-  // a TSan workout for the whole relay path.
+  // The relay forwards each step 1 and answers from the continuation, so
+  // two clients' exchanges interleave inside the relay: a TSan workout for
+  // the whole relay path, continuations included.
   install_relay(direct_router());
   auto& client2 = world.add_party("client2");
 
@@ -225,6 +227,52 @@ TEST_F(TtpFixture, ConcurrentClientsThroughOneRelayOverLiveRuntime) {
   EXPECT_EQ(container.executions(), static_cast<std::uint64_t>(2 * kPerClient));
   EXPECT_TRUE(ttp->log->verify_chain().ok());
   EXPECT_TRUE(server->log->verify_chain().ok());
+}
+
+TEST_F(TtpFixture, AsManyRelayedExchangesAsWorkersDoNotWedge) {
+  // Regression for the inline-relay wedge. Every step 1 is queued before
+  // the pump starts, so all of them reach the relay at once. A relay that
+  // blocked its worker on the server's reply would occupy every worker,
+  // leaving none to run the server, until the RPC layer's 30 s real-time
+  // cap. Forwarding from a continuation finishes in milliseconds.
+  constexpr int kWorkers = 4;
+  install_relay(direct_router());
+  std::vector<test::Party*> clients{client};
+  for (int i = 2; i <= kWorkers; ++i) {
+    clients.push_back(&world.add_party("client" + std::to_string(i)));
+  }
+  world.network.set_executor(std::make_shared<util::ThreadPool>(kWorkers));
+
+  std::atomic<int> ok{0};
+  std::vector<std::thread> drivers;
+  for (test::Party* party : clients) {
+    drivers.emplace_back([&, party] {
+      InlineTtpInvocationClient handler(*party->coordinator, "ttp");
+      Invocation inv = make_inv(party->id.str());
+      inv.caller = party->id;
+      if (handler.invoke("server", inv).ok()) ok.fetch_add(1);
+    });
+  }
+  // Each client's step 1 is its first send.
+  const auto queued_by = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (world.network.stats().sent < static_cast<std::uint64_t>(kWorkers) &&
+         std::chrono::steady_clock::now() < queued_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(world.network.stats().sent, static_cast<std::uint64_t>(kWorkers));
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread pump([&] { world.network.run_live(); });
+  for (auto& t : drivers) t.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  world.network.drain();
+  world.network.stop_live();
+  pump.join();
+  world.network.set_executor(nullptr);
+
+  EXPECT_EQ(ok.load(), kWorkers);
+  EXPECT_EQ(relay->relayed(), static_cast<std::uint64_t>(kWorkers));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 }  // namespace
