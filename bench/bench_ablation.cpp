@@ -94,9 +94,7 @@ struct AblationRig {
       const std::string dir =
           (std::filesystem::temp_directory_path() / ("nonrep_ablation_" + name)).string();
       std::filesystem::remove_all(dir);
-      backend =
-          store::JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord})
-              .take();
+      backend = store::JournalLogBackend::open({.dir = dir}).take();
     } else {
       backend = std::make_unique<store::MemoryLogBackend>();
     }

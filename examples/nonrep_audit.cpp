@@ -169,8 +169,7 @@ int demo() {
   auto clock = std::make_shared<SimClock>(1000);
   {
     auto objects = std::make_shared<store::ObjectStore>();
-    auto backend = store::JournalLogBackend::open(
-        {.dir = dir, .segment_max_bytes = 2048, .sync = journal::SyncPolicy::kEveryRecord});
+    auto backend = store::JournalLogBackend::open({.dir = dir, .segment_max_bytes = 2048});
     if (!backend.ok()) return 1;
     auto* raw = backend.value().get();
     store::EvidenceLog log(std::move(backend).take(), clock, objects);

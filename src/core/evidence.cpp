@@ -109,8 +109,7 @@ namespace {
 // issue/accept only stage their records: the write-ahead wait belongs to the
 // send (Coordinator -> EvidenceLog::barrier). A receipt that has already
 // failed — the backend refused the record, or the writer crashed — still
-// fails the call under any policy, so evidence that can never persist is
-// never released.
+// fails the call, so evidence that can never persist is never released.
 Status fail_if_refused(store::EvidenceLog& log, const store::AppendReceipt& receipt) {
   if (!receipt.durable.ready()) return Status::ok_status();
   return log.settle(receipt);
@@ -227,23 +226,21 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     }
     if (memoized) {
       // Memo hit: all token decode + signature work is skipped. The hash
-      // chain is still recomputed unless the caller opted into
-      // trust_memory — the memo key (the tail digest) was read from the
-      // very records it vouches for, so without the rehash a tampered
-      // interior record paired with its stale tail digest would pass.
+      // chain is still recomputed — the memo key (the tail digest) was read
+      // from the very records it vouches for, so without the rehash a
+      // tampered interior record paired with its stale tail digest would
+      // pass.
       for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
         const store::LogRecord& rec = records[i];
         if (rec.sequence != i) {
           verdict = Error::make("log.sequence_gap", "at index " + std::to_string(i));
           break;
         }
-        if (!options.trust_memory) {
-          const crypto::Digest expect = store::chain_digest(prev, rec);
-          if (!constant_time_equal(BytesView(expect.data(), expect.size()),
-                                   BytesView(rec.chain.data(), rec.chain.size()))) {
-            verdict = Error::make("log.chain_mismatch", "record " + std::to_string(i));
-            break;
-          }
+        const crypto::Digest expect = store::chain_digest(prev, rec);
+        if (!constant_time_equal(BytesView(expect.data(), expect.size()),
+                                 BytesView(rec.chain.data(), rec.chain.size()))) {
+          verdict = Error::make("log.chain_mismatch", "record " + std::to_string(i));
+          break;
         }
         prev = rec.chain;
         if (rec.kind.starts_with("token.")) ++report.token_records;

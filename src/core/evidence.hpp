@@ -148,17 +148,6 @@ class EvidenceService {
   struct LogAuditOptions {
     /// Records per chain segment (memoization granularity).
     std::size_t segment_records = 1024;
-    /// Memo-hit behaviour. false (the default, and the sound choice): a
-    /// memoized segment still has its SHA-256 hash chain recomputed from
-    /// the in-memory records — only the token decode + signature work is
-    /// skipped — so an in-process mutation of an already-audited record is
-    /// caught on the next pass. true: a memo hit trusts the in-memory
-    /// bytes and runs a structural sweep only (sequence continuity). That
-    /// remains sound against on-disk tampering — a reload decodes fresh
-    /// records whose tail digest misses the memo — but a write through
-    /// this process's own heap would go unnoticed; opt in only where the
-    /// audit loop is hot and the process itself is the trust boundary.
-    bool trust_memory = false;
   };
 
   struct LogAuditReport {
@@ -181,8 +170,8 @@ class EvidenceService {
   /// unchanged log skips all token decoding and signature work, and — the
   /// memo key is itself read from the records under audit, so it proves
   /// nothing by itself — recomputes just the hash chain to tie the bytes
-  /// to the key (skippable via LogAuditOptions::trust_memory, see its
-  /// caveats). Entries carry the trust epoch and the
+  /// to the key, so an in-process mutation of an already-audited record is
+  /// caught on the next pass. Entries carry the trust epoch and the
   /// segment's intersected validity window, so a root/cert/CRL change or an
   /// audit time outside the window falls back to the cold path. When the
   /// log has an object store, each cold-verified segment is interned as a

@@ -1,9 +1,9 @@
-// Durability tickets for the pipelined journal (the future half of the
-// async append API).
+// Durability tickets for the journal (the future half of the async append
+// API).
 //
-// append_async() hands every record an AppendTicket immediately; the record
-// becomes *evidence* only once the sync stage has retired the device barrier
-// covering its LSN. A DurableFuture is how a caller observes that moment:
+// append_async() writes every record and hands it an AppendTicket
+// immediately; the record becomes *evidence* only once the sync stage has
+// retired the device barrier covering its LSN. A DurableFuture is how a caller observes that moment:
 // it shares the writer's durability watermark, so waiting costs one
 // condition-variable sleep and completing a batch costs one notify for every
 // ticket it covers — there is no per-ticket allocation or registration.
@@ -115,15 +115,11 @@ class DurableFuture {
 
 /// What append_async() returns: the record's journal sequence, its LSN in
 /// the writer's append order, and the future that settles when it is on the
-/// device. `policy_blocks` tells a compatibility caller whether the classic
-/// blocking append() would have waited here (kEveryRecord) — batched and
-/// timed policies never waited per record, and waiting on them without a
-/// barrier in flight would stall until some later append triggers one.
+/// device (its barrier is already requested).
 struct AppendTicket {
   std::uint64_t sequence = 0;
   std::uint64_t lsn = 0;
   DurableFuture durable;
-  bool policy_blocks = false;
 };
 
 }  // namespace nonrep::journal

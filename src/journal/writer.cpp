@@ -1,6 +1,7 @@
 #include "journal/writer.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 
@@ -18,11 +19,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kSpareFilename = ".spare.wal";
-
 // Handles resolved once; recording is lock-free so it is safe under mu_.
-// (Barrier-side instruments — syncs, fsync_ns, batch_records, pipeline
-// depth/coalescing — live in sync_stage.cpp, where the barriers now run.)
+// (Barrier-side instruments — syncs, fsync_ns, records per barrier,
+// coalescing — live in sync_stage.cpp, where the barriers run.)
 struct JournalMetrics {
   obs::Counter& appends = obs::Registry::global().counter("journal.appends");
   obs::Counter& rotations = obs::Registry::global().counter("journal.rotations");
@@ -60,8 +59,7 @@ Status write_all(int fd, BytesView data) {
   return Status::ok_status();
 }
 
-/// Persist a directory entry (segment creation/removal/rename) across power
-/// loss.
+/// Persist a directory entry (segment creation) across power loss.
 Status fsync_dir(const std::string& dir) {
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd < 0) return errno_error("open " + dir);
@@ -97,17 +95,9 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
   }
 
   std::unique_ptr<Writer> w(new Writer(std::move(options)));
-  // A spare left by a previous process is stale (its preallocation may not
-  // match, and its fd is gone); recovery ignores the name, we recreate it.
-  fs::remove(fs::path(w->opt_.dir) / kSpareFilename, ec);
-
   w->state_ = std::make_shared<DurabilityState>();
-  SyncStage::Options stage_opt;
-  stage_opt.max_batches_in_flight = w->opt_.max_batches_in_flight;
-  w->stage_ = std::make_unique<SyncStage>(w->state_, std::move(stage_opt));
-
+  w->stage_ = std::make_unique<SyncStage>(w->state_);
   w->next_seq_ = report.next_sequence;
-  w->last_barrier_request_ = std::chrono::steady_clock::now();
   if (report.tail_path.has_value()) {
     // Continue the unsealed final segment in place.
     const int fd = ::open(report.tail_path->c_str(), O_WRONLY | O_APPEND);
@@ -125,10 +115,6 @@ Writer::Writer(Options options) : opt_(std::move(options)) {}
 
 Writer::~Writer() { (void)close(); }
 
-std::string Writer::spare_path() const {
-  return (fs::path(opt_.dir) / kSpareFilename).string();
-}
-
 Status Writer::open_segment_locked(std::uint64_t first_sequence) {
   active_path_ = (fs::path(opt_.dir) / segment_filename(first_sequence)).string();
   const int fd = ::open(active_path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
@@ -140,38 +126,13 @@ Status Writer::open_segment_locked(std::uint64_t first_sequence) {
   auto written = write_all(fd_, header);
   if (!written.ok()) return written;
   active_bytes_ = header.size();
-  auto synced = fsync_dir(opt_.dir);
-  if (!synced.ok()) return synced;
-  if (opt_.preallocate_segments) {
-    stage_->prepare_spare(spare_path(), opt_.segment_max_bytes);
-  }
-  return Status::ok_status();
-}
-
-Status Writer::flush_locked() {
-  if (pending_.empty()) return Status::ok_status();
-  auto written = write_all(fd_, pending_);
-  if (!written.ok()) return written;
-  active_bytes_ += pending_.size();
-  written_lsn_ += pending_records_;
-  pending_.clear();
-  pending_records_ = 0;
-  ++stats_.flushes;
-  return Status::ok_status();
-}
-
-void Writer::request_barrier_locked() {
-  if (written_lsn_ <= requested_lsn_) return;  // a queued barrier covers it
-  requested_lsn_ = written_lsn_;
-  last_barrier_request_ = std::chrono::steady_clock::now();
-  stage_->request(fd_, written_lsn_, active_bytes_);
+  // The name must be durable before any record is: a later fdatasync on the
+  // fd would commit data into a file whose name could vanish with the power.
+  return fsync_dir(opt_.dir);
 }
 
 Status Writer::seal_locked() {
   if (fd_ < 0) return Status::ok_status();
-  auto flushed = flush_locked();
-  if (!flushed.ok()) return flushed;
-
   Checkpoint cp;
   cp.record_count = leaves_.size();
   cp.first_sequence = active_first_seq_;
@@ -181,12 +142,10 @@ Status Writer::seal_locked() {
   auto written = write_all(fd_, frame);
   if (!written.ok()) return written;
   active_bytes_ += frame.size();
-  // Unconditional barrier (the checkpoint bytes are not covered by any LSN
-  // watermark), then drain the whole pipeline: a sealed segment is durable
-  // in full, which is what keeps recovery semantics identical to the
-  // blocking writer.
+  // One more barrier (the checkpoint bytes are not covered by any LSN
+  // watermark), then drain the stage: a sealed segment is durable in full,
+  // and no job for this fd outlives it.
   stage_->request(fd_, written_lsn_, active_bytes_);
-  if (written_lsn_ > requested_lsn_) requested_lsn_ = written_lsn_;
   auto drained = stage_->drain();
   if (!drained.ok()) return drained;
 
@@ -197,50 +156,10 @@ Status Writer::seal_locked() {
 }
 
 Status Writer::maybe_rotate_locked() {
-  if (fd_ < 0 || active_bytes_ + pending_.size() < opt_.segment_max_bytes) {
-    return Status::ok_status();
-  }
-  sealing_ = true;
-  auto sealed = seal_locked();
-  if (sealed.ok()) {
-    // Prefer the preallocated spare: rename it into place and persist the
-    // name *before* any record lands in it. The directory fsync must stay
-    // synchronous — a later fdatasync on the fd would commit data into a
-    // file whose name could vanish with the power.
-    const int sfd =
-        opt_.preallocate_segments ? stage_->take_spare(spare_path()) : -1;
-    bool swapped = false;
-    if (sfd >= 0) {
-      const std::string next_path =
-          (fs::path(opt_.dir) / segment_filename(next_seq_)).string();
-      if (::rename(spare_path().c_str(), next_path.c_str()) == 0) {
-        auto named = fsync_dir(opt_.dir);
-        const Bytes header = encode_segment_header(next_seq_);
-        if (named.ok()) named = write_all(sfd, header);
-        if (named.ok()) {
-          fd_ = sfd;
-          active_path_ = next_path;
-          active_first_seq_ = next_seq_;
-          active_bytes_ = header.size();
-          leaves_.clear();
-          ++stats_.spare_swaps;
-          swapped = true;
-        } else {
-          ::close(sfd);
-          sealed = named;
-        }
-      } else {
-        ::close(sfd);
-      }
-    }
-    if (!swapped && sealed.ok()) sealed = open_segment_locked(next_seq_);
-    if (swapped && opt_.preallocate_segments) {
-      stage_->prepare_spare(spare_path(), opt_.segment_max_bytes);
-    }
-  }
-  sealing_ = false;
-  cv_.notify_all();
-  if (!sealed.ok()) return sealed;
+  if (fd_ < 0 || active_bytes_ < opt_.segment_max_bytes) return Status::ok_status();
+  auto rotated = seal_locked();
+  if (rotated.ok()) rotated = open_segment_locked(next_seq_);
+  if (!rotated.ok()) return rotated;
   ++stats_.rotations;
   metrics().rotations.add();
   return Status::ok_status();
@@ -254,8 +173,7 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
                        std::to_string(payload.size()) + " bytes exceeds the " +
                            std::to_string(kMaxBodyBytes) + "-byte body limit");
   }
-  util::UniqueLock lock(mu_);
-  while (sealing_) cv_.wait(lock);
+  util::MutexLock lock(mu_);
   if (closed_) return Error::make("journal.closed", "writer is closed");
   if (!io_error_.ok()) return io_error_.error();
   if (auto barrier = stage_->error(); !barrier.ok()) return barrier.error();
@@ -271,63 +189,31 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
 
   const std::uint64_t seq = next_seq_++;
   const Bytes frame = encode_frame(RecordType::kData, seq, payload);
+  if (auto written = write_all(fd_, frame); !written.ok()) {
+    io_error_ = written;
+    state_->fail(written);  // settle earlier tickets still waiting on a barrier
+    return written.error();
+  }
   leaves_.push_back(
       body_digest(BytesView(frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes)));
-  nonrep::append(pending_, frame);  // qualified: Writer::append shadows
-  ++pending_records_;
-  ++appended_lsn_;
+  active_bytes_ += frame.size();
+  ++written_lsn_;
   ++stats_.appends;
   metrics().appends.add();
+  stage_->request(fd_, written_lsn_, active_bytes_);
 
-  AppendTicket ticket;
-  ticket.sequence = seq;
-  ticket.lsn = appended_lsn_;
-
-  Status staged = Status::ok_status();
-  switch (opt_.sync) {
-    case SyncPolicy::kEveryRecord:
-      staged = flush_locked();
-      if (staged.ok()) request_barrier_locked();
-      ticket.policy_blocks = true;
-      break;
-    case SyncPolicy::kEveryBatch:
-      if (pending_records_ >= opt_.batch_records) {
-        staged = flush_locked();
-        if (staged.ok()) request_barrier_locked();
-      }
-      break;
-    case SyncPolicy::kTimed:
-      staged = flush_locked();
-      if (staged.ok() &&
-          std::chrono::steady_clock::now() - last_barrier_request_ >=
-              std::chrono::milliseconds(opt_.sync_interval_ms)) {
-        request_barrier_locked();
-      }
-      break;
-  }
-  if (!staged.ok()) {
-    io_error_ = staged;
-    state_->fail(staged);  // settle earlier tickets still waiting on a flush
-    return staged.error();
-  }
-
-  auto rotated = maybe_rotate_locked();
-  if (!rotated.ok()) {
+  if (auto rotated = maybe_rotate_locked(); !rotated.ok()) {
     io_error_ = rotated;
     state_->fail(rotated);
     return rotated.error();
   }
-  ticket.durable = DurableFuture(state_, ticket.lsn);
-  return ticket;
+  return AppendTicket{seq, written_lsn_, DurableFuture(state_, written_lsn_)};
 }
 
 Result<std::uint64_t> Writer::append(BytesView payload) {
   auto ticket = append_async(payload);
   if (!ticket) return ticket.error();
-  if (ticket.value().policy_blocks) {
-    auto durable = wait_durable(ticket.value().lsn);
-    if (!durable.ok()) return durable.error();
-  }
+  if (auto durable = wait_durable(ticket.value().lsn); !durable.ok()) return durable.error();
   return ticket.value().sequence;
 }
 
@@ -348,49 +234,37 @@ DurableFuture Writer::durable_future(std::uint64_t lsn) const {
 }
 
 Status Writer::sync() {
-  util::UniqueLock lock(mu_);
-  while (sealing_) cv_.wait(lock);
-  if (!io_error_.ok()) return io_error_;
-  if (closed_ || fd_ < 0) return io_error_;
-  auto flushed = flush_locked();
-  if (!flushed.ok()) {
-    io_error_ = flushed;
-    state_->fail(flushed);
-    return flushed;
+  std::uint64_t target = 0;
+  {
+    util::MutexLock lock(mu_);
+    if (!io_error_.ok()) return io_error_;
+    target = written_lsn_;
   }
-  request_barrier_locked();
-  const std::uint64_t target = written_lsn_;
-  lock.unlock();
   return wait_durable(target);
 }
 
 Status Writer::close() {
-  util::UniqueLock lock(mu_);
-  while (sealing_) cv_.wait(lock);
-  if (closed_) return io_error_;
-  sealing_ = true;
-  auto sealed = seal_locked();
-  sealing_ = false;
-  closed_ = true;
-  if (!sealed.ok()) {
-    if (io_error_.ok()) io_error_ = sealed;
-    state_->fail(sealed);  // settle tickets that will now never be durable
+  Status sealed;
+  {
+    util::MutexLock lock(mu_);
+    if (closed_) return io_error_;
+    sealed = seal_locked();
+    closed_ = true;
+    if (!sealed.ok()) {
+      if (io_error_.ok()) io_error_ = sealed;
+      state_->fail(sealed);  // settle tickets that will now never be durable
+    }
   }
-  cv_.notify_all();
-  lock.unlock();
   (void)stage_->shutdown();
   return sealed;
 }
 
 void Writer::simulate_crash() {
-  util::UniqueLock lock(mu_);
-  while (sealing_) cv_.wait(lock);
-  // Whatever never reached the OS is gone, exactly as in a real crash; the
-  // fd is abandoned without a seal or a final sync. Queued barriers are
-  // abandoned too — their tickets settle with journal.crashed, while tickets
-  // whose barrier already retired stay ok (prefix durability).
-  pending_.clear();
-  pending_records_ = 0;
+  util::MutexLock lock(mu_);
+  // The fd is abandoned without a seal or a final sync, exactly as in a
+  // real crash. Queued barriers are abandoned too — their tickets settle
+  // with journal.crashed, while tickets whose barrier already retired stay
+  // ok (prefix durability).
   closed_ = true;
   stage_->crash(Error::make("journal.crashed",
                             "writer crashed before the covering barrier"));
@@ -398,7 +272,6 @@ void Writer::simulate_crash() {
     ::close(fd_);
     fd_ = -1;
   }
-  cv_.notify_all();
 }
 
 std::uint64_t Writer::next_sequence() const {
@@ -419,9 +292,7 @@ Writer::Stats Writer::stats() const {
   Stats s = stats_;
   const SyncStage::Stats stage = stage_->stats();
   s.syncs = stage.barriers;
-  s.batches_in_flight_peak = stage.in_flight_peak;
   s.coalesced_barriers = stage.coalesced;
-  s.backpressure_waits = stage.backpressure_waits;
   s.ticket_waits = state_->ticket_waits.load(std::memory_order_relaxed);
   s.ticket_wait_ns = state_->ticket_wait_ns.load(std::memory_order_relaxed);
   {

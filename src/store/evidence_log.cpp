@@ -81,10 +81,9 @@ EvidenceLog::EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Cl
 
 LogRecord EvidenceLog::append(const RunId& run, std::string kind, Bytes payload) {
   auto [rec, receipt] = append_async(run, std::move(kind), std::move(payload));
-  // The classic blocking contract, minus the old stall: the barrier wait
-  // happens here, outside mu_, so other appenders chain and stage records
-  // while this one's fdatasync is in flight.
-  if (receipt.policy_blocks) (void)settle(receipt);
+  // Outside mu_: other appenders chain and stage records while this one's
+  // fdatasync is in flight.
+  (void)settle(receipt);
   return rec;
 }
 
@@ -110,7 +109,7 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
   auto staged = backend_->append_async(records_.back());
   if (!staged) {
     if (backend_status_.ok()) backend_status_ = staged.error();
-    tail_ = AppendReceipt{journal::DurableFuture::ready(staged.error()), false};
+    tail_ = AppendReceipt{journal::DurableFuture::ready(staged.error())};
   } else {
     tail_ = std::move(staged).take();
   }
@@ -118,10 +117,8 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
 }
 
 Status EvidenceLog::settle(const AppendReceipt& receipt) {
-  // A batched/timed receipt may have no covering barrier in flight yet —
-  // and a rotation re-phases batch boundaries, so even a full batch of
-  // appends is no guarantee. Force one so settle() is self-sufficient
-  // instead of stalling until later append traffic triggers the batch.
+  // The barrier was requested at staging; the wait goes through the
+  // backend's sync() so a backend decorator sees (and can time) it.
   if (!receipt.durable.ready()) {
     if (auto forced = backend_->sync(); !forced.ok()) {
       util::MutexLock lk(mu_);
@@ -143,7 +140,6 @@ Status EvidenceLog::barrier() {
     util::MutexLock lk(mu_);
     tail = tail_;
   }
-  if (!tail.policy_blocks && !tail.durable.ready()) return Status::ok_status();
   return settle(tail);
 }
 

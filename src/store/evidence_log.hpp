@@ -46,13 +46,10 @@ struct LogRecord {
 };
 
 /// What an asynchronous backend append hands back: a future that settles
-/// when the record is durable, and whether the backend's sync policy would
-/// classically have blocked here (kEveryRecord — the caller that wants the
-/// old contract waits; one that can overlap work with the barrier doesn't).
-/// A synchronous backend returns a default receipt: already settled, ok.
+/// when the record is durable. A synchronous backend returns a default
+/// receipt: already settled, ok.
 struct AppendReceipt {
   journal::DurableFuture durable;
-  bool policy_blocks = false;
 };
 
 /// Storage backend; MemoryLogBackend for tests/sim, JournalLogBackend
@@ -81,10 +78,8 @@ class LogBackend {
   /// append_async returned. Ok for backends without deferred durability.
   virtual Status health() const { return Status::ok_status(); }
 
-  /// Force staged-but-unbarriered records onto the device and wait. Batched
-  /// and timed journal policies only queue barriers when traffic triggers
-  /// them, so a receipt holder that needs durability *now* syncs first.
-  /// Synchronous backends have nothing staged: default ok.
+  /// Wait until every staged record is durable. Synchronous backends have
+  /// nothing staged: default ok.
   virtual Status sync() { return Status::ok_status(); }
 };
 
@@ -120,10 +115,10 @@ class EvidenceLog {
   EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Clock> clock,
               std::shared_ptr<ObjectStore> objects = nullptr);
 
-  /// Append evidence; returns the record including its chain digest. When
-  /// the backend's policy demands per-record durability the call waits for
-  /// the barrier — but outside the log's mutex, so concurrent appenders and
-  /// readers are no longer serialized behind an fdatasync.
+  /// Append evidence and wait until it is durable; returns the record
+  /// including its chain digest. The wait happens outside the log's mutex,
+  /// so concurrent appenders and readers are not serialized behind an
+  /// fdatasync.
   LogRecord append(const RunId& run, std::string kind, Bytes payload);
 
   /// Pipelined append: the record is chained and staged, and the receipt's
@@ -133,15 +128,14 @@ class EvidenceLog {
   std::pair<LogRecord, AppendReceipt> append_async(const RunId& run, std::string kind,
                                                    Bytes payload);
 
-  /// Wait for a receipt's barrier; a failure is recorded as the log's
-  /// backend status (first failure sticks) and returned.
+  /// Wait for a receipt's barrier (through LogBackend::sync); a failure is
+  /// recorded as the log's backend status (first failure sticks) and
+  /// returned.
   Status settle(const AppendReceipt& receipt);
 
   /// The write-ahead barrier a party passes before a protocol message
-  /// leaves it: wait until every record staged so far is durable. It
-  /// settle()s the newest receipt when that receipt's policy_blocks is set
-  /// (kEveryRecord) or it has already failed; batched and timed policies,
-  /// and memory logs, return at once.
+  /// leaves it: settle() the newest receipt, so every record staged so far
+  /// is durable. Memory logs return at once.
   Status barrier();
 
   std::size_t size() const;

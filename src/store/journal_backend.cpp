@@ -28,9 +28,7 @@ Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
 Status JournalLogBackend::append(const LogRecord& record) {
   auto staged = append_async(record);
   if (!staged) return staged.error();
-  // Classic blocking contract: honor the policy's wait here.
-  if (staged.value().policy_blocks) return staged.value().durable.wait();
-  return Status::ok_status();
+  return staged.value().durable.wait();
 }
 
 Result<AppendReceipt> JournalLogBackend::append_async(const LogRecord& record) {
@@ -46,7 +44,7 @@ Result<AppendReceipt> JournalLogBackend::append_async(const LogRecord& record) {
   }
   auto ticket = writer_->append_async(encode_log_record(record));
   if (!ticket) return ticket.error();
-  return AppendReceipt{std::move(ticket.value().durable), ticket.value().policy_blocks};
+  return AppendReceipt{std::move(ticket.value().durable)};
 }
 
 Status JournalLogBackend::health() const { return writer_->health(); }

@@ -5,7 +5,8 @@
 // bytes, payload included, plus chain digest) inside the segmented journal,
 // gaining CRC-checked framing, group commit, segment rotation with Merkle
 // checkpoints, and crash recovery that truncates torn tails and resumes
-// sequence numbering. Because a frame carries its own payload, the barrier
+// sequence numbering. Every staged record has its barrier requested at once;
+// the party waits for it at the send (EvidenceLog::barrier). Because a frame carries its own payload, the barrier
 // that makes a record durable covers its evidence too: there is no second
 // log to order against and no reference that can dangle after a crash.
 //
@@ -31,16 +32,17 @@ class JournalLogBackend final : public LogBackend {
   static Result<std::unique_ptr<JournalLogBackend>> open(
       journal::Options options, std::shared_ptr<ObjectStore> store = nullptr);
 
+  /// append_async, then wait until the record is durable.
   Status append(const LogRecord& record) override;
-  /// Pipelined append: the record frame is staged, and the receipt's future
-  /// settles when the barrier covering it retires.
+  /// The record frame is written and its barrier requested; the receipt's
+  /// future settles when that barrier retires.
   Result<AppendReceipt> append_async(const LogRecord& record) override;
   std::vector<LogRecord> load() override;
   /// Sticky journal failures, including barriers retired after append_async
   /// returned.
   Status health() const override;
 
-  /// Durability escape hatch for batched/timed sync policies.
+  /// Waits until every staged record is durable.
   Status sync() override;
 
   journal::Writer& writer() noexcept { return *writer_; }

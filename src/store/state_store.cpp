@@ -86,18 +86,17 @@ Status StateStore::snapshot_to(const std::string& dir) const {
     return Error::make("store.snapshot_exists",
                        "journal at " + dir + " already has segments");
   }
-  auto writer = journal::Writer::open(journal::Options{
-      .dir = dir, .sync = journal::SyncPolicy::kEveryBatch});
+  auto writer = journal::Writer::open(journal::Options{.dir = dir});
   if (!writer) return writer.error();
   const AllShardsLock locks(shards_);  // one consistent cut across shards
   for (const auto& shard : shards_) {
     for (const auto& [digest, blob] : shard->blobs) {
       (void)digest;  // recomputed from content on restore
-      auto seq = writer.value()->append(blob);
-      if (!seq) return seq.error();
+      auto staged = writer.value()->append_async(blob);
+      if (!staged) return staged.error();
     }
   }
-  return writer.value()->close();
+  return writer.value()->close();  // seals and waits for every barrier
 }
 
 Result<std::size_t> StateStore::restore_from(const std::string& dir) {

@@ -122,7 +122,7 @@ enum class LockRank : std::uint16_t {
   kCryptoContext = 540,  // crypto RSA key Montgomery-context caches
 
   // -- Tier 5: durable journal (writer -> sync stage -> shared watermark).
-  kJournalWriter = 600,  // journal::Writer batch state
+  kJournalWriter = 600,  // journal::Writer append state
   kJournalSync = 610,    // journal::SyncStage barrier queue
   kJournalState = 620,   // journal::DurabilityState LSN watermark
 

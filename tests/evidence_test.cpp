@@ -273,10 +273,8 @@ TEST_F(EvidenceFixture, AuditDetectsTamperedChain) {
 TEST_F(EvidenceFixture, AuditMemoHitStillRecomputesChain) {
   // A memo hit keys on the tail digest read from the very records under
   // audit. Tampering an interior record while keeping every stored digest
-  // leaves the tail — and so the memo key — intact; only the default
-  // rehash ties the actual bytes to the key. trust_memory opts out of
-  // exactly that check (documented as trusting the process's own memory),
-  // so the same tampered log sails through it.
+  // leaves the tail — and so the memo key — intact; only the rehash ties
+  // the actual bytes to the key.
   for (int i = 0; i < 6; ++i) {
     auto token = a->evidence->issue(EvidenceType::kNroRequest, RunId("r"),
                                     to_bytes("s" + std::to_string(i)));
@@ -293,11 +291,6 @@ TEST_F(EvidenceFixture, AuditMemoHitStillRecomputesChain) {
   auto caught = auditor->audit_log(tampered);
   ASSERT_FALSE(caught.verdict.ok());
   EXPECT_EQ(caught.verdict.error().code, "log.chain_mismatch");
-
-  auto trusted = auditor->audit_log(
-      tampered, {.segment_records = 1024, .trust_memory = true});
-  EXPECT_TRUE(trusted.verdict.ok());  // the documented trade-off
-  EXPECT_EQ(trusted.segments_memoized, trusted.segments);
 }
 
 // Property sweep: any single-byte corruption of an encoded token must fail

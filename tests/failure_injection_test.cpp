@@ -182,8 +182,7 @@ struct JournalCorruptionFixture : ::testing::Test {
     namespace fs = std::filesystem;
     dir = (fs::temp_directory_path() / "nonrep_fi_journal").string();
     fs::remove_all(dir);
-    auto w = journal::Writer::open(
-        {.dir = dir, .sync = journal::SyncPolicy::kEveryBatch, .batch_records = 4});
+    auto w = journal::Writer::open({.dir = dir});
     ASSERT_TRUE(w.ok());
     for (int i = 0; i < 24; ++i) {
       // Varied payload sizes so frame boundaries land at irregular offsets.
@@ -278,7 +277,7 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
   // A client whose evidence log is journal-backed performs a real
   // non-repudiable exchange.
   auto backend =
-      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord})
+      store::JournalLogBackend::open({.dir = jdir})
           .take();
   auto* journal_backend = backend.get();
   auto& client = world.add_party("client", {}, std::move(backend));
@@ -319,7 +318,7 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
   // Restart: recovery truncates the torn record, keeps every complete one
   // with sequence continuity, and the evidence chain still verifies.
   auto reopened =
-      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord});
+      store::JournalLogBackend::open({.dir = jdir});
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
   EXPECT_GT(reopened.value()->recovery().truncated_bytes, 0u);
   store::EvidenceLog recovered(std::move(reopened).take(), world.clock);
@@ -345,7 +344,7 @@ TEST_F(FailureFixture, CrashedJournalFailsIssueAndAcceptClosed) {
   const std::string jdir = (fs::temp_directory_path() / "nonrep_fi_fail_closed").string();
   fs::remove_all(jdir);
   auto backend =
-      store::JournalLogBackend::open({.dir = jdir, .sync = journal::SyncPolicy::kEveryRecord})
+      store::JournalLogBackend::open({.dir = jdir})
           .take();
   auto* journal_backend = backend.get();
   auto& client = world.add_party("client", {}, std::move(backend));
@@ -423,7 +422,7 @@ class GatedLogBackend final : public store::LogBackend {
     auto staged = inner_->append_async(record);
     if (!staged) return staged.error();
     last_kind_ = record.kind;
-    return store::AppendReceipt{journal::DurableFuture(gate_, ++staged_), true};
+    return store::AppendReceipt{journal::DurableFuture(gate_, ++staged_)};
   }
   std::vector<store::LogRecord> load() override { return inner_->load(); }
   Status health() const override {
@@ -585,6 +584,34 @@ TEST_F(WriteAheadFixture, FailedDeferredReplyBarrierRepliesWithErrorAndNoAffidav
   EXPECT_EQ(cont.executions(), 1u);  // the server ran; the TTP withheld its reply
 }
 
+TEST_F(WriteAheadFixture, DefaultJournalIsDurableOnceTheBarrierPasses) {
+  // §3.5 assumption 3 with the journal as every deployment opens it: once
+  // the write-ahead barrier a send would pass returns, the staged token
+  // survives a crash.
+  namespace fs = std::filesystem;
+  const std::string jdir = (fs::temp_directory_path() / "nonrep_fi_default_barrier").string();
+  fs::remove_all(jdir);
+  auto opened = store::JournalLogBackend::open({.dir = jdir});
+  ASSERT_TRUE(opened.ok()) << opened.error().detail;
+  auto* jb = opened.value().get();
+  auto& client = world.add_party("client", {}, std::move(opened).take());
+  const RunId run = client.evidence->new_run();
+  auto token = client.evidence->issue(EvidenceType::kNroRequest, run, to_bytes("subject"));
+  ASSERT_TRUE(token.ok()) << token.error().code;
+
+  ASSERT_TRUE(client.log->barrier().ok());
+  journal::Writer& writer = jb->writer();
+  EXPECT_TRUE(writer.durable_future(writer.stats().appends).ready());
+  writer.simulate_crash();
+
+  auto reopened = store::JournalLogBackend::open({.dir = jdir});
+  ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
+  store::EvidenceLog recovered(std::move(reopened).take(), world.clock);
+  EXPECT_EQ(recovered.size(), client.log->size());
+  EXPECT_TRUE(recovered.find(run, "token.NRO-request").has_value());
+  EXPECT_TRUE(recovered.verify_chain().ok());
+}
+
 // ---- crash drill at every send point ----
 //
 // The sending party's journal is killed (simulate_crash) inside the
@@ -600,13 +627,13 @@ struct CrashAtSendFixture : ::testing::TestWithParam<SendPoint> {
     return (std::filesystem::temp_directory_path() / ("nonrep_fi_send_crash_" + party)).string();
   }
 
-  // A fresh kEveryRecord journal for `party`; when `crash_kind` is set, the
+  // A fresh journal for `party`; when `crash_kind` is set, the
   // barrier whose newest record has that kind crashes the journal instead.
   static std::unique_ptr<store::LogBackend> journal_for(const std::string& party,
                                                         const std::string& crash_kind) {
     std::filesystem::remove_all(dir_of(party));
     auto opened = store::JournalLogBackend::open(
-        {.dir = dir_of(party), .sync = journal::SyncPolicy::kEveryRecord});
+        {.dir = dir_of(party)});
     EXPECT_TRUE(opened.ok());
     std::unique_ptr<store::JournalLogBackend> backend = std::move(opened).take();
     if (crash_kind.empty()) return backend;
@@ -651,7 +678,7 @@ TEST_P(CrashAtSendFixture, HonestPeerEndsFairAndJournalReopensClean) {
 
   // The crashed journal reopens as a gap-free prefix of what was staged.
   auto reopened = store::JournalLogBackend::open(
-      {.dir = crashed_dir, .sync = journal::SyncPolicy::kEveryRecord});
+      {.dir = crashed_dir});
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
   auto recovered = std::make_shared<store::EvidenceLog>(std::move(reopened).take(), world.clock);
   EXPECT_TRUE(recovered->verify_chain().ok());
@@ -723,10 +750,9 @@ INSTANTIATE_TEST_SUITE_P(EverySendPoint, CrashAtSendFixture,
                            return "Unknown";
                          });
 
-// ---- one journal, crashed with batches in flight ----
+// ---- one journal, crashed with barriers in flight ----
 //
-// The pipelined writer can crash with several group-commit batches still
-// in flight. Power loss then leaves the journal cut somewhere past its
+// The writer can crash with barriers still queued or running. Power loss then leaves the journal cut somewhere past its
 // durable watermark. Each frame carries its own payload, so whatever
 // survives is self-contained evidence: recovery keeps a gap-free prefix,
 // and no record whose ticket settled ok may be missing from it.
@@ -737,10 +763,7 @@ struct TornAsyncFixture : ::testing::Test {
   RunId run{"torn-async"};
 
   journal::Options options(std::uint64_t segment_max_bytes = 4ull << 20) const {
-    return {.dir = dir,
-            .segment_max_bytes = segment_max_bytes,
-            .sync = journal::SyncPolicy::kEveryBatch,
-            .batch_records = 2};
+    return {.dir = dir, .segment_max_bytes = segment_max_bytes};
   }
 
   void reset() {
@@ -749,9 +772,9 @@ struct TornAsyncFixture : ::testing::Test {
     fs::remove_all(dir);
   }
 
-  // Build a journal with `records` distinct payloads, make everything
-  // durable, then crash the writer — the on-disk state of a process that
-  // died with its tail segment unsealed.
+  // Build a journal with `records` distinct payloads staged without
+  // waiting, make everything durable, then crash the writer — the on-disk
+  // state of a process that died with its tail segment unsealed.
   void build(int records, std::uint64_t segment_max_bytes = 4ull << 20) {
     reset();
     auto opened = store::JournalLogBackend::open(options(segment_max_bytes));
@@ -759,7 +782,7 @@ struct TornAsyncFixture : ::testing::Test {
     auto* jb = opened.value().get();
     store::EvidenceLog log(std::move(opened).take(), clock);
     for (int i = 0; i < records; ++i) {
-      log.append(run, "blob", to_bytes("payload-" + std::to_string(i)));
+      log.append_async(run, "blob", to_bytes("payload-" + std::to_string(i)));
     }
     ASSERT_TRUE(jb->sync().ok());
     ASSERT_TRUE(log.backend_status().ok());
@@ -779,7 +802,7 @@ TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
     std::vector<store::AppendReceipt> receipts;
     {
       auto opened =
-          store::JournalLogBackend::open({.dir = dir, .sync = journal::SyncPolicy::kEveryRecord});
+          store::JournalLogBackend::open({.dir = dir});
       ASSERT_TRUE(opened.ok()) << opened.error().detail;
       auto* jb = opened.value().get();
       store::EvidenceLog log(std::move(opened).take(), clock, objects);
@@ -818,10 +841,9 @@ TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
 }
 
 TEST_F(TornAsyncFixture, CrashMidRotationLeavesRecoverableJournal) {
-  namespace fs = std::filesystem;
-  // Small segments force rotations (spare-file swaps) before the crash; a
-  // garbage spare left behind — power loss between preallocation and swap —
-  // must be invisible to recovery and cleaned up on resume.
+  // Small segments force rotations before the crash. A stray file that is
+  // not a segment (an older build left a preallocated `.spare.wal` here)
+  // must be invisible to recovery.
   build(40, /*segment_max_bytes=*/2048);
   {
     std::ofstream out(dir + "/.spare.wal", std::ios::binary | std::ios::trunc);
@@ -829,7 +851,7 @@ TEST_F(TornAsyncFixture, CrashMidRotationLeavesRecoverableJournal) {
   }
   auto reopened = store::JournalLogBackend::open(options(2048));
   ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-  EXPECT_FALSE(fs::exists(dir + "/.spare.wal"));  // stale spare removed
+  EXPECT_GE(reopened.value()->recovery().segments.size(), 2u);
 
   store::EvidenceLog recovered(std::move(reopened).take(), clock);
   ASSERT_EQ(recovered.size(), 40u);
