@@ -33,7 +33,6 @@
 #include "journal/segment.hpp"
 #include "journal/writer.hpp"
 #include "store/journal_backend.hpp"
-#include "store/object_store.hpp"
 
 using namespace nonrep;
 namespace fs = std::filesystem;
@@ -163,16 +162,14 @@ int demo() {
   std::printf("demo journal at %s\n\n", dir.c_str());
 
   // A party logs evidence through the journal backend; rotation is forced
-  // small so several sealed segments exist. Eight distinct payloads recur
-  // across 40 records: each frame still carries its own payload on disk,
-  // while the party's in-memory object store holds each payload once.
+  // small so several sealed segments exist. Each frame carries its own
+  // payload on disk, and the party's log is the one in-memory copy.
   auto clock = std::make_shared<SimClock>(1000);
   {
-    auto objects = std::make_shared<store::ObjectStore>();
     auto backend = store::JournalLogBackend::open({.dir = dir, .segment_max_bytes = 2048});
     if (!backend.ok()) return 1;
     auto* raw = backend.value().get();
-    store::EvidenceLog log(std::move(backend).take(), clock, objects);
+    store::EvidenceLog log(std::move(backend).take(), clock);
     for (int i = 0; i < 40; ++i) {
       log.append(RunId("run-" + std::to_string(i / 4)),
                  i % 2 ? "token.NRR-response" : "token.NRO-request",
@@ -180,8 +177,8 @@ int demo() {
       clock->advance(10);
     }
     if (!log.backend_status().ok()) return 1;
-    std::printf("store after 40 appends: %zu objects, dedup ratio %.1fx\n\n",
-                objects->size(), objects->dedup_ratio());
+    std::printf("log after 40 appends: %zu records, %llu payload bytes\n\n", log.size(),
+                static_cast<unsigned long long>(log.payload_bytes()));
 
     // Crash mid-append: the writer dies without sealing and the next record
     // only half-reaches the disk.
@@ -200,14 +197,14 @@ int demo() {
 
   std::printf("-- after recovery --\n");
   {
-    auto objects = std::make_shared<store::ObjectStore>();
     auto reopened = store::JournalLogBackend::open({.dir = dir});
     if (!reopened.ok()) return 1;
     const auto truncated = reopened.value()->recovery().truncated_bytes;
-    store::EvidenceLog log(std::move(reopened).take(), clock, objects);
-    std::printf("recovery truncated %llu torn bytes; %zu records survive; "
-                "store re-interned %zu objects\n\n",
-                static_cast<unsigned long long>(truncated), log.size(), objects->size());
+    store::EvidenceLog log(std::move(reopened).take(), clock);
+    std::printf("recovery truncated %llu torn bytes; %zu records survive "
+                "(%llu payload bytes)\n\n",
+                static_cast<unsigned long long>(truncated), log.size(),
+                static_cast<unsigned long long>(log.payload_bytes()));
     // Clean shutdown seals the tail segment.
   }
   return audit_dir(dir);

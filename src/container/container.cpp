@@ -65,7 +65,10 @@ InvocationResult Container::invoke(Invocation& inv) {
   });
   InvocationResult result = chain.invoke(inv);
 
-  if (!run_key.empty()) completed_runs_[run_key] = result.canonical();
+  if (!run_key.empty() &&
+      completed_runs_.insert_or_assign(run_key, result.canonical()).second) {
+    completed_runs_gauge_.add(1);
+  }
   return result;
 }
 

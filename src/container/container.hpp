@@ -18,6 +18,7 @@
 
 #include "container/interceptor.hpp"
 #include "container/invocation.hpp"
+#include "obs/metrics.hpp"
 
 namespace nonrep::container {
 
@@ -79,6 +80,7 @@ class Container {
   std::map<ServiceUri, Deployment> deployments_;
   /// run-id -> canonical result, for duplicate suppression.
   std::map<std::string, Bytes> completed_runs_;
+  obs::GaugeShare completed_runs_gauge_{"container.completed_runs"};
   std::uint64_t executions_ = 0;
 };
 

@@ -159,8 +159,8 @@ Status EvidenceService::verify(const EvidenceToken& token, BytesView subject) co
                        to_string(token.type) + " does not cover presented subject");
   }
   // Content-address the token and go through the credential manager's
-  // object memo — the id is exactly what an interning evidence log stores
-  // for this token, so issue/accept/audit all share one memo entry.
+  // object memo — audit_log derives the same id from the logged payload,
+  // so issue/accept/audit all share one memo entry.
   const store::ObjectId oid = store::object_id(store::kTypeToken, token.encode());
   auto verified = credentials_->verify_object(oid, token.issuer, token.tbs(),
                                               token.signature, clock_->now());
@@ -193,7 +193,6 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     const store::EvidenceLog& log, const LogAuditOptions& options) const {
   LogAuditReport report;
   const std::vector<store::LogRecord>& records = log.records();
-  const std::shared_ptr<store::ObjectStore>& store = log.objects();
   const TimeMs at = clock_->now();
   const std::uint64_t epoch = credentials_->trust_epoch();
   const std::uint64_t memo_hits_before = credentials_->memo_hits();
@@ -216,13 +215,10 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     {
       util::ReadLock lk(audit_mu_);
       auto it = segment_memo_.find(tail.chain);
-      if (it != segment_memo_.end() && it->second.epoch == epoch &&
-          it->second.window.covers(at) &&
-          it->second.first_sequence == records[begin].sequence &&
-          it->second.record_count == end - begin &&
-          (!store || store->contains(it->second.segment_object))) {
-        memoized = true;
-      }
+      memoized = it != segment_memo_.end() && it->second.epoch == epoch &&
+                 it->second.window.covers(at) &&
+                 it->second.first_sequence == records[begin].sequence &&
+                 it->second.record_count == end - begin;
     }
     if (memoized) {
       // Memo hit: all token decode + signature work is skipped. The hash
@@ -252,12 +248,8 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     }
 
     // Cold path: recompute the chain, verify every token signature through
-    // the object memo, build the chain-segment DAG node, memoize.
+    // the object memo, memoize.
     pki::CredentialManager::ValidityWindow window{0, std::numeric_limits<TimeMs>::max()};
-    BinaryWriter seg;
-    seg.bytes(crypto::digest_bytes(prev));
-    seg.u64(records[begin].sequence);
-    seg.u32(static_cast<std::uint32_t>(end - begin));
     for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
       const store::LogRecord& rec = records[i];
       if (rec.sequence != i) {
@@ -271,8 +263,6 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
         break;
       }
       prev = rec.chain;
-      seg.bytes(crypto::digest_bytes(rec.chain));
-      seg.bytes(crypto::digest_bytes(rec.object));
       if (rec.kind.starts_with("token.")) {
         ++report.token_records;
         auto token = EvidenceToken::decode(rec.payload);
@@ -281,8 +271,7 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
                                 "record " + std::to_string(i) + ": " + token.error().code);
           break;
         }
-        const store::ObjectId oid =
-            rec.interned ? rec.object : store::object_id(store::kTypeToken, rec.payload);
+        const store::ObjectId oid = store::object_id(store::kTypeToken, rec.payload);
         if (distinct.insert(oid).second) ++report.distinct_tokens;
         auto verified = credentials_->verify_object(oid, token->issuer, token->tbs(),
                                                     token->signature, at);
@@ -298,15 +287,10 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     }
     if (!verdict.ok()) break;
 
-    const Bytes seg_payload = std::move(seg).take();
-    const store::ObjectId seg_oid =
-        store ? store->put(store::kTypeChainSegment, seg_payload).id
-              : store::object_id(store::kTypeChainSegment, seg_payload);
-
     util::WriteLock lk(audit_mu_);
     if (segment_memo_.size() >= kSegmentMemoMax) segment_memo_.clear();
     segment_memo_.insert_or_assign(
-        tail.chain, SegmentMemo{epoch, window, seg_oid, records[begin].sequence,
+        tail.chain, SegmentMemo{epoch, window, records[begin].sequence,
                                 static_cast<std::uint64_t>(end - begin)});
   }
 

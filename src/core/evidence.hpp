@@ -173,12 +173,11 @@ class EvidenceService {
   /// to the key, so an in-process mutation of an already-audited record is
   /// caught on the next pass. Entries carry the trust epoch and the
   /// segment's intersected validity window, so a root/cert/CRL change or an
-  /// audit time outside the window falls back to the cold path. When the
-  /// log has an object store, each cold-verified segment is interned as a
-  /// `kTypeChainSegment` DAG node (prev chain, then per record: chain
-  /// digest + payload object id) and the memo insists the node is still
-  /// present. Like every audit-side accessor this reads log.records()
-  /// unlocked — callers run it on a quiescent log.
+  /// audit time outside the window falls back to the cold path. A token's
+  /// memo key is store::object_id(kTypeToken, payload), computed here on
+  /// the cold path only: the same key verify() uses, so tokens a party
+  /// already accepted are memo hits. Like every audit-side accessor this
+  /// reads log.records() unlocked — callers run it on a quiescent log.
   LogAuditReport audit_log(const store::EvidenceLog& log,
                            const LogAuditOptions& options) const;
   LogAuditReport audit_log(const store::EvidenceLog& log) const {
@@ -204,7 +203,6 @@ class EvidenceService {
   struct SegmentMemo {
     std::uint64_t epoch = 0;
     pki::CredentialManager::ValidityWindow window;
-    store::ObjectId segment_object{};
     std::uint64_t first_sequence = 0;
     std::uint64_t record_count = 0;
   };

@@ -108,6 +108,9 @@ Registry& Registry::global() {
   return *instance;
 }
 
+GaugeShare::GaugeShare(std::string_view gauge_name)
+    : gauge_(Registry::global().gauge(gauge_name)) {}
+
 Counter& Registry::counter(std::string_view name) {
   util::MutexLock lock(mu_);
   auto it = counters_.find(name);

@@ -79,6 +79,28 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
+/// One table's share of a process-wide gauge: add() moves both, and the
+/// share is taken back off the gauge by reset() and on destruction, so the
+/// gauge sums what the live tables hold.
+class GaugeShare {
+ public:
+  explicit GaugeShare(std::string_view gauge_name);
+  ~GaugeShare() { reset(); }
+  GaugeShare(const GaugeShare&) = delete;
+  GaugeShare& operator=(const GaugeShare&) = delete;
+
+  void add(std::int64_t d) noexcept {
+    share_.fetch_add(d, std::memory_order_relaxed);
+    gauge_.add(d);
+  }
+  void reset() noexcept { gauge_.add(-share_.exchange(0, std::memory_order_relaxed)); }
+  std::int64_t share() const noexcept { return share_.load(std::memory_order_relaxed); }
+
+ private:
+  Gauge& gauge_;
+  std::atomic<std::int64_t> share_{0};
+};
+
 /// Log-linear fixed-bucket histogram for latency-like values (u64 units,
 /// conventionally nanoseconds). Values below 2^kSubBits land in exact
 /// buckets; above that each power of two is split into 2^kSubBits linear

@@ -42,6 +42,7 @@ void CredentialManager::invalidate_caches_locked() const {
   {
     util::WriteLock lk(memo_mu_);
     memo_.clear();
+    memo_gauge_.reset();
   }
   trust_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -268,8 +269,11 @@ Result<CredentialManager::ValidityWindow> CredentialManager::verify_object(
   metrics().object_verifies.add();
 
   util::WriteLock memo_lk(memo_mu_);
-  if (memo_.size() >= kMemoMaxEntries) memo_.clear();
-  memo_.insert_or_assign(key, window);
+  if (memo_.size() >= kMemoMaxEntries) {
+    memo_.clear();
+    memo_gauge_.reset();
+  }
+  if (memo_.insert_or_assign(key, window).second) memo_gauge_.add(1);
   return window;
 }
 

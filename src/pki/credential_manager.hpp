@@ -38,6 +38,7 @@
 #include "util/lock_discipline.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
+#include "obs/metrics.hpp"
 #include "pki/certificate.hpp"
 #include "pki/revocation.hpp"
 
@@ -125,9 +126,11 @@ class CredentialManager {
   const Certificate* find_locked(const PartyId& subject) const;
   void invalidate_caches_locked() const;
 
-  // Object memo holds at most this many windows (32 bytes key + 16 value,
-  // so the bound is a few MB); overflow clears wholesale — the memo refills
-  // from the verification stream it accelerates.
+  // Object memo holds at most this many windows. An entry costs about 64 B
+  // (32-byte key, 16-byte window, the node's next pointer and cached hash)
+  // plus its bucket slot, so the bound is about 64 MB; a server reaches it
+  // after about 500k fx_direct exchanges. Overflow clears wholesale — the
+  // memo refills from the verification stream it accelerates.
   static constexpr std::size_t kMemoMaxEntries = 1u << 20;
 
   // Lock order: trust_mu_ before cache_mu_ / memo_mu_ (never the reverse;
@@ -151,6 +154,7 @@ class CredentialManager {
   // concurrent probes from delivery strands and audit workers.
   mutable util::SharedMutex memo_mu_{util::LockRank::kVerifyMemo, "pki.object_memo"};
   mutable std::unordered_map<crypto::Digest, ValidityWindow, crypto::DigestHash> memo_;
+  mutable obs::GaugeShare memo_gauge_{"pki.object_memo_entries"};  // memo_.size()
   mutable std::atomic<std::uint64_t> memo_hits_{0};
   mutable std::atomic<std::uint64_t> trust_epoch_{0};
 };

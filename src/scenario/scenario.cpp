@@ -57,8 +57,7 @@ ScenarioEngine::ScenarioEngine(ScenarioConfig config)
     : config_(std::move(config)), world_(config_.seed, config_.rsa_bits) {
   auto backend_for = [&](const std::string& name) -> std::unique_ptr<store::LogBackend> {
     if (!config_.journal_backed) return nullptr;  // in-memory default
-    // One self-contained journal per party; the party's EvidenceLog interns
-    // its records into the world's fleet-wide store.
+    // One self-contained journal per party.
     auto opened = store::JournalLogBackend::open({.dir = config_.journal_dir + "/" + name});
     if (!opened) {
       if (setup_.ok()) setup_ = opened.error();

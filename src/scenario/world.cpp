@@ -46,7 +46,7 @@ Party& World::add_party(const std::string& name, net::ReliableConfig reliable,
   }
 
   if (!log_backend) log_backend = std::make_unique<store::MemoryLogBackend>();
-  party->log = std::make_shared<store::EvidenceLog>(std::move(log_backend), clock, objects_);
+  party->log = std::make_shared<store::EvidenceLog>(std::move(log_backend), clock);
   party->states = std::make_shared<store::StateStore>();
   party->evidence = std::make_shared<core::EvidenceService>(
       party->id, party->signer, party->credentials, party->log, party->states, clock,

@@ -58,10 +58,8 @@ class World {
   /// Push a fresh CRL to every party.
   void broadcast_crl();
 
-  /// The world-wide content-addressed object store: every party's evidence
-  /// log interns through it, and every certificate is filed in it, so a
-  /// token accepted by N parties (or a cert trusted by all of them) is held
-  /// once for the whole fleet.
+  /// Every certificate is filed here once. Nothing reads it back; it goes
+  /// once the benchmark stops filing its certificates here.
   const std::shared_ptr<store::ObjectStore>& objects() const noexcept { return objects_; }
 
   std::shared_ptr<SimClock> clock;

@@ -30,12 +30,6 @@ Bytes encode_log_record(const LogRecord& r) {
   return std::move(w).take();
 }
 
-std::uint32_t typesig_for_kind(std::string_view kind) {
-  if (kind.starts_with("token.")) return kTypeToken;
-  if (kind.starts_with("tsa.")) return kTypeTimestamp;
-  return kTypeBlob;
-}
-
 Result<LogRecord> decode_log_record(BytesView b) {
   BinaryReader outer(b);
   auto canonical = outer.bytes();
@@ -67,16 +61,11 @@ Result<LogRecord> decode_log_record(BytesView b) {
 }
 
 EvidenceLog::EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Clock> clock,
-                         std::shared_ptr<ObjectStore> objects)
-    : backend_(std::move(backend)), clock_(std::move(clock)), objects_(std::move(objects)) {
+                         std::shared_ptr<ObjectStore>)
+    : backend_(std::move(backend)), clock_(std::move(clock)) {
   records_ = backend_->load();
-  for (auto& r : records_) {
-    payload_bytes_ += r.payload.size();
-    if (objects_ && !r.interned) {
-      r.object = objects_->put(typesig_for_kind(r.kind), r.payload).id;
-      r.interned = true;
-    }
-  }
+  records_gauge_.add(static_cast<std::int64_t>(records_.size()));
+  for (const auto& r : records_) payload_gauge_.add(static_cast<std::int64_t>(r.payload.size()));
 }
 
 LogRecord EvidenceLog::append(const RunId& run, std::string kind, Bytes payload) {
@@ -100,11 +89,8 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
   const crypto::Digest prev = records_.empty() ? crypto::Digest{} : records_.back().chain;
   rec.chain = chain_digest(prev, rec);
   rec.span = obs::current_span_id();
-  if (objects_) {
-    rec.object = objects_->put(typesig_for_kind(rec.kind), rec.payload).id;
-    rec.interned = true;
-  }
-  payload_bytes_ += rec.payload.size();
+  records_gauge_.add(1);
+  payload_gauge_.add(static_cast<std::int64_t>(rec.payload.size()));
   records_.push_back(std::move(rec));
   auto staged = backend_->append_async(records_.back());
   if (!staged) {
@@ -149,8 +135,7 @@ std::size_t EvidenceLog::size() const {
 }
 
 std::uint64_t EvidenceLog::payload_bytes() const {
-  util::MutexLock lk(mu_);
-  return payload_bytes_;
+  return static_cast<std::uint64_t>(payload_gauge_.share());
 }
 
 Status EvidenceLog::backend_status() const {

@@ -16,6 +16,7 @@
 #include "util/lock_discipline.hpp"
 #include "crypto/sha256.hpp"
 #include "journal/ticket.hpp"
+#include "obs/metrics.hpp"
 #include "store/object_store.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
@@ -31,18 +32,12 @@ struct LogRecord {
   Bytes payload;     // encoded evidence token or protocol artefact
   crypto::Digest chain{};  // H(prev_chain || canonical record bytes)
 
-  // Object-store annotation, set when the payload has been interned. Not
-  // part of canonical() — the chain binds the payload bytes themselves, so
-  // chain digests are identical whether or not a store is attached.
-  ObjectId object{};
-  bool interned = false;
-
   // Trace annotation: the obs::Span open on the appending thread, 0 when
   // none. Runtime-only (not part of canonical(), never persisted) — chain
   // digests and on-disk encodings are byte-identical with tracing on/off.
   std::uint64_t span = 0;
 
-  Bytes canonical() const;  // everything except `chain` and the annotation
+  Bytes canonical() const;  // everything except `chain` and `span`
 };
 
 /// What an asynchronous backend append hands back: a future that settles
@@ -101,19 +96,18 @@ class MemoryLogBackend final : public LogBackend {
 };
 
 /// The party's one in-memory record of what happened: backends persist,
-/// they keep no copy. Thread-safe for interleaved append/find: a party may
+/// they keep no copy, and no object store holds a second copy of a
+/// payload. Thread-safe for interleaved append/find: a party may
 /// issue evidence from its application thread while its delivery strand
 /// logs accepted tokens. records() is the one unlocked accessor — it
 /// returns a direct reference for audit tooling and tests, valid only once
 /// the party is quiescent (no concurrent appends).
 class EvidenceLog {
  public:
-  /// With `objects` set, every appended (and every loaded-but-uninterned)
-  /// payload is interned into the store under typesig_for_kind(kind), and
-  /// records carry their object id. The store may be shared across logs —
-  /// identical tokens dedup fleet-wide.
+  /// The ObjectStore argument is ignored: the log interns nothing. It goes
+  /// once the benchmark stops passing World::objects().
   EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Clock> clock,
-              std::shared_ptr<ObjectStore> objects = nullptr);
+              std::shared_ptr<ObjectStore> ignored = nullptr);
 
   /// Append evidence and wait until it is durable; returns the record
   /// including its chain digest. The wait happens outside the log's mutex,
@@ -156,18 +150,15 @@ class EvidenceLog {
   /// evidence must check this (or the backend's own sync status).
   Status backend_status() const;
 
-  /// The attached object store (nullptr when running without interning).
-  const std::shared_ptr<ObjectStore>& objects() const noexcept { return objects_; }
-
  private:
   std::unique_ptr<LogBackend> backend_;
   std::shared_ptr<Clock> clock_;
-  std::shared_ptr<ObjectStore> objects_;
   mutable util::Mutex mu_{util::LockRank::kEvidenceLog, "store.evidence_log"};
   std::vector<LogRecord> records_ NONREP_GUARDED_BY(mu_);
-  std::uint64_t payload_bytes_ NONREP_GUARDED_BY(mu_) = 0;
   Status backend_status_ NONREP_GUARDED_BY(mu_);
   AppendReceipt tail_ NONREP_GUARDED_BY(mu_);  // receipt of the newest record
+  obs::GaugeShare records_gauge_{"store.log_records"};
+  obs::GaugeShare payload_gauge_{"store.log_payload_bytes"};
 };
 
 /// Chain digest helper (exposed for tests).
@@ -178,11 +169,5 @@ crypto::Digest chain_digest(const crypto::Digest& prev, const LogRecord& record)
 /// tool).
 Bytes encode_log_record(const LogRecord& record);
 Result<LogRecord> decode_log_record(BytesView b);
-
-/// Object typesig for a record kind: "token.*" payloads are evidence
-/// tokens, "tsa.*" are TSA countersignatures, anything else is an untyped
-/// blob. Used by EvidenceLog interning; exposed so tools that rebuild a
-/// store from a journal file payloads the same way.
-std::uint32_t typesig_for_kind(std::string_view kind);
 
 }  // namespace nonrep::store

@@ -10,9 +10,8 @@
 // that makes a record durable covers its evidence too: there is no second
 // log to order against and no reference that can dangle after a crash.
 //
-// Fleet-wide dedup is an in-memory concern: EvidenceLog interns every
-// appended and loaded record into its (possibly shared) ObjectStore. Chain
-// digests never covered the object id, so they are the same either way.
+// In memory a record's payload lives only in the party's EvidenceLog:
+// neither this backend nor an object store keeps a copy.
 #pragma once
 
 #include "journal/reader.hpp"
@@ -26,9 +25,8 @@ class JournalLogBackend final : public LogBackend {
   /// Opens the journal at options.dir, running crash recovery (repair mode:
   /// torn tails are truncated) before the writer resumes. A directory laid
   /// out by an older build with a separate `objects/` payload journal is
-  /// refused ("journal.unsupported_format"). The store argument is ignored
-  /// (EvidenceLog interns what load() returns); it stays only until the
-  /// benchmark's call sites drop it.
+  /// refused ("journal.unsupported_format"). The store argument is ignored;
+  /// it stays only until the benchmark's call sites drop it.
   static Result<std::unique_ptr<JournalLogBackend>> open(
       journal::Options options, std::shared_ptr<ObjectStore> store = nullptr);
 

@@ -1,14 +1,12 @@
-// Content-addressed, typed evidence object store — the dedup layer under
-// the evidence stack.
+// Content-addressed, typed evidence objects.
 //
-// Evidence is highly repetitive: the same tokens, certificates and chain
-// segments recur across runs and across the parties of a fleet. An object
-// is a `{typesig, size}`-headered payload identified by the SHA-256 digest
-// of its full encoding (header included, so the type is part of the
-// identity — the same payload filed under two types is two objects).
-// Identical objects are stored exactly once; every later put of the same
-// bytes is a hash plus a map probe, and evidence chains become digest DAGs
-// whose nodes reference children by object id instead of embedding bytes.
+// An object is a `{typesig, size}`-headered payload identified by the
+// SHA-256 digest of its full encoding (header included, so the type is
+// part of the identity — the same payload filed under two types is two
+// objects). object_id() of a token keys the credential manager's
+// verification memo; no logged payload is copied here. ObjectStore keeps
+// each distinct object once, for tools that gather evidence from many
+// journals; a later put of the same bytes is a hash plus a map probe.
 //
 //   object id preimage
 //   +---------+--------+-----------+
@@ -18,11 +16,10 @@
 //
 // Concurrency follows the StateStore conventions: lock-striped shards keyed
 // by the digest's last word (shard choice and in-shard bucket placement use
-// disjoint digest slices), so puts and gets from party threads and delivery
-// strands touch exactly one shard mutex. The dedup counters are atomics.
-// Objects are never removed or evicted: a stored payload (and its id) stays
-// valid for the store's lifetime, which is what lets audit walks resolve
-// references without re-checking liveness.
+// disjoint digest slices), so concurrent puts and gets touch exactly one
+// shard mutex. The dedup counters are atomics. Objects are never removed or
+// evicted: a stored payload (and its id) stays valid for the store's
+// lifetime.
 #pragma once
 
 #include <atomic>
@@ -56,7 +53,6 @@ inline constexpr std::uint32_t kTypeToken = make_typesig('t', 'o', 'k', ' ');   
 inline constexpr std::uint32_t kTypeTimestamp = make_typesig('t', 's', 'a', ' ');  // TSA countersignature
 inline constexpr std::uint32_t kTypeCert = make_typesig('c', 'r', 't', ' ');       // certificate
 inline constexpr std::uint32_t kTypeBlob = make_typesig('b', 'l', 'b', ' ');       // untyped payload
-inline constexpr std::uint32_t kTypeChainSegment = make_typesig('s', 'e', 'g', ' ');  // audited chain segment
 
 /// Printable form of a typesig ("tok ", or a hex rendering for bytes that
 /// are not printable ASCII).

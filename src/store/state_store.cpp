@@ -28,7 +28,7 @@ std::pair<crypto::Digest, bool> StateStore::get_or_put(BytesView state) {
   Shard& s = shard_for(d);
   util::MutexLock lk(s.mu);
   auto [it, inserted] = s.blobs.try_emplace(d, Bytes(state.begin(), state.end()));
-  if (inserted) s.stored_bytes += it->second.size();
+  if (inserted) bytes_gauge_.add(static_cast<std::int64_t>(it->second.size()));
   return {d, inserted};
 }
 
@@ -58,12 +58,7 @@ std::size_t StateStore::size() const {
 }
 
 std::uint64_t StateStore::stored_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) {
-    util::MutexLock lk(s->mu);
-    n += s->stored_bytes;
-  }
-  return n;
+  return static_cast<std::uint64_t>(bytes_gauge_.share());
 }
 
 StateStore::AllShardsLock::AllShardsLock(

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
 #include "util/lock_discipline.hpp"
 #include "util/result.hpp"
 
@@ -69,7 +70,6 @@ class StateStore {
                            util::LockTraits{.multi = true}};
     std::unordered_map<crypto::Digest, Bytes, crypto::DigestHash> blobs
         NONREP_GUARDED_BY(mu);
-    std::uint64_t stored_bytes NONREP_GUARDED_BY(mu) = 0;
   };
 
   Shard& shard_for(const crypto::Digest& d) const {
@@ -98,6 +98,7 @@ class StateStore {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;
+  obs::GaugeShare bytes_gauge_{"store.state_bytes"};
 };
 
 }  // namespace nonrep::store

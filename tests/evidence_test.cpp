@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common.hpp"
 #include "core/evidence.hpp"
 #include "core/protocol_message.hpp"
@@ -229,6 +231,60 @@ TEST_F(EvidenceFixture, AuditLogColdThenMemoized) {
   ASSERT_TRUE(grown.verdict.ok());
   EXPECT_EQ(grown.records, 31u);
   EXPECT_EQ(grown.segments_memoized, 3u);  // the untouched full segments
+}
+
+TEST_F(EvidenceFixture, AuditAfterAcceptHitsObjectMemo) {
+  // Records carry no object id: audit_log derives the token's memo key from
+  // the logged payload. It must be the key accept()'s verify stored, so the
+  // audit of a party's own log re-uses what it verified on receipt.
+  const Bytes subject = to_bytes("accepted snapshot");
+  auto token = a->evidence->issue(EvidenceType::kNroRequest, RunId("r"), subject);
+  ASSERT_TRUE(token.ok());
+  ASSERT_TRUE(b->evidence->accept(token.value(), subject).ok());
+  auto report = b->evidence->audit_log(*b->log);
+  ASSERT_TRUE(report.verdict.ok()) << report.verdict.error().code;
+  EXPECT_EQ(report.token_records, 1u);
+  EXPECT_GE(report.token_memo_hits, 1u);
+}
+
+TEST_F(EvidenceFixture, ConcurrentAuditsAgree) {
+  // Four threads audit one quiescent log at once, first cold (racing to
+  // fill the segment memo) and then memoized; every audit gives the same
+  // verdict and counts.
+  for (int i = 0; i < 40; ++i) {
+    auto token = a->evidence->issue(EvidenceType::kNroRequest,
+                                    RunId("run-" + std::to_string(i % 8)),
+                                    to_bytes("subject-" + std::to_string(i % 8)));
+    ASSERT_TRUE(token.ok());
+  }
+  auto* auditor = b->evidence.get();
+  const EvidenceService::LogAuditOptions opts{.segment_records = 8};
+  constexpr int kThreads = 4;
+  auto audit_all = [&] {
+    std::vector<EvidenceService::LogAuditReport> reports(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { reports[t] = auditor->audit_log(*a->log, opts); });
+    }
+    for (auto& th : threads) th.join();
+    return reports;
+  };
+
+  for (const auto& r : audit_all()) {
+    ASSERT_TRUE(r.verdict.ok()) << r.verdict.error().code;
+    EXPECT_EQ(r.records, 40u);
+    EXPECT_EQ(r.token_records, 40u);
+    EXPECT_EQ(r.segments, 5u);
+  }
+  EXPECT_EQ(auditor->segment_memo_size(), 5u);
+  for (const auto& r : audit_all()) {
+    ASSERT_TRUE(r.verdict.ok()) << r.verdict.error().code;
+    EXPECT_EQ(r.records, 40u);
+    EXPECT_EQ(r.token_records, 40u);
+    EXPECT_EQ(r.segments, 5u);
+    EXPECT_EQ(r.segments_memoized, 5u);
+    EXPECT_EQ(r.distinct_tokens, 0u);
+  }
 }
 
 TEST_F(EvidenceFixture, AuditMemoInvalidatedByTrustChange) {

@@ -797,7 +797,6 @@ TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
   for (const int settled_first : {0, 5, 23}) {
     SCOPED_TRACE("settled_first=" + std::to_string(settled_first));
     reset();
-    auto objects = std::make_shared<store::ObjectStore>();
     std::vector<store::LogRecord> staged;
     std::vector<store::AppendReceipt> receipts;
     {
@@ -805,7 +804,7 @@ TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
           store::JournalLogBackend::open({.dir = dir});
       ASSERT_TRUE(opened.ok()) << opened.error().detail;
       auto* jb = opened.value().get();
-      store::EvidenceLog log(std::move(opened).take(), clock, objects);
+      store::EvidenceLog log(std::move(opened).take(), clock);
       for (int i = 0; i < settled_first + 48; ++i) {
         auto [rec, receipt] = log.append_async(run, "token.NRO-request",
                                                to_bytes("evidence-" + std::to_string(i)));
@@ -825,7 +824,7 @@ TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
 
     auto reopened = store::JournalLogBackend::open({.dir = dir});
     ASSERT_TRUE(reopened.ok()) << reopened.error().detail;
-    store::EvidenceLog recovered(std::move(reopened).take(), clock, objects);
+    store::EvidenceLog recovered(std::move(reopened).take(), clock);
     EXPECT_TRUE(recovered.verify_chain().ok());  // gap-free, untampered prefix
     ASSERT_GE(recovered.size(), settled_ok);
     ASSERT_LE(recovered.size(), staged.size());

@@ -8,12 +8,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "container/container.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/world.hpp"
 #include "store/evidence_log.hpp"
 #include "util/clock.hpp"
 
@@ -168,6 +172,72 @@ TEST(ObsGauge, ConcurrentAddBalances) {
   EXPECT_EQ(g.value(), 0);
   EXPECT_GE(g.max(), 1);
   EXPECT_LE(g.max(), kThreads);
+}
+
+// Every per-party table that grows with traffic exports its size as a
+// process-wide gauge: each live table adds what it holds and takes it back
+// on clear or destruction, so a process that builds and drops fleets (as
+// the benchmark does) returns to where it started.
+TEST(ObsGauge, RetainedTableGaugesTrackTablesAndTeardown) {
+  auto& reg = obs::Registry::global();
+  const char* const names[] = {"store.log_records", "store.log_payload_bytes",
+                               "store.state_bytes", "container.completed_runs",
+                               "pki.object_memo_entries"};
+  std::map<std::string, std::int64_t> base;
+  for (const char* name : names) base[name] = reg.gauge(name).value();
+  auto delta = [&](const char* name) { return reg.gauge(name).value() - base[name]; };
+
+  {
+    scenario::World world(7, /*rsa_bits=*/512);
+    auto& a = world.add_party("a");
+    auto& b = world.add_party("b");
+    container::Container cont;
+    auto bean = std::make_shared<container::Component>();
+    bean->bind("echo", [](const container::Invocation& inv) -> Result<Bytes> {
+      return inv.arguments;
+    });
+    cont.deploy(ServiceUri("svc://b/echo"), bean, {});
+
+    constexpr int kOps = 6;
+    std::int64_t subject_bytes = 0;
+    for (int i = 0; i < kOps; ++i) {
+      const Bytes subject = to_bytes("subject-" + std::to_string(i));
+      subject_bytes += static_cast<std::int64_t>(subject.size());
+      auto token = a.evidence->issue(core::EvidenceType::kNroRequest,
+                                     RunId("run-" + std::to_string(i)), subject);
+      ASSERT_TRUE(token.ok());
+      ASSERT_TRUE(b.evidence->accept(token.value(), subject).ok());
+      container::Invocation inv;
+      inv.service = ServiceUri("svc://b/echo");
+      inv.method = "echo";
+      inv.arguments = subject;
+      inv.context[container::kRunIdContextKey] = "run-" + std::to_string(i);
+      cont.invoke(inv);
+      cont.invoke(inv);  // a replay retains nothing new
+    }
+
+    std::int64_t payload_bytes = 0;
+    for (const auto* log : {a.log.get(), b.log.get()}) {
+      for (const auto& r : log->records()) {
+        payload_bytes += static_cast<std::int64_t>(r.payload.size());
+      }
+    }
+    EXPECT_EQ(delta("store.log_records"),
+              static_cast<std::int64_t>(a.log->size() + b.log->size()));
+    EXPECT_EQ(delta("store.log_payload_bytes"), payload_bytes);
+    EXPECT_EQ(delta("store.state_bytes"), 2 * subject_bytes);  // a on issue, b on accept
+    EXPECT_EQ(delta("container.completed_runs"), kOps);
+    EXPECT_EQ(delta("pki.object_memo_entries"),
+              static_cast<std::int64_t>(a.credentials->memo_size() +
+                                        b.credentials->memo_size()));
+    EXPECT_EQ(b.credentials->memo_size(), static_cast<std::size_t>(kOps));
+
+    b.credentials->clear_caches();  // a clear gives its entries back at once
+    EXPECT_EQ(delta("pki.object_memo_entries"),
+              static_cast<std::int64_t>(a.credentials->memo_size()));
+  }
+
+  for (const char* name : names) EXPECT_EQ(delta(name), 0) << name;
 }
 
 TEST(ObsRegistry, GetOrCreateReturnsStableInstruments) {

@@ -504,10 +504,15 @@ TEST(ObjectStore, EightThreadDoublePutIsIdempotent) {
   EXPECT_EQ(store.dedup_hits(), static_cast<std::uint64_t>(kPayloads * (kThreads - 1)));
 }
 
-TEST(ObjectStore, EvidenceLogInternsSharedStoreDedups) {
-  // Two logs share one store — identical payloads across parties are stored
-  // once, and the chain digests are unchanged by interning.
+TEST(EvidenceLog, AttachedStoreHoldsNoPayloadCopy) {
+  // A record's payload lives only in its log: two logs built with a shared
+  // store, appending and reloading, leave the store exactly as it was, and
+  // their chain digests equal a store-less log's.
   auto objects = std::make_shared<ObjectStore>();
+  objects->put(kTypeCert, to_bytes("a certificate filed before the logs"));
+  const std::size_t objects_before = objects->size();
+  const std::uint64_t bytes_before = objects->stored_bytes();
+
   auto clock = make_clock();
   EvidenceLog a(std::make_unique<MemoryLogBackend>(), clock, objects);
   EvidenceLog b(std::make_unique<MemoryLogBackend>(), clock, objects);
@@ -515,52 +520,51 @@ TEST(ObjectStore, EvidenceLogInternsSharedStoreDedups) {
   for (int i = 0; i < 6; ++i) {
     const Bytes payload = to_bytes("shared token " + std::to_string(i % 2));
     a.append(RunId("r"), "token.NRO-request", payload);
-    b.append(RunId("r"), "token.NRO-request", payload);
+    b.append_async(RunId("r"), "token.NRO-request", payload);
     plain.append(RunId("r"), "token.NRO-request", payload);
   }
-  EXPECT_EQ(objects->size(), 2u);  // two distinct payloads fleet-wide
-  EXPECT_EQ(objects->dedup_hits(), 10u);
+  EvidenceLog reloaded(std::make_unique<MemoryLogBackend>(a.records()), clock, objects);
+  ASSERT_EQ(reloaded.size(), 6u);
+  EXPECT_TRUE(reloaded.verify_chain().ok());
+
+  EXPECT_EQ(objects->size(), objects_before);
+  EXPECT_EQ(objects->stored_bytes(), bytes_before);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(a.records()[i].chain, plain.records()[i].chain) << i;
+    EXPECT_EQ(b.records()[i].chain, plain.records()[i].chain) << i;
   }
 }
 
 // ---- one self-contained journal per party ----
 
-TEST(JournalBackend, SharedStoreInternsLoadedRecords) {
-  const std::string dir = temp_dir("shared_store_roundtrip");
+TEST(JournalBackend, ReloadedLogVerifiesFindsAndAppends) {
+  const std::string dir = temp_dir("reload_roundtrip");
   auto clock = make_clock();
   {
-    auto objects = std::make_shared<ObjectStore>();
     auto backend =
         JournalLogBackend::open({.dir = dir});
     ASSERT_TRUE(backend.ok()) << backend.error().detail;
-    EvidenceLog log(std::move(backend).take(), clock, objects);
+    EvidenceLog log(std::move(backend).take(), clock);
     for (int i = 0; i < 12; ++i) {
       log.append(RunId("r" + std::to_string(i % 3)), "token.NRO-request",
                  to_bytes("payload " + std::to_string(i % 4)));
     }
     EXPECT_TRUE(log.backend_status().ok());
-    EXPECT_EQ(objects->size(), 4u);  // dedup is in memory, fleet-wide
   }
   // One journal: every frame carries its own payload, nothing else on disk.
   EXPECT_FALSE(fs::exists(fs::path(dir) / "objects"));
 
-  // The two-argument open still compiles and behaves the same: the store
-  // argument is ignored, the EvidenceLog does the interning.
-  auto rebuilt = std::make_shared<ObjectStore>();
-  auto backend = JournalLogBackend::open({.dir = dir}, rebuilt);
+  // The two-argument open and the store-taking EvidenceLog constructor
+  // still compile; both ignore the store.
+  auto ignored = std::make_shared<ObjectStore>();
+  auto backend = JournalLogBackend::open({.dir = dir}, ignored);
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EXPECT_EQ(rebuilt->size(), 0u);
-  EvidenceLog reloaded(std::move(backend).take(), clock, rebuilt);
+  EvidenceLog reloaded(std::move(backend).take(), clock, ignored);
   ASSERT_EQ(reloaded.size(), 12u);
   EXPECT_TRUE(reloaded.verify_chain().ok());
-  EXPECT_EQ(rebuilt->size(), 4u);  // the log interned what it loaded
   auto rec = reloaded.find(RunId("r1"), "token.NRO-request");
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(to_string(rec->payload), "payload 1");
-  EXPECT_TRUE(rec->interned);
-  EXPECT_TRUE(rebuilt->contains(rec->object));
   // Appends keep working after restart.
   reloaded.append(RunId("r9"), "token.NRR-response", to_bytes("fresh"));
   EXPECT_TRUE(reloaded.backend_status().ok());
@@ -622,14 +626,12 @@ TEST(JournalBackend, OneBarrierCoversPayloadsAcrossCrash) {
     raw->writer().simulate_crash();
   }
 
-  auto objects = std::make_shared<ObjectStore>();
   auto backend = JournalLogBackend::open({.dir = dir});
   ASSERT_TRUE(backend.ok()) << backend.error().detail;
-  EvidenceLog log(std::move(backend).take(), clock, objects);
+  EvidenceLog log(std::move(backend).take(), clock);
   ASSERT_EQ(log.size(), 8u);
   EXPECT_TRUE(log.verify_chain().ok());
   EXPECT_EQ(to_string(log.records()[7].payload), "p7");
-  EXPECT_EQ(objects->size(), 8u);
 }
 
 TEST(JournalBackend, RefusesSeparateObjectJournalLayout) {
