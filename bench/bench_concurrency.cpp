@@ -2,7 +2,7 @@
 //
 // Two workloads over the concurrent party runtime:
 //   BM_BatchVerify            — batched evidence verification fanned across
-//                               a util::ThreadPool (the Reader::audit /
+//                               a util::ThreadPool (the log-audit /
 //                               dispute-path shape): N RSA signature checks
 //                               per batch, embarrassingly parallel.
 //   BM_ConcurrentInvocation   — full NrDirect four-token invocations,

@@ -140,7 +140,7 @@ BENCHMARK(BM_JournalAppendPipelined_EveryRecord)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
-/// Crash-recovery scan (CRC + sequence + checkpoint verification) over a
+/// Crash-recovery scan (frame CRC + sequence continuity) over a
 /// journal of range(0) records, rotated into ~1 MiB segments. The corpus is
 /// staged with append_async and made durable by one sync().
 void BM_JournalRecoveryScan(benchmark::State& state) {

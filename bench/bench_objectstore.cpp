@@ -149,7 +149,7 @@ std::uint32_t typesig_for_kind(std::string_view kind) {
 }
 
 /// Crash-recovery rebuild of the ~1M-record journal: scan it (CRCs,
-/// checkpoints), decode every self-contained record frame and intern its
+/// sequence continuity), decode every self-contained record frame and intern its
 /// payload into a fresh store. The store's counters give the dedup ratio of
 /// the corpus.
 void BM_JournalRecoveryRebuild(benchmark::State& state) {

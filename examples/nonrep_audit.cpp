@@ -1,10 +1,10 @@
 // nonrep-audit: independent verification of a durable evidence journal.
 //
-// Checks, per segment: header + frame CRC32C integrity, data-record
-// sequence continuity (within and across segments), and the Merkle-root
-// checkpoint each sealed segment ends with. Then decodes the evidence
-// records and re-computes the hash chain (chain_i = H(chain_{i-1} ||
-// record_i), §3.5) — so an auditor holding only the journal directory can
+// One scan-only recovery pass checks the structure, per segment: header and
+// frame CRC32C integrity, and record sequence continuity within and across
+// segments. The same pass's records are then decoded (only canonical bytes
+// decode) and the hash chain is re-computed (chain_i = H(chain_{i-1} ||
+// record_i), §3.5), so an auditor holding only the journal directory can
 // confirm that no evidence was altered, dropped or reordered.
 //
 // Every frame is self-contained (canonical record bytes, payload included,
@@ -14,8 +14,9 @@
 // Usage:
 //   nonrep_audit [--json] <journal-dir>
 //                                 audit an existing journal (exit 1 on any
-//                                 defect; an unsealed final segment is
-//                                 reported but accepted). With --json the
+//                                 defect; a final segment cut at a frame
+//                                 boundary is accepted, because a crash
+//                                 leaves exactly that). With --json the
 //                                 report is a single machine-readable JSON
 //                                 object on stdout: structural result,
 //                                 chain result (with undecodable frames)
@@ -39,20 +40,30 @@ namespace fs = std::filesystem;
 
 namespace {
 
-void print_segment_audit(const journal::AuditReport& audit) {
-  for (const auto& seg : audit.segments) {
+/// One line per structural defect, as "<segment>: <code> — <detail>".
+std::vector<std::string> structural_problems(const journal::RecoveryReport& report) {
+  std::vector<std::string> problems;
+  for (const auto& seg : report.segments) {
+    if (seg.defect.has_value()) {
+      problems.push_back(seg.path + ": " + seg.defect->code + " — " + seg.defect->detail);
+    }
+  }
+  return problems;
+}
+
+void print_segments(const journal::RecoveryReport& report,
+                    const std::vector<std::string>& problems) {
+  for (const auto& seg : report.segments) {
     std::printf("  %-32s first_seq=%-6llu records=%-6llu %8llu bytes  %s\n",
                 fs::path(seg.path).filename().string().c_str(),
                 static_cast<unsigned long long>(seg.first_sequence),
                 static_cast<unsigned long long>(seg.data_records),
                 static_cast<unsigned long long>(seg.file_bytes),
-                seg.defect.has_value()       ? ("DEFECT: " + seg.defect->code).c_str()
-                : seg.sealed                 ? "sealed, checkpoint OK"
-                                             : "open (unsealed tail)");
+                seg.defect.has_value() ? ("DEFECT: " + seg.defect->code).c_str() : "OK");
   }
-  for (const auto& p : audit.problems) std::printf("  problem: %s\n", p.c_str());
-  std::printf("  structural: %s (%llu records)\n", audit.ok ? "OK" : "FAILED",
-              static_cast<unsigned long long>(audit.total_records));
+  for (const auto& p : problems) std::printf("  problem: %s\n", p.c_str());
+  std::printf("  structural: %s (%zu records)\n", report.clean ? "OK" : "FAILED",
+              report.records.size());
 }
 
 void append_json_string(std::ostringstream& out, const std::string& s) {
@@ -90,9 +101,6 @@ int audit_dir(const std::string& dir, bool json = false) {
     return 1;
   }
 
-  const journal::AuditReport audit = journal::Reader::audit(dir);
-  if (!json) print_segment_audit(audit);
-
   auto recovered = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
   if (!recovered.ok()) {
     if (json) {
@@ -100,17 +108,21 @@ int audit_dir(const std::string& dir, bool json = false) {
       out << "{\"dir\": ";
       append_json_string(out, dir);
       out << ", \"error\": ";
-      append_json_string(out, "chain: cannot scan (" + recovered.error().code + ")");
+      append_json_string(out, "cannot scan (" + recovered.error().code + ")");
       out << ", \"verdict\": \"REJECTED\"}";
       std::printf("%s\n", out.str().c_str());
     } else {
-      std::printf("  chain: cannot scan (%s)\n", recovered.error().code.c_str());
+      std::printf("  cannot scan (%s)\n  verdict: REJECTED\n", recovered.error().code.c_str());
     }
     return 1;
   }
+  const journal::RecoveryReport& report = recovered.value();
+  const std::vector<std::string> problems = structural_problems(report);
+  if (!json) print_segments(report, problems);
+
   std::vector<store::LogRecord> records;
   std::size_t undecodable = 0;
-  for (const auto& rec : recovered.value().records) {
+  for (const auto& rec : report.records) {
     auto decoded = store::decode_log_record(rec.payload);
     if (decoded.ok()) {
       records.push_back(std::move(decoded).take());
@@ -131,15 +143,15 @@ int audit_dir(const std::string& dir, bool json = false) {
                 undecodable ? ", undecodable payloads!" : "");
   }
 
-  const bool ok = audit.ok && chain.ok() && undecodable == 0;
+  const bool ok = report.clean && chain.ok() && undecodable == 0;
   if (json) {
     std::ostringstream out;
     out << "{\n  \"dir\": ";
     append_json_string(out, dir);
-    out << ",\n  \"structural\": {\"ok\": " << (audit.ok ? "true" : "false")
-        << ", \"segments\": " << audit.segments.size()
-        << ", \"records\": " << audit.total_records
-        << ", \"problems\": " << audit.problems.size() << "}";
+    out << ",\n  \"structural\": {\"ok\": " << (report.clean ? "true" : "false")
+        << ", \"segments\": " << report.segments.size()
+        << ", \"records\": " << report.records.size()
+        << ", \"problems\": " << problems.size() << "}";
     out << ",\n  \"chain\": {\"ok\": " << (chain.ok() ? "true" : "false");
     if (!chain.ok()) {
       out << ", \"error\": ";
@@ -162,7 +174,7 @@ int demo() {
   std::printf("demo journal at %s\n\n", dir.c_str());
 
   // A party logs evidence through the journal backend; rotation is forced
-  // small so several sealed segments exist. Each frame carries its own
+  // small so several segments exist. Each frame carries its own
   // payload on disk, and the party's log is the one in-memory copy.
   auto clock = std::make_shared<SimClock>(1000);
   {
@@ -180,8 +192,8 @@ int demo() {
     std::printf("log after 40 appends: %zu records, %llu payload bytes\n\n", log.size(),
                 static_cast<unsigned long long>(log.payload_bytes()));
 
-    // Crash mid-append: the writer dies without sealing and the next record
-    // only half-reaches the disk.
+    // Crash mid-append: the writer dies and the next record only
+    // half-reaches the disk.
     raw->writer().simulate_crash();
     auto segments = journal::Segment::list(dir);
     if (!segments.ok() || segments.value().empty()) return 1;
@@ -205,7 +217,8 @@ int demo() {
                 "(%llu payload bytes)\n\n",
                 static_cast<unsigned long long>(truncated), log.size(),
                 static_cast<unsigned long long>(log.payload_bytes()));
-    // Clean shutdown seals the tail segment.
+    // Clean shutdown: every record is durable and the tail segment stays
+    // open-ended, for the next open to continue.
   }
   return audit_dir(dir);
 }

@@ -64,10 +64,4 @@ struct MerkleSignatureView {
 std::optional<MerkleSignatureView> parse_merkle_signature(BytesView signature,
                                                           std::size_t tree_height);
 
-/// Plain Merkle tree root over an ordered list of leaf digests (an odd node
-/// is promoted unchanged to the next level). Empty input yields the all-zero
-/// digest. Used by the journal's segment checkpoints; independent of the
-/// one-time signature tree above.
-Digest merkle_root(const std::vector<Digest>& leaves);
-
 }  // namespace nonrep::crypto

@@ -8,38 +8,6 @@
 
 namespace nonrep::journal {
 
-Bytes Checkpoint::encode() const {
-  BinaryWriter w;
-  w.u64(record_count);
-  w.u64(first_sequence);
-  w.u64(last_sequence);
-  w.bytes(crypto::digest_bytes(merkle_root));
-  return std::move(w).take();
-}
-
-Result<Checkpoint> Checkpoint::decode(BytesView b) {
-  BinaryReader r(b);
-  Checkpoint cp;
-  auto count = r.u64();
-  if (!count) return count.error();
-  cp.record_count = count.value();
-  auto first = r.u64();
-  if (!first) return first.error();
-  cp.first_sequence = first.value();
-  auto last = r.u64();
-  if (!last) return last.error();
-  cp.last_sequence = last.value();
-  auto root = r.bytes();
-  if (!root) return root.error();
-  if (!crypto::digest_from_bytes(root.value(), cp.merkle_root)) {
-    return Error::make("journal.bad_checkpoint", "merkle root has wrong length");
-  }
-  if (!r.at_end()) {
-    return Error::make("journal.bad_checkpoint", "trailing bytes");
-  }
-  return cp;
-}
-
 std::string segment_filename(std::uint64_t first_sequence) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "seg-%020" PRIu64 ".wal", first_sequence);
@@ -114,7 +82,5 @@ Bytes encode_frame(RecordType type, std::uint64_t sequence, BytesView payload) {
   append(frame, body);
   return frame;
 }
-
-crypto::Digest body_digest(BytesView body) { return crypto::Sha256::hash(body); }
 
 }  // namespace nonrep::journal

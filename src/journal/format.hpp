@@ -23,17 +23,15 @@
 //
 // All integers are little-endian. The CRC is CRC32C over the body, so a torn
 // or bit-flipped frame is detected by a plain forward scan with no crypto.
-// Data frames carry monotonically increasing sequence numbers; a sealed
-// segment ends with exactly one checkpoint frame whose payload commits to a
-// Merkle root over the SHA-256 digests of every data-frame body in the
-// segment, letting an auditor verify one segment without replaying the rest
-// of the chain.
+// Frames carry consecutive sequence numbers, within a segment and across
+// segments, so a dropped, reordered or cut-off frame shows as a gap. That is
+// all the framing checks: whether a frame's *content* is genuine evidence is
+// the hash chain's job (store/evidence_log.hpp), which the payload carries.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
@@ -49,27 +47,15 @@ inline constexpr std::size_t kRecordPrefixBytes = 9;
 /// not a large record, so the scanner never allocates from a wild length.
 inline constexpr std::uint64_t kMaxBodyBytes = 64ull << 20;
 
+/// The one record type. Any other type byte is damage (journal.bad_type).
 enum class RecordType : std::uint8_t {
   kData = 1,
-  kCheckpoint = 2,
 };
 
 /// One decoded journal record (frame body minus the framing).
 struct Record {
   std::uint64_t sequence = 0;
-  RecordType type = RecordType::kData;
   Bytes payload;
-};
-
-/// Payload of a checkpoint frame: the seal of one segment.
-struct Checkpoint {
-  std::uint64_t record_count = 0;    // data frames in the segment
-  std::uint64_t first_sequence = 0;  // == segment header first_seq
-  std::uint64_t last_sequence = 0;   // meaningful when record_count > 0
-  crypto::Digest merkle_root{};      // over data-frame body digests, in order
-
-  Bytes encode() const;
-  static Result<Checkpoint> decode(BytesView b);
 };
 
 /// Segment file name for a given first sequence ("seg-<20 digits>.wal").
@@ -83,8 +69,5 @@ Result<std::uint64_t> decode_segment_header(BytesView b);
 
 /// Full frame (header + body) ready to append to a segment.
 Bytes encode_frame(RecordType type, std::uint64_t sequence, BytesView payload);
-
-/// Leaf digest a checkpoint commits to: SHA-256 of the frame body.
-crypto::Digest body_digest(BytesView body);
 
 }  // namespace nonrep::journal

@@ -50,7 +50,6 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
     st.first_sequence = scan.first_sequence;
     st.valid_bytes = scan.valid_bytes;
     st.file_bytes = scan.file_bytes;
-    st.sealed = scan.sealed;
     st.defect = scan.defect;
 
     // Cross-segment continuity: a segment must pick up exactly where the
@@ -62,19 +61,13 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       st.defect = Error::make("journal.sequence_gap",
                               "segment starts at " + std::to_string(scan.first_sequence) +
                                   ", expected " + std::to_string(report.next_sequence));
-      st.sealed = false;
       scan.records.clear();  // nothing in this segment can be trusted
       st.valid_bytes = 0;
     }
 
-    std::vector<crypto::Digest> leaves;
-    for (auto& rec : scan.records) {
-      if (rec.record.type != RecordType::kData) continue;
-      leaves.push_back(rec.body_digest);
-      report.records.push_back(std::move(rec.record));
-      ++st.data_records;
-      report.next_sequence = report.records.back().sequence + 1;
-    }
+    st.data_records = scan.records.size();
+    if (!scan.records.empty()) report.next_sequence = scan.records.back().sequence + 1;
+    for (auto& rec : scan.records) report.records.push_back(std::move(rec));
 
     if (st.defect.has_value()) {
       report.clean = false;
@@ -82,9 +75,9 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       // A torn tail on the last segment is the expected crash signature;
       // repair truncates it so the journal is appendable again. A file cut
       // short inside its own header holds nothing and is removed. Anything
-      // else (mid-journal damage, checkpoint mismatch on a non-final
-      // segment, a corrupted header over real data) is preserved for
-      // inspection and leaves the journal read-only.
+      // else (mid-journal damage, a cross-segment gap, a corrupted header
+      // over real data) is preserved for inspection and leaves the journal
+      // read-only.
       bool repaired = false;
       if (mode == RecoverMode::kRepair && last) {
         if (st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes > st.valid_bytes) {
@@ -107,51 +100,13 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       if (!repaired) report.resumable = false;
     }
 
-    if (last && !st.sealed && st.valid_bytes >= kSegmentHeaderBytes &&
-        st.file_bytes == st.valid_bytes) {
+    if (last && st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes == st.valid_bytes) {
       report.tail_path = path;
-      report.tail_first_sequence = st.first_sequence;
       report.tail_valid_bytes = st.valid_bytes;
-      report.tail_leaves = std::move(leaves);
     }
     report.segments.push_back(std::move(st));
   }
   return report;
-}
-
-AuditReport Reader::audit(const std::string& dir) {
-  AuditReport out;
-
-  auto recovered = recover(dir, RecoverMode::kScanOnly);
-  if (!recovered) {
-    out.problems.push_back(recovered.error().code + ": " + recovered.error().detail);
-    return out;
-  }
-  const RecoveryReport& report = recovered.value();
-
-  out.ok = true;
-  for (std::size_t i = 0; i < report.segments.size(); ++i) {
-    const SegmentStatus& st = report.segments[i];
-    const bool last = i + 1 == report.segments.size();
-    SegmentAudit audit;
-    audit.path = st.path;
-    audit.first_sequence = st.first_sequence;
-    audit.data_records = st.data_records;
-    audit.file_bytes = st.file_bytes;
-    audit.sealed = st.sealed;
-    audit.checkpoint_ok = st.sealed;  // scan verifies the seal before setting it
-    audit.defect = st.defect;
-    if (st.defect.has_value()) {
-      out.ok = false;
-      out.problems.push_back(st.path + ": " + st.defect->code + " — " + st.defect->detail);
-    } else if (!st.sealed && !last) {
-      out.ok = false;
-      out.problems.push_back(st.path + ": non-final segment is not sealed");
-    }
-    out.total_records += st.data_records;
-    out.segments.push_back(std::move(audit));
-  }
-  return out;
 }
 
 }  // namespace nonrep::journal

@@ -1,5 +1,5 @@
-// Read side of the durable evidence journal: full scans, crash recovery and
-// auditing.
+// Read side of the durable evidence journal: one scan that serves crash
+// recovery and the structural half of an audit.
 //
 // Recovery semantics (§3.5 persistence + dispute-resolution requirements):
 // segments are scanned in sequence order; every record up to the first
@@ -7,7 +7,11 @@
 // at the tail of the *last* segment is treated as a torn write from a crash
 // and truncated so a Writer can resume; a defect anywhere else is damage
 // that repair never papers over — the journal stays read-only until an
-// operator (or the audit tool) has looked at it.
+// operator (or the audit tool) has looked at it. A scan-only recovery that
+// comes back `clean` is the structural audit: every header and frame CRC
+// holds and sequence numbers run without a gap across all segments. Whether
+// the records are genuine evidence is the hash chain's question
+// (store::EvidenceLog::verify_chain).
 #pragma once
 
 #include <memory>
@@ -25,7 +29,6 @@ struct SegmentStatus {
   std::uint64_t data_records = 0;
   std::uint64_t valid_bytes = 0;
   std::uint64_t file_bytes = 0;
-  bool sealed = false;
   std::optional<Error> defect;
 };
 
@@ -43,12 +46,9 @@ struct RecoveryReport {
   /// the only defect was a torn tail that repair removed. Mid-journal damage
   /// leaves the journal read-only.
   bool resumable = true;
-  /// Merkle leaves of the final segment when it is left unsealed — what a
-  /// resuming Writer still owes the eventual checkpoint.
-  std::vector<crypto::Digest> tail_leaves;
-  /// Set when the final segment is unsealed and resumable.
+  /// Set when the final segment ends on a frame boundary, so a resuming
+  /// Writer continues it in place.
   std::optional<std::string> tail_path;
-  std::uint64_t tail_first_sequence = 0;
   std::uint64_t tail_valid_bytes = 0;
 };
 
@@ -57,34 +57,11 @@ enum class RecoverMode : std::uint8_t {
   kRepair = 1,    // truncate torn tails of the last segment
 };
 
-struct SegmentAudit {
-  std::string path;
-  std::uint64_t first_sequence = 0;
-  std::uint64_t data_records = 0;
-  std::uint64_t file_bytes = 0;
-  bool sealed = false;
-  bool checkpoint_ok = false;  // sealed with a matching Merkle root
-  std::optional<Error> defect;
-};
-
-struct AuditReport {
-  std::vector<SegmentAudit> segments;
-  std::uint64_t total_records = 0;
-  std::vector<std::string> problems;  // human-readable defect list
-  bool ok = false;  // every segment clean, contiguous, tail possibly unsealed
-};
-
 class Reader {
  public:
   /// Scan the whole journal. An empty or missing directory recovers to an
   /// empty journal (next_sequence 0). Only I/O errors fail the call.
   static Result<RecoveryReport> recover(const std::string& dir, RecoverMode mode);
-
-  /// Read-only structural audit: segment headers, frame CRCs, sequence
-  /// continuity across segments, and checkpoint Merkle roots. An unsealed
-  /// final segment is reported but does not fail the audit; an unsealed or
-  /// defective non-final segment does.
-  static AuditReport audit(const std::string& dir);
 };
 
 }  // namespace nonrep::journal

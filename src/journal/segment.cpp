@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "crypto/merkle.hpp"
 #include "util/crc32c.hpp"
 
 namespace nonrep::journal {
@@ -41,10 +40,6 @@ std::uint64_t read_u64le(const std::uint8_t* p) {
 
 }  // namespace
 
-crypto::Digest checkpoint_merkle_root(const std::vector<crypto::Digest>& leaves) {
-  return crypto::merkle_root(leaves);
-}
-
 Result<Segment::ScanResult> Segment::scan(const std::string& path) {
   auto data = read_file(path);
   if (!data) return data.error();
@@ -61,16 +56,9 @@ Result<Segment::ScanResult> Segment::scan(const std::string& path) {
   out.first_sequence = header.value();
   out.valid_bytes = kSegmentHeaderBytes;
 
-  std::vector<crypto::Digest> leaves;
   std::uint64_t expected_seq = out.first_sequence;
   std::size_t offset = kSegmentHeaderBytes;
   while (offset < buf.size()) {
-    if (out.sealed) {
-      out.defect = Error::make("journal.frame_after_seal",
-                               "bytes follow the checkpoint at offset " +
-                                   std::to_string(offset));
-      break;
-    }
     if (buf.size() - offset < kFrameHeaderBytes) {
       out.defect = Error::make("journal.torn_frame",
                                "partial frame header at offset " + std::to_string(offset));
@@ -96,43 +84,21 @@ Result<Segment::ScanResult> Segment::scan(const std::string& path) {
       break;
     }
 
-    ScannedRecord rec;
-    rec.offset = offset;
-    rec.record.type = static_cast<RecordType>(body[0]);
-    rec.record.sequence = read_u64le(body.data() + 1);
-    rec.record.payload.assign(body.begin() + kRecordPrefixBytes, body.end());
-
-    if (rec.record.type == RecordType::kData) {
-      if (rec.record.sequence != expected_seq) {
-        out.defect = Error::make("journal.sequence_gap",
-                                 "expected sequence " + std::to_string(expected_seq) +
-                                     ", found " + std::to_string(rec.record.sequence));
-        break;
-      }
-      ++expected_seq;
-      rec.body_digest = body_digest(body);
-      leaves.push_back(rec.body_digest);
-    } else if (rec.record.type == RecordType::kCheckpoint) {
-      auto cp = Checkpoint::decode(rec.record.payload);
-      if (!cp) {
-        out.defect = cp.error();
-        break;
-      }
-      const bool counts_match =
-          cp->record_count == leaves.size() && cp->first_sequence == out.first_sequence &&
-          (cp->record_count == 0 || cp->last_sequence == expected_seq - 1);
-      if (!counts_match || cp->merkle_root != checkpoint_merkle_root(leaves)) {
-        out.defect = Error::make("journal.checkpoint_mismatch",
-                                 "seal does not match segment contents");
-        break;
-      }
-      out.sealed = true;
-      out.checkpoint = cp.value();
-    } else {
+    if (body[0] != static_cast<std::uint8_t>(RecordType::kData)) {
       out.defect = Error::make("journal.bad_type",
                                "unknown record type at offset " + std::to_string(offset));
       break;
     }
+    Record rec;
+    rec.sequence = read_u64le(body.data() + 1);
+    if (rec.sequence != expected_seq) {
+      out.defect = Error::make("journal.sequence_gap",
+                               "expected sequence " + std::to_string(expected_seq) +
+                                   ", found " + std::to_string(rec.sequence));
+      break;
+    }
+    ++expected_seq;
+    rec.payload.assign(body.begin() + kRecordPrefixBytes, body.end());
 
     out.records.push_back(std::move(rec));
     offset += kFrameHeaderBytes + body_len;

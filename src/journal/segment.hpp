@@ -1,12 +1,12 @@
-// One journal segment file: naming, forward scan, seal verification.
+// One journal segment file: naming and forward scan.
 //
 // Segment::scan is the single source of truth for "how far is this file
-// valid": recovery, the writer's resume path and the auditor all consume its
-// result. The scan walks frames front to back, stops at the first frame that
-// fails a bounds or CRC check, and reports how many bytes were valid — the
-// caller decides whether what follows is a torn tail to truncate (crash
-// recovery on the last segment) or corruption to reject (audit, or damage in
-// the middle of the journal).
+// valid": recovery, and through it the writer's resume path and the audit
+// tool, consume its result. The scan walks frames front to back, stops at
+// the first frame that fails a bounds, CRC, type or sequence check, and
+// reports how many bytes were valid — the caller decides whether what
+// follows is a torn tail to truncate (crash recovery on the last segment)
+// or corruption to reject (audit, or damage in the middle of the journal).
 #pragma once
 
 #include <optional>
@@ -19,20 +19,12 @@ namespace nonrep::journal {
 
 class Segment {
  public:
-  struct ScannedRecord {
-    Record record;
-    std::uint64_t offset = 0;      // frame start offset in the file
-    crypto::Digest body_digest{};  // Merkle leaf for data records
-  };
-
   struct ScanResult {
     std::uint64_t first_sequence = 0;
-    std::vector<ScannedRecord> records;  // valid frames, in file order
-    std::uint64_t valid_bytes = 0;       // header + fully valid frames
+    std::vector<Record> records;    // valid frames, in file order
+    std::uint64_t valid_bytes = 0;  // header + fully valid frames
     std::uint64_t file_bytes = 0;
-    bool sealed = false;                       // last valid frame is a checkpoint
-    std::optional<Checkpoint> checkpoint;      // decoded seal, when present
-    std::optional<Error> defect;               // why the scan stopped early
+    std::optional<Error> defect;    // why the scan stopped early
     bool clean() const { return !defect.has_value(); }
   };
 
@@ -49,9 +41,5 @@ class Segment {
   /// ignored.
   static Result<std::vector<std::string>> list(const std::string& dir);
 };
-
-/// Root over the data-frame body digests of one segment (what a checkpoint
-/// commits to). Defined even for the empty segment (all-zero digest).
-crypto::Digest checkpoint_merkle_root(const std::vector<crypto::Digest>& leaves);
 
 }  // namespace nonrep::journal

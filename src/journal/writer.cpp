@@ -99,14 +99,11 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
   w->stage_ = std::make_unique<SyncStage>(w->state_);
   w->next_seq_ = report.next_sequence;
   if (report.tail_path.has_value()) {
-    // Continue the unsealed final segment in place.
+    // Continue the final segment in place.
     const int fd = ::open(report.tail_path->c_str(), O_WRONLY | O_APPEND);
     if (fd < 0) return errno_error("open " + *report.tail_path);
     w->fd_ = fd;
-    w->active_path_ = *report.tail_path;
-    w->active_first_seq_ = report.tail_first_sequence;
     w->active_bytes_ = report.tail_valid_bytes;
-    w->leaves_ = report.tail_leaves;
   }
   return w;
 }
@@ -116,12 +113,10 @@ Writer::Writer(Options options) : opt_(std::move(options)) {}
 Writer::~Writer() { (void)close(); }
 
 Status Writer::open_segment_locked(std::uint64_t first_sequence) {
-  active_path_ = (fs::path(opt_.dir) / segment_filename(first_sequence)).string();
-  const int fd = ::open(active_path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return errno_error("open " + active_path_);
+  const std::string path = (fs::path(opt_.dir) / segment_filename(first_sequence)).string();
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  if (fd < 0) return errno_error("open " + path);
   fd_ = fd;
-  active_first_seq_ = first_sequence;
-  leaves_.clear();
   const Bytes header = encode_segment_header(first_sequence);
   auto written = write_all(fd_, header);
   if (!written.ok()) return written;
@@ -131,33 +126,20 @@ Status Writer::open_segment_locked(std::uint64_t first_sequence) {
   return fsync_dir(opt_.dir);
 }
 
-Status Writer::seal_locked() {
+Status Writer::close_segment_locked() {
   if (fd_ < 0) return Status::ok_status();
-  Checkpoint cp;
-  cp.record_count = leaves_.size();
-  cp.first_sequence = active_first_seq_;
-  cp.last_sequence = leaves_.empty() ? 0 : next_seq_ - 1;
-  cp.merkle_root = checkpoint_merkle_root(leaves_);
-  const Bytes frame = encode_frame(RecordType::kCheckpoint, cp.last_sequence, cp.encode());
-  auto written = write_all(fd_, frame);
-  if (!written.ok()) return written;
-  active_bytes_ += frame.size();
-  // One more barrier (the checkpoint bytes are not covered by any LSN
-  // watermark), then drain the stage: a sealed segment is durable in full,
-  // and no job for this fd outlives it.
-  stage_->request(fd_, written_lsn_, active_bytes_);
+  // Every append already requested its barrier; draining retires them all,
+  // so the segment is durable in full and no job for this fd outlives it.
   auto drained = stage_->drain();
   if (!drained.ok()) return drained;
-
   ::close(fd_);
   fd_ = -1;
-  leaves_.clear();
   return Status::ok_status();
 }
 
 Status Writer::maybe_rotate_locked() {
   if (fd_ < 0 || active_bytes_ < opt_.segment_max_bytes) return Status::ok_status();
-  auto rotated = seal_locked();
+  auto rotated = close_segment_locked();
   if (rotated.ok()) rotated = open_segment_locked(next_seq_);
   if (!rotated.ok()) return rotated;
   ++stats_.rotations;
@@ -194,8 +176,6 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
     state_->fail(written);  // settle earlier tickets still waiting on a barrier
     return written.error();
   }
-  leaves_.push_back(
-      body_digest(BytesView(frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes)));
   active_bytes_ += frame.size();
   ++written_lsn_;
   ++stats_.appends;
@@ -244,27 +224,27 @@ Status Writer::sync() {
 }
 
 Status Writer::close() {
-  Status sealed;
+  Status closed;
   {
     util::MutexLock lock(mu_);
     if (closed_) return io_error_;
-    sealed = seal_locked();
+    closed = close_segment_locked();
     closed_ = true;
-    if (!sealed.ok()) {
-      if (io_error_.ok()) io_error_ = sealed;
-      state_->fail(sealed);  // settle tickets that will now never be durable
+    if (!closed.ok()) {
+      if (io_error_.ok()) io_error_ = closed;
+      state_->fail(closed);  // settle tickets that will now never be durable
     }
   }
   (void)stage_->shutdown();
-  return sealed;
+  return closed;
 }
 
 void Writer::simulate_crash() {
   util::MutexLock lock(mu_);
-  // The fd is abandoned without a seal or a final sync, exactly as in a
-  // real crash. Queued barriers are abandoned too — their tickets settle
-  // with journal.crashed, while tickets whose barrier already retired stay
-  // ok (prefix durability).
+  // The fd is abandoned without a final sync, exactly as in a real crash.
+  // Queued barriers are abandoned too — their tickets settle with
+  // journal.crashed, while tickets whose barrier already retired stay ok
+  // (prefix durability).
   closed_ = true;
   stage_->crash(Error::make("journal.crashed",
                             "writer crashed before the covering barrier"));

@@ -15,19 +15,18 @@
 // wait. The evidence layer stages with append_async() and waits once per
 // outgoing protocol message (the write-ahead rule at the send).
 //
-// When a segment reaches segment_max_bytes it is sealed — a checkpoint frame
-// committing to the Merkle root of the segment's record digests is appended
-// and synced — and a new segment is created and its name made durable
-// (directory fsync) before any record lands in it. Sealing drains the sync
-// stage first, so every sealed segment is fully durable. close() (and the
-// destructor) seal the active segment the same way; only a crash leaves an
-// unsealed tail for recovery.
+// When a segment reaches segment_max_bytes the writer drains the sync stage
+// (no queued fdatasync may outlive its fd), closes the segment, and creates
+// the next one, making its name durable (directory fsync) before any record
+// lands in it. close() (and the destructor) drain and close the active
+// segment the same way and leave it open-ended: the next open() continues
+// it in place. A clean close and a crash after the last barrier retired
+// leave the same bytes on disk.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/lock_discipline.hpp"
 #include "journal/format.hpp"
@@ -56,7 +55,7 @@ class Writer {
   /// Opens (creating the directory if needed) and recovers the journal tail:
   /// torn bytes after the last valid frame of the final segment are
   /// truncated, sequence numbering resumes after the last durable record,
-  /// and an unsealed final segment is continued in place.
+  /// and the final segment is continued in place.
   static Result<std::unique_ptr<Writer>> open(Options options);
 
   /// Same, reusing an already-computed repair-mode recovery report so a
@@ -88,14 +87,14 @@ class Writer {
   /// already requested its barrier).
   Status sync();
 
-  /// Seals the active segment (checkpoint + sync) and stops the writer.
-  /// Idempotent; also run by the destructor.
+  /// Waits until every appended record is durable, closes the active
+  /// segment and stops the writer. Idempotent; also run by the destructor.
   Status close();
 
-  /// Test hook: abandon queued barriers and the fd without sealing or
-  /// syncing — the on-disk state is exactly what a
-  /// crash would leave. Outstanding tickets whose barrier never retired
-  /// settle with journal.crashed; already-durable tickets stay ok.
+  /// Test hook: abandon queued barriers and the fd without syncing — the
+  /// on-disk state is exactly what a crash would leave. Outstanding tickets
+  /// whose barrier never retired settle with journal.crashed;
+  /// already-durable tickets stay ok.
   void simulate_crash();
 
   std::uint64_t next_sequence() const;
@@ -123,7 +122,7 @@ class Writer {
 
   // All _locked members require mu_ held.
   Status open_segment_locked(std::uint64_t first_sequence) NONREP_REQUIRES(mu_);
-  Status seal_locked() NONREP_REQUIRES(mu_);  // checkpoint + drain + close fd
+  Status close_segment_locked() NONREP_REQUIRES(mu_);  // drain + close fd
   Status maybe_rotate_locked() NONREP_REQUIRES(mu_);
 
   Options opt_;
@@ -132,10 +131,7 @@ class Writer {
 
   mutable util::Mutex mu_{util::LockRank::kJournalWriter, "journal.writer"};
   int fd_ NONREP_GUARDED_BY(mu_) = -1;
-  std::string active_path_ NONREP_GUARDED_BY(mu_);
-  std::uint64_t active_first_seq_ NONREP_GUARDED_BY(mu_) = 0;
   std::uint64_t active_bytes_ NONREP_GUARDED_BY(mu_) = 0;  // bytes in the fd (header + frames)
-  std::vector<crypto::Digest> leaves_ NONREP_GUARDED_BY(mu_);  // Merkle leaves of the active segment
 
   std::uint64_t next_seq_ NONREP_GUARDED_BY(mu_) = 0;
   std::uint64_t written_lsn_ NONREP_GUARDED_BY(mu_) = 0;  // records written to the fd

@@ -36,6 +36,9 @@ Result<LogRecord> decode_log_record(BytesView b) {
   if (!canonical) return canonical.error();
   auto chain = outer.bytes();
   if (!chain) return chain.error();
+  if (!outer.at_end()) {
+    return Error::make("log.trailing_bytes", "bytes follow the chain digest");
+  }
 
   BinaryReader r(canonical.value());
   LogRecord rec;
@@ -54,6 +57,9 @@ Result<LogRecord> decode_log_record(BytesView b) {
   auto payload = r.bytes();
   if (!payload) return payload.error();
   rec.payload = payload.value();
+  if (!r.at_end()) {
+    return Error::make("log.trailing_bytes", "bytes follow the payload");
+  }
   if (!crypto::digest_from_bytes(chain.value(), rec.chain)) {
     return Error::make("log.bad_chain_digest", "wrong length");
   }

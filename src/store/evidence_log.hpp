@@ -166,7 +166,10 @@ crypto::Digest chain_digest(const crypto::Digest& prev, const LogRecord& record)
 
 /// Canonical wire form of a whole record, chain digest included — the one
 /// frame layout the journal backend persists (exposed for it and the audit
-/// tool).
+/// tool). The decoder accepts only canonical bytes: anything that would not
+/// re-encode to the same bytes (trailing bytes inside or after the record)
+/// is an error, so a frame either decodes to exactly what was written or
+/// counts as damage.
 Bytes encode_log_record(const LogRecord& record);
 Result<LogRecord> decode_log_record(BytesView b);
 

@@ -1,6 +1,7 @@
 #include "store/journal_backend.hpp"
 
 #include <filesystem>
+#include <utility>
 
 namespace nonrep::store {
 
@@ -19,10 +20,23 @@ Result<std::unique_ptr<JournalLogBackend>> JournalLogBackend::open(
   }
   auto recovered = journal::Reader::recover(options.dir, journal::RecoverMode::kRepair);
   if (!recovered) return recovered.error();
-  auto writer = journal::Writer::resume(options, recovered.value());
+  journal::RecoveryReport& report = recovered.value();
+  std::vector<LogRecord> records;
+  records.reserve(report.records.size());
+  for (const auto& rec : report.records) {
+    auto decoded = decode_log_record(rec.payload);
+    if (!decoded) {
+      return Error::make("journal.undecodable_record",
+                         "record " + std::to_string(rec.sequence) + ": " +
+                             decoded.error().code + "; audit before writing");
+    }
+    records.push_back(std::move(decoded).take());
+  }
+  report.records = {};  // decoded above; keep no raw copy
+  auto writer = journal::Writer::resume(options, report);
   if (!writer) return writer.error();
   return std::unique_ptr<JournalLogBackend>(new JournalLogBackend(
-      std::move(writer).take(), std::move(recovered).take()));
+      std::move(writer).take(), std::move(report), std::move(records)));
 }
 
 Status JournalLogBackend::append(const LogRecord& record) {
@@ -49,17 +63,7 @@ Result<AppendReceipt> JournalLogBackend::append_async(const LogRecord& record) {
 
 Status JournalLogBackend::health() const { return writer_->health(); }
 
-std::vector<LogRecord> JournalLogBackend::load() {
-  std::vector<LogRecord> out;
-  out.reserve(recovery_.records.size());
-  for (const auto& rec : recovery_.records) {
-    auto decoded = decode_log_record(rec.payload);
-    if (decoded) out.push_back(std::move(decoded).take());
-    // An undecodable payload survives in the journal (its CRC was fine) but
-    // cannot enter the evidence log; verify_chain reports the gap.
-  }
-  return out;
-}
+std::vector<LogRecord> JournalLogBackend::load() { return std::exchange(records_, {}); }
 
 Status JournalLogBackend::sync() { return writer_->sync(); }
 

@@ -3,15 +3,17 @@
 // One write-ahead journal per party, one frame layout: every record is
 // persisted as its self-contained encoding (encode_log_record — canonical
 // bytes, payload included, plus chain digest) inside the segmented journal,
-// gaining CRC-checked framing, group commit, segment rotation with Merkle
-// checkpoints, and crash recovery that truncates torn tails and resumes
-// sequence numbering. Every staged record has its barrier requested at once;
-// the party waits for it at the send (EvidenceLog::barrier). Because a frame carries its own payload, the barrier
-// that makes a record durable covers its evidence too: there is no second
-// log to order against and no reference that can dangle after a crash.
+// gaining CRC-checked framing, group commit, segment rotation, and crash
+// recovery that truncates torn tails and resumes sequence numbering. Every
+// staged record has its barrier requested at once; the party waits for it at
+// the send (EvidenceLog::barrier). Because a frame carries its own payload,
+// the barrier that makes a record durable covers its evidence too: there is
+// no second log to order against and no reference that can dangle after a
+// crash.
 //
 // In memory a record's payload lives only in the party's EvidenceLog:
-// neither this backend nor an object store keeps a copy.
+// neither this backend nor an object store keeps a copy. open() decodes the
+// recovered frames once and load() hands them to the log.
 #pragma once
 
 #include "journal/reader.hpp"
@@ -25,8 +27,12 @@ class JournalLogBackend final : public LogBackend {
   /// Opens the journal at options.dir, running crash recovery (repair mode:
   /// torn tails are truncated) before the writer resumes. A directory laid
   /// out by an older build with a separate `objects/` payload journal is
-  /// refused ("journal.unsupported_format"). The store argument is ignored;
-  /// it stays only until the benchmark's call sites drop it.
+  /// refused ("journal.unsupported_format"). So is a journal holding a
+  /// CRC-valid frame that does not decode as a log record
+  /// ("journal.undecodable_record"): like damage beyond a torn tail
+  /// ("journal.unrecoverable"), it is left for an audit, not written to.
+  /// The store argument is ignored; it stays only until the benchmark's
+  /// call sites drop it.
   static Result<std::unique_ptr<JournalLogBackend>> open(
       journal::Options options, std::shared_ptr<ObjectStore> store = nullptr);
 
@@ -35,6 +41,8 @@ class JournalLogBackend final : public LogBackend {
   /// The record frame is written and its barrier requested; the receipt's
   /// future settles when that barrier retires.
   Result<AppendReceipt> append_async(const LogRecord& record) override;
+  /// The records recovered at open, handed over once (later calls return
+  /// none), as MemoryLogBackend does.
   std::vector<LogRecord> load() override;
   /// Sticky journal failures, including barriers retired after append_async
   /// returned.
@@ -47,15 +55,20 @@ class JournalLogBackend final : public LogBackend {
   /// Always nullptr: there is no second journal. Stays only until the
   /// benchmark drops its call.
   journal::Writer* object_writer() noexcept { return nullptr; }
+  /// What recovery found at open: segments, repairs, next sequence. Its
+  /// `records` is empty — the decoded records went to load().
   const journal::RecoveryReport& recovery() const noexcept { return recovery_; }
 
  private:
   JournalLogBackend(std::unique_ptr<journal::Writer> writer,
-                    journal::RecoveryReport recovery)
-      : writer_(std::move(writer)), recovery_(std::move(recovery)) {}
+                    journal::RecoveryReport recovery, std::vector<LogRecord> records)
+      : writer_(std::move(writer)),
+        recovery_(std::move(recovery)),
+        records_(std::move(records)) {}
 
   std::unique_ptr<journal::Writer> writer_;
   journal::RecoveryReport recovery_;
+  std::vector<LogRecord> records_;  // until load()
 };
 
 }  // namespace nonrep::store

@@ -91,7 +91,7 @@ Status StateStore::snapshot_to(const std::string& dir) const {
       if (!staged) return staged.error();
     }
   }
-  return writer.value()->close();  // seals and waits for every barrier
+  return writer.value()->close();  // waits for every barrier
 }
 
 Result<std::size_t> StateStore::restore_from(const std::string& dir) {

@@ -55,13 +55,15 @@ class StateStore {
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Persist every blob into a fresh journal at `dir` (one data record per
-  /// blob, sealed with the segment checkpoint on success). Fails if the
-  /// directory already holds segments. All shards are locked for the
+  /// blob, all durable once this returns ok). Fails if the directory
+  /// already holds segments. All shards are locked for the
   /// duration, so the snapshot is a single consistent cut.
   Status snapshot_to(const std::string& dir) const NONREP_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Merge all blobs from a snapshot journal into this store; returns how
-  /// many were new. The snapshot must scan clean (CRCs, checkpoints).
+  /// many were new. The snapshot must scan clean (CRCs, no sequence gap);
+  /// each blob is then checked by its content address — it is stored under
+  /// the digest of its own bytes, so an altered blob cannot pose as another.
   Result<std::size_t> restore_from(const std::string& dir);
 
  private:

@@ -1,11 +1,11 @@
-// CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the frame checksum of the
-// durable evidence journal and the object store's segment framing.
+// CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the frame and segment-header
+// checksum of the durable evidence journal.
 //
 // A CRC is deliberately *not* a cryptographic check: it detects torn writes
 // and media corruption cheaply at scan time, while end-to-end integrity of
-// journal contents is carried by the evidence hash chain and the per-segment
-// Merkle checkpoints (both SHA-256). Keeping the two concerns separate lets
-// crash recovery run a fast tail scan without touching the crypto layer.
+// journal contents is carried by the evidence hash chain (SHA-256) inside
+// every record. Keeping the two concerns separate lets crash recovery run a
+// fast scan without touching the crypto layer.
 //
 // Two implementations sit behind one entry point: an SSE4.2 hardware path
 // (`_mm_crc32_u64`, 8 input bytes per instruction) picked by runtime CPUID

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 
 #include "common.hpp"
@@ -15,6 +16,7 @@
 #include "journal/segment.hpp"
 #include "journal/writer.hpp"
 #include "store/journal_backend.hpp"
+#include "util/serialize.hpp"
 
 namespace nonrep::core {
 namespace {
@@ -22,6 +24,12 @@ namespace {
 using container::Invocation;
 
 const ObjectId kObj{"obj:fi"};
+
+/// The structural audit: a scan-only recovery that finds no defect.
+bool scans_clean(const std::string& dir) {
+  auto report = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
+  return report.ok() && report->clean;
+}
 
 struct FailureFixture : ::testing::Test {
   struct Node {
@@ -189,7 +197,7 @@ struct JournalCorruptionFixture : ::testing::Test {
       Bytes p(static_cast<std::size_t>(5 + (i * 7) % 40), static_cast<std::uint8_t>(i));
       ASSERT_TRUE(w.value()->append(p).ok());
     }
-    ASSERT_TRUE(w.value()->close().ok());  // single sealed segment
+    ASSERT_TRUE(w.value()->close().ok());  // single segment
 
     auto segs = journal::Segment::list(dir);
     ASSERT_TRUE(segs.ok());
@@ -246,10 +254,10 @@ TEST_F(JournalCorruptionFixture, BitFlipAtEveryOffsetKeepsPrefixOnly) {
       EXPECT_EQ(report->records[i].sequence, i) << "offset " << offset;
     }
     EXPECT_FALSE(report->clean) << "offset " << offset;
-    EXPECT_FALSE(journal::Reader::audit(dir).ok) << "offset " << offset;
+    EXPECT_FALSE(scans_clean(dir)) << "offset " << offset;
   }
   restore_file(pristine);
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
+  EXPECT_TRUE(scans_clean(dir));
 }
 
 TEST_F(JournalCorruptionFixture, TruncationAtEveryOffsetKeepsPrefixOnly) {
@@ -266,7 +274,182 @@ TEST_F(JournalCorruptionFixture, TruncationAtEveryOffsetKeepsPrefixOnly) {
     }
   }
   restore_file(pristine);
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
+  EXPECT_TRUE(scans_clean(dir));
+}
+
+// ---- tamper mutants over a multi-segment evidence journal ----
+//
+// Each mutant rewrites the journal the way an attacker with write access
+// could: frames are re-encoded, so every CRC is valid. The audit verdict is
+// nonrep_audit's: a scan-only recovery that finds no structural defect,
+// every record decodes, and the evidence chain verifies. Framing (CRC and
+// sequence continuity) judges each frame's place; the chain, and the
+// canonical-only record decoder under it, judge its content.
+
+/// One segment file as the mutants see it: its first sequence and frames.
+struct SegmentImage {
+  std::uint64_t first_sequence = 0;
+  std::vector<journal::Record> frames;
+};
+
+/// "" when the journal audits as genuine, else the code of the first check
+/// that rejects it: structural scan, then record decoding, then the chain.
+std::string audit_verdict(const std::string& dir) {
+  auto report = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
+  if (!report.ok()) return report.error().code;
+  for (const auto& seg : report->segments) {
+    if (seg.defect.has_value()) return seg.defect->code;
+  }
+  std::vector<store::LogRecord> records;
+  for (const auto& frame : report->records) {
+    auto decoded = store::decode_log_record(frame.payload);
+    if (!decoded.ok()) return decoded.error().code;
+    records.push_back(std::move(decoded).take());
+  }
+  store::EvidenceLog log(std::make_unique<store::MemoryLogBackend>(std::move(records)),
+                         std::make_shared<SimClock>(0));
+  auto chain = log.verify_chain();
+  return chain.ok() ? "" : chain.error().code;
+}
+
+/// A record frame's payload with one junk byte spliced in: inside the
+/// canonical record (after its payload field) or after the chain digest.
+Bytes with_junk_byte(const Bytes& encoded, bool inside) {
+  BinaryReader r(encoded);
+  Bytes canonical = r.bytes().value();
+  const Bytes chain = r.bytes().value();
+  if (inside) canonical.push_back(0x00);
+  BinaryWriter w;
+  w.bytes(canonical);
+  w.bytes(chain);
+  Bytes out = std::move(w).take();
+  if (!inside) out.push_back(0x00);
+  return out;
+}
+
+struct JournalMutantFixture : ::testing::Test {
+  std::string dir;
+  std::vector<SegmentImage> pristine;
+
+  void SetUp() override {
+    namespace fs = std::filesystem;
+    dir = (fs::temp_directory_path() / "nonrep_fi_mutants").string();
+    fs::remove_all(dir);
+    auto opened = store::JournalLogBackend::open({.dir = dir, .segment_max_bytes = 1024});
+    ASSERT_TRUE(opened.ok()) << opened.error().detail;
+    auto* jb = opened.value().get();
+    {
+      store::EvidenceLog log(std::move(opened).take(), std::make_shared<SimClock>(1000));
+      for (int i = 0; i < 30; ++i) {
+        log.append(RunId("run-" + std::to_string(i / 4)),
+                   i % 2 ? "token.NRR-response" : "token.NRO-request",
+                   to_bytes("evidence payload " + std::to_string(i)));
+      }
+      ASSERT_TRUE(log.backend_status().ok());
+      // Every record is durable; the process then dies, leaving the tail
+      // segment open-ended exactly as a crash does.
+      jb->writer().simulate_crash();
+    }
+    auto segs = journal::Segment::list(dir);
+    ASSERT_TRUE(segs.ok());
+    for (const auto& path : segs.value()) {
+      auto scan = journal::Segment::scan(path);
+      ASSERT_TRUE(scan.ok() && scan->clean()) << path;
+      pristine.push_back({scan->first_sequence, std::move(scan->records)});
+    }
+    ASSERT_GE(pristine.size(), 3u) << "need closed segments around a middle one";
+    ASSERT_GE(pristine[1].frames.size(), 4u);
+    ASSERT_GE(pristine.back().frames.size(), 2u);
+    ASSERT_EQ(audit_verdict(dir), "");
+  }
+
+  /// Replace the journal on disk with `segments`, every frame re-encoded
+  /// (so with a valid CRC).
+  void write_journal(const std::vector<SegmentImage>& segments) const {
+    namespace fs = std::filesystem;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    for (const auto& seg : segments) {
+      Bytes file = journal::encode_segment_header(seg.first_sequence);
+      for (const auto& frame : seg.frames) {
+        append(file, journal::encode_frame(journal::RecordType::kData, frame.sequence,
+                                           frame.payload));
+      }
+      std::ofstream out(fs::path(dir) / journal::segment_filename(seg.first_sequence),
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(file.data()),
+                static_cast<std::streamsize>(file.size()));
+    }
+  }
+};
+
+TEST_F(JournalMutantFixture, EveryTamperIsRejectedExceptACrashCut) {
+  using Segments = std::vector<SegmentImage>;
+  struct Mutant {
+    const char* name;
+    std::function<void(Segments&)> mutate;
+    const char* caught_by;
+  };
+  const auto flip_payload = [](journal::Record& frame) {
+    auto rec = store::decode_log_record(frame.payload).value();
+    rec.payload[0] ^= 0x01;
+    frame.payload = store::encode_log_record(rec);  // keeps the old chain digest
+  };
+  const std::vector<Mutant> mutants = {
+      {"drop a whole frame",
+       [](Segments& s) { s[1].frames.erase(s[1].frames.begin() + 2); },
+       "journal.sequence_gap"},
+      {"swap two frames",
+       [](Segments& s) { std::swap(s[1].frames[1], s[1].frames[2]); },
+       "journal.sequence_gap"},
+      {"cut a non-final segment at a frame boundary",
+       [](Segments& s) { s[1].frames.pop_back(); },
+       "journal.sequence_gap"},
+      {"delete a middle segment",
+       [](Segments& s) { s.erase(s.begin() + 1); },
+       "journal.sequence_gap"},
+      {"flip a body byte, CRC recomputed",
+       [&](Segments& s) { flip_payload(s[1].frames[2]); },
+       "log.chain_mismatch"},
+      {"junk byte inside a record in a closed segment",
+       [](Segments& s) { s[1].frames[2].payload = with_junk_byte(s[1].frames[2].payload, true); },
+       "log.trailing_bytes"},
+      {"junk byte after a record in a closed segment",
+       [](Segments& s) { s[1].frames[2].payload = with_junk_byte(s[1].frames[2].payload, false); },
+       "log.trailing_bytes"},
+      {"junk byte inside a record in the open tail segment",
+       [](Segments& s) {
+         auto& last = s.back().frames.back();
+         last.payload = with_junk_byte(last.payload, true);
+       },
+       "log.trailing_bytes"},
+      {"junk byte after a record in the open tail segment",
+       [](Segments& s) {
+         auto& last = s.back().frames.back();
+         last.payload = with_junk_byte(last.payload, false);
+       },
+       "log.trailing_bytes"},
+  };
+  for (const auto& mutant : mutants) {
+    SCOPED_TRACE(mutant.name);
+    Segments segments = pristine;
+    mutant.mutate(segments);
+    write_journal(segments);
+    EXPECT_EQ(audit_verdict(dir), mutant.caught_by);
+  }
+
+  // Cutting the final segment at a frame boundary is ACCEPTED: a crash
+  // before that frame's write leaves exactly these bytes, so nothing in the
+  // journal can tell this mutant from an honest crash. What survives is a
+  // gap-free prefix of genuine evidence; the lost record can only be proved
+  // by evidence held outside this journal (the peer's copy).
+  Segments cut = pristine;
+  cut.back().frames.pop_back();
+  write_journal(cut);
+  EXPECT_EQ(audit_verdict(dir), "");
+
+  write_journal(pristine);
+  EXPECT_EQ(audit_verdict(dir), "");
 }
 
 TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
@@ -333,8 +516,8 @@ TEST_F(FailureFixture, EndToEndRunSurvivesTornWriteAndAudits) {
   EXPECT_TRUE(recovered.backend_status().ok());
   EXPECT_TRUE(recovered.verify_chain().ok());
 
-  // And the journal directory audits clean (CRCs, sequences, checkpoints).
-  EXPECT_TRUE(journal::Reader::audit(jdir).ok);
+  // And the journal directory audits clean (CRCs, sequences).
+  EXPECT_TRUE(scans_clean(jdir));
 }
 
 // ---- fail closed on a failed barrier ----
@@ -688,7 +871,7 @@ TEST_P(CrashAtSendFixture, HonestPeerEndsFairAndJournalReopensClean) {
     EXPECT_EQ(recovered->records()[i].sequence, i);
     EXPECT_EQ(recovered->records()[i].chain, staged[i].chain) << i;
   }
-  EXPECT_TRUE(journal::Reader::audit(crashed_dir).ok);
+  EXPECT_TRUE(scans_clean(crashed_dir));
 
   switch (point) {
     case SendPoint::kClientStep1: {
@@ -774,7 +957,7 @@ struct TornAsyncFixture : ::testing::Test {
 
   // Build a journal with `records` distinct payloads staged without
   // waiting, make everything durable, then crash the writer — the on-disk
-  // state of a process that died with its tail segment unsealed.
+  // state of a process that died between two appends.
   void build(int records, std::uint64_t segment_max_bytes = 4ull << 20) {
     reset();
     auto opened = store::JournalLogBackend::open(options(segment_max_bytes));
@@ -790,7 +973,7 @@ struct TornAsyncFixture : ::testing::Test {
   }
 };
 
-TEST_F(TornAsyncFixture, KilledEveryRecordWriterKeepsEverySettledRecord) {
+TEST_F(TornAsyncFixture, KilledWriterKeepsEverySettledRecord) {
   // Vary where the kill lands: after `settled_first` records were appended
   // and settled, a burst of 48 more is staged with append_async (several
   // per-record barriers in flight, none awaited) and the writer dies.
@@ -859,11 +1042,11 @@ TEST_F(TornAsyncFixture, CrashMidRotationLeavesRecoverableJournal) {
   EXPECT_TRUE(recovered.backend_status().ok());
 }
 
-TEST_F(TornAsyncFixture, VanishedUnsealedTailAfterRotationKeepsSealedPrefix) {
+TEST_F(TornAsyncFixture, VanishedTailAfterRotationKeepsPrefix) {
   namespace fs = std::filesystem;
   // Power loss before the rotation's directory fsync can make the freshly
-  // renamed tail segment vanish entirely: the sealed prefix must load and
-  // the writer must resume after its last record.
+  // created tail segment vanish entirely: the segments before it must load
+  // and the writer must resume after their last record.
   build(40, /*segment_max_bytes=*/2048);
   auto segs = journal::Segment::list(dir);
   ASSERT_TRUE(segs.ok());

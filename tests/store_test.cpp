@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "journal/reader.hpp"
+#include "journal/writer.hpp"
 #include "store/evidence_log.hpp"
 #include "store/journal_backend.hpp"
 #include "store/state_store.hpp"
@@ -207,8 +208,10 @@ TEST(StateStore, SnapshotRestoreRoundTrip) {
   for (int i = 0; i < 40; ++i) original.put(to_bytes("state-" + std::to_string(i)));
   ASSERT_TRUE(original.snapshot_to(dir).ok());
 
-  // The snapshot itself is a sealed, auditable journal.
-  EXPECT_TRUE(journal::Reader::audit(dir).ok);
+  // The snapshot itself is a journal that audits clean.
+  auto audit = journal::Reader::recover(dir, journal::RecoverMode::kScanOnly);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->clean);
 
   StateStore restored;
   restored.put(to_bytes("state-7"));  // overlap: must not be double-counted
@@ -256,6 +259,36 @@ TEST(StateStore, RestoreRejectsCorruptSnapshot) {
   auto result = restored.restore_from(dir);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, "store.snapshot_corrupt");
+}
+
+// ---- record codec ----
+
+TEST(LogRecordCodec, RejectsTrailingBytes) {
+  EvidenceLog log(std::make_unique<MemoryLogBackend>(), make_clock());
+  const LogRecord rec = log.append(RunId("r1"), "token.NRO-request", to_bytes("evidence"));
+  const Bytes encoded = encode_log_record(rec);
+  auto round_trip = decode_log_record(encoded);
+  ASSERT_TRUE(round_trip.ok());
+  EXPECT_EQ(encode_log_record(round_trip.value()), encoded);
+
+  // One junk byte after the chain digest.
+  Bytes outer = encoded;
+  outer.push_back(0x00);
+  auto outer_decoded = decode_log_record(outer);
+  ASSERT_FALSE(outer_decoded.ok());
+  EXPECT_EQ(outer_decoded.error().code, "log.trailing_bytes");
+
+  // One junk byte after the payload, inside the canonical blob. The chain
+  // digest covers only what canonical() re-encodes, so a lenient decoder
+  // would hand back a record that still verifies.
+  Bytes canonical = rec.canonical();
+  canonical.push_back(0x00);
+  BinaryWriter inner;
+  inner.bytes(canonical);
+  inner.bytes(crypto::digest_bytes(rec.chain));
+  auto inner_decoded = decode_log_record(std::move(inner).take());
+  ASSERT_FALSE(inner_decoded.ok());
+  EXPECT_EQ(inner_decoded.error().code, "log.trailing_bytes");
 }
 
 // ---- journal-backed evidence log ----
@@ -307,7 +340,32 @@ TEST(JournalBackend, SequenceDivergenceSurfaces) {
   backend.value()->writer().simulate_crash();
   auto reopened = JournalLogBackend::open({.dir = dir});
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value()->recovery().records.size(), 1u);
+  EvidenceLog reloaded(std::move(reopened).take(), make_clock());
+  EXPECT_EQ(reloaded.size(), 1u);
+}
+
+TEST(JournalBackend, UndecodableRecordRefusesOpen) {
+  const std::string dir = temp_dir("backend_undecodable");
+  {
+    auto backend = JournalLogBackend::open({.dir = dir});
+    ASSERT_TRUE(backend.ok());
+    EvidenceLog log(std::move(backend).take(), make_clock());
+    log.append(RunId("r1"), "token.NRO-request", to_bytes("genuine"));
+    log.append(RunId("r1"), "token.NRR-response", to_bytes("genuine too"));
+  }
+  {
+    // A CRC-valid frame whose payload is not a log record: framing alone
+    // cannot tell it from evidence.
+    auto w = journal::Writer::open({.dir = dir});
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w.value()->append(to_bytes("not a log record")).ok());
+    ASSERT_TRUE(w.value()->close().ok());
+  }
+  // Loading the two good records and dropping the third would leave the
+  // log one record behind the journal; the open is refused instead.
+  auto reopened = JournalLogBackend::open({.dir = dir});
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.error().code, "journal.undecodable_record");
 }
 
 TEST(StateStore, ManyDistinctStates) {
