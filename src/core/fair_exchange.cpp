@@ -1,7 +1,6 @@
 #include "core/fair_exchange.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/serialize.hpp"
 
 namespace nonrep::core {
@@ -192,106 +191,64 @@ Result<ProtocolMessage> OptimisticTtp::handle_resolve(const ProtocolMessage& msg
 
 container::InvocationResult OptimisticInvocationClient::invoke(const net::Address& server,
                                                                container::Invocation& inv) {
+  last_outcome_ = LastOutcome::kFailed;
+  auto result = run_exchange(*coordinator_, {server, std::nullopt}, inv,
+                             config_.request_timeout, last_,
+                             [this](const EvidenceToken& nro_req, BytesView req) {
+                               return ask_ttp(nro_req, req);
+                             });
+  if (last_.completed) last_outcome_ = LastOutcome::kNormal;
+  return result;
+}
+
+container::InvocationResult OptimisticInvocationClient::ask_ttp(const EvidenceToken& nro_req,
+                                                                BytesView req) {
   using container::InvocationResult;
   using container::Outcome;
 
-  EvidenceService& ev = coordinator_->evidence();
-  const RunId run = ev.new_run();
-  last_run_ = run;
-  last_outcome_ = LastOutcome::kFailed;
-  inv.context[container::kRunIdContextKey] = run.str();
-
-  // Root span of the exchange: evidence appended below (here, and in
-  // classic mode by the handlers this thread's deliver_request pumps
-  // inline) is annotated with this span id, tying the run's records to the
-  // trace.
-  obs::Span span("fx.invoke", run.str(), ev.self().str());
-
-  const Bytes req = request_subject(inv);
-  auto nro_req = ev.issue(EvidenceType::kNroRequest, run, req);
-  if (!nro_req) return InvocationResult::failure(Outcome::kFailure, nro_req.error().code);
-  const EvidenceToken nro_req_token = std::move(nro_req).take();
-
-  ProtocolMessage m1;
-  m1.protocol = kDirectInvocationProtocol;
-  m1.run = run;
-  m1.step = 1;
-  m1.sender = ev.self();
-  m1.body = container::encode_invocation(inv);
-  m1.tokens.push_back(nro_req_token);
-
-  auto reply = coordinator_->deliver_request(server, m1, config_.request_timeout);
-  if (reply) {
-    auto result = container::InvocationResult::from_canonical(reply.value().body);
-    if (!result) {
-      return InvocationResult::failure(Outcome::kFailure, result.error().code);
-    }
-    const Bytes resp = response_subject(run, result.value());
-    auto nrr_req = reply.value().token(EvidenceType::kNrrRequest);
-    if (!nrr_req || !ev.accept(nrr_req.value(), req)) {
-      return InvocationResult::failure(Outcome::kFailure, "bad NRR_req evidence");
-    }
-    auto nro_resp = reply.value().token(EvidenceType::kNroResponse);
-    if (!nro_resp || !ev.accept(nro_resp.value(), resp)) {
-      return InvocationResult::failure(Outcome::kFailure, "bad NRO_resp evidence");
-    }
-    if (auto nrr_resp = ev.issue(EvidenceType::kNrrResponse, run, resp)) {
-      ProtocolMessage m3;
-      m3.protocol = kDirectInvocationProtocol;
-      m3.run = run;
-      m3.step = 3;
-      m3.sender = ev.self();
-      m3.tokens.push_back(std::move(nrr_resp).take());
-      // Not durable, not sent: the server resolves the run through the TTP.
-      if (auto sent = coordinator_->deliver(server, m3); !sent) {
-        return InvocationResult::failure(Outcome::kFailure, sent.error().code);
-      }
-    }
-    last_outcome_ = LastOutcome::kNormal;
-    return std::move(result).take();
-  }
-
   // Recovery: ask the TTP to abort. (§3.1: the TTP "may be called upon to
   // resolve or abort a protocol run".)
-  ProtocolMessage abort_msg;
-  abort_msg.protocol = kFairTtpProtocol;
-  abort_msg.run = run;
-  abort_msg.step = kStepAbortRequest;
-  abort_msg.sender = ev.self();
-  abort_msg.body = req;
-  abort_msg.tokens.push_back(nro_req_token);
-
+  EvidenceService& ev = coordinator_->evidence();
+  const RunId& run = last_.run;
+  const ProtocolMessage abort_msg{.protocol = kFairTtpProtocol,
+                                  .run = run,
+                                  .step = kStepAbortRequest,
+                                  .sender = ev.self(),
+                                  .body = Bytes(req.begin(), req.end()),
+                                  .tokens = {nro_req}};
   auto verdict = coordinator_->deliver_request(ttp_, abort_msg, config_.request_timeout);
   if (!verdict) {
-    return InvocationResult::failure(Outcome::kTimeout,
-                                     "server and TTP both unreachable");
+    return InvocationResult::failure(Outcome::kTimeout, "server and TTP both unreachable");
   }
+  const ProtocolMessage& reply = verdict.value();
 
-  if (verdict.value().step == kStepAborted) {
-    if (auto abort_token = verdict.value().token(EvidenceType::kAbort)) {
+  // No send follows the verdict to pass the write-ahead barrier for its
+  // tokens, so the client passes it before it reports the verdict.
+  const auto settle = [&](LastOutcome outcome, InvocationResult result) {
+    if (auto durable = ev.log().barrier(); !durable) {
+      return InvocationResult::failure(Outcome::kFailure, durable.error().code);
+    }
+    last_outcome_ = outcome;
+    return result;
+  };
+  if (reply.step == kStepAborted) {
+    if (auto abort_token = reply.token(EvidenceType::kAbort)) {
       (void)ev.accept(abort_token.value(), abort_subject(run));
     }
-    last_outcome_ = LastOutcome::kAborted;
-    return InvocationResult::failure(Outcome::kAborted, "run aborted via TTP");
+    return settle(LastOutcome::kAborted,
+                  InvocationResult::failure(Outcome::kAborted, "run aborted via TTP"));
   }
-
-  if (verdict.value().step == kStepResolved) {
-    auto result = container::InvocationResult::from_canonical(verdict.value().body);
-    if (!result) {
-      return InvocationResult::failure(Outcome::kFailure, result.error().code);
-    }
-    const Bytes resp = response_subject(run, result.value());
-    if (auto nro_resp = verdict.value().token(EvidenceType::kNroResponse);
-        nro_resp && ev.accept(nro_resp.value(), resp)) {
-      if (auto affidavit = verdict.value().token(EvidenceType::kAffidavit)) {
-        (void)ev.accept(affidavit.value(), resp);
-      }
-      last_outcome_ = LastOutcome::kRecoveredFromTtp;
-      return std::move(result).take();
-    }
-    return InvocationResult::failure(Outcome::kFailure, "bad resolution evidence");
+  if (reply.step != kStepResolved) {
+    return InvocationResult::failure(Outcome::kFailure, "unexpected TTP verdict");
   }
-  return InvocationResult::failure(Outcome::kFailure, "unexpected TTP verdict");
+  // The resolution carries the server's deposit: the same step-2 check.
+  auto checked = check_reply(ev, run, req, reply);
+  if (!checked) return InvocationResult::failure(Outcome::kFailure, checked.error().code);
+  last_.evidence.has_nrr_request = last_.evidence.has_nro_response = true;
+  if (auto affidavit = reply.token(EvidenceType::kAffidavit)) {
+    (void)ev.accept(affidavit.value(), checked.value().response_subject);
+  }
+  return settle(LastOutcome::kRecoveredFromTtp, std::move(checked).take().result);
 }
 
 Status reclaim_receipt(Coordinator& coordinator, DirectInvocationServer& server,
@@ -350,6 +307,8 @@ Status reclaim_receipt(Coordinator& coordinator, DirectInvocationServer& server,
   auto affidavit = verdict.value().token(EvidenceType::kAffidavit);
   if (!affidavit) return affidavit.error();
   if (auto ok = ev.accept(affidavit.value(), resp_subject.value()); !ok) return ok;
+  // The affidavit stands in for the receipt only once it is durable.
+  if (auto durable = ev.log().barrier(); !durable) return durable;
   server.mark_receipt_substitute(run);
   return Status::ok_status();
 }

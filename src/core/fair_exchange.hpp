@@ -4,11 +4,12 @@
 // the parties but may be called upon to resolve or abort a protocol run
 // to deliver fairness and/or liveness guarantees to honest parties."
 //
-// Normal case: the direct three-message exchange. Recovery:
+// Normal case: the direct three-message exchange (run_exchange). Recovery:
 //   * A client whose step-2 reply never arrives asks the TTP to ABORT the
 //     run. If the server had already deposited the response evidence, the
 //     TTP answers with that resolution instead — the client is never left
-//     worse off than completing the run.
+//     worse off than completing the run. A resolution passes check_reply
+//     like a server's reply, and the verdict is durable before it returns.
 //   * A server that never receives NRR_resp deposits its evidence with
 //     the TTP (RESOLVE) and obtains a TTP-signed affidavit substituting
 //     the receipt.
@@ -88,18 +89,22 @@ class OptimisticInvocationClient final : public InvocationHandler {
 
   enum class LastOutcome { kNormal, kAborted, kRecoveredFromTtp, kFailed };
   LastOutcome last_outcome() const noexcept { return last_outcome_; }
-  const RunId& last_run() const noexcept { return last_run_; }
+  const RunId& last_run() const noexcept { return last_.run; }
+  const RunEvidence& last_run_evidence() const noexcept { return last_.evidence; }
 
  private:
+  /// The abort/resolve subprotocol for a step 1 that got no reply.
+  container::InvocationResult ask_ttp(const EvidenceToken& nro_req, BytesView req);
+
   Coordinator* coordinator_;
   net::Address ttp_;
   InvocationConfig config_;
   LastOutcome last_outcome_ = LastOutcome::kNormal;
-  RunId last_run_;
+  ClientRun last_;
 };
 
 /// Server-side recovery: deposit the run's evidence with the TTP and mark
-/// the receipt substituted on success. Call when NRR_resp is overdue.
+/// the receipt substituted once its affidavit is durable. Call when NRR_resp is overdue.
 Status reclaim_receipt(Coordinator& coordinator, DirectInvocationServer& server,
                        const RunId& run, const net::Address& ttp, TimeMs timeout);
 

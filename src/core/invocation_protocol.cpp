@@ -1,5 +1,7 @@
 #include "core/invocation_protocol.hpp"
 
+#include "core/ttp.hpp"
+#include "obs/trace.hpp"
 #include "util/serialize.hpp"
 
 namespace nonrep::core {
@@ -19,16 +21,48 @@ Bytes response_subject(const RunId& run, const container::InvocationResult& resu
   return std::move(w).take();
 }
 
-container::InvocationResult DirectInvocationClient::invoke(const net::Address& server,
-                                                           container::Invocation& inv) {
+Result<CheckedReply> check_reply(EvidenceService& ev, const RunId& run, BytesView request,
+                                 const ProtocolMessage& reply) {
+  auto result = container::InvocationResult::from_canonical(reply.body);
+  if (!result) {
+    return Error::make("malformed response: " + result.error().code, result.error().detail);
+  }
+  CheckedReply checked{std::move(result).take(), {}};
+  checked.response_subject = response_subject(run, checked.result);
+
+  auto nrr_req = reply.token(EvidenceType::kNrrRequest);
+  Status ok = nrr_req ? ev.accept(nrr_req.value(), request) : Status(nrr_req.error());
+  if (!ok) return Error::make("bad NRR_req evidence", ok.error().code);
+  auto nro_resp = reply.token(EvidenceType::kNroResponse);
+  ok = nro_resp ? ev.accept(nro_resp.value(), checked.response_subject) : nro_resp.error();
+  if (!ok) return Error::make("bad NRO_resp evidence", ok.error().code);
+  return checked;
+}
+
+container::InvocationResult run_exchange(Coordinator& coordinator, const ExchangeRoute& route,
+                                         container::Invocation& inv, TimeMs timeout,
+                                         ClientRun& out, const OnUnanswered& on_unanswered) {
   using container::InvocationResult;
   using container::Outcome;
 
-  EvidenceService& ev = coordinator_->evidence();
-  const RunId run = ev.new_run();
-  last_run_ = run;
-  last_evidence_ = RunEvidence{};
+  EvidenceService& ev = coordinator.evidence();
+  out = ClientRun{ev.new_run(), {}, false, false};
+  const RunId& run = out.run;
   inv.context[container::kRunIdContextKey] = run.str();
+
+  // Root span of the exchange: evidence appended while it is open (in
+  // classic mode also by the handlers deliver_request pumps) carries its id.
+  obs::Span span("fx.invoke", run.str(), ev.self().str());
+
+  const auto message = [&](std::uint32_t step, Bytes inner, EvidenceToken token) {
+    return ProtocolMessage{
+        .protocol = route.relay_to ? kInlineTtpProtocol : kDirectInvocationProtocol,
+        .run = run,
+        .step = step,
+        .sender = ev.self(),
+        .body = route.relay_to ? encode_relay_body(*route.relay_to, inner) : std::move(inner),
+        .tokens = {std::move(token)}};
+  };
 
   // Step 1: req + NRO_req.
   const Bytes req = request_subject(inv);
@@ -37,62 +71,45 @@ container::InvocationResult DirectInvocationClient::invoke(const net::Address& s
     return InvocationResult::failure(Outcome::kFailure,
                                      "cannot sign request: " + nro_req.error().code);
   }
-  last_evidence_.has_nro_request = true;
+  out.evidence.has_nro_request = true;
+  const ProtocolMessage m1 =
+      message(1, container::encode_invocation(inv), std::move(nro_req).take());
 
-  ProtocolMessage m1;
-  m1.protocol = kDirectInvocationProtocol;
-  m1.run = run;
-  m1.step = 1;
-  m1.sender = ev.self();
-  m1.body = container::encode_invocation(inv);
-  m1.tokens.push_back(std::move(nro_req).take());
-
-  auto reply = coordinator_->deliver_request(server, m1, config_.request_timeout);
+  auto reply = coordinator.deliver_request(route.next_hop, m1, timeout);
   if (!reply) {
-    // Submission failed / no reply: by the §3.2 client assurance the
-    // request may or may not have been received; the client records the
-    // attempt (NRO_req already logged) and reports timeout.
+    // No reply: by the §3.2 client assurance the request may or may not
+    // have been received. NRO_req is logged; the run times out unless
+    // `on_unanswered` takes it over (the optimistic client's TTP).
+    if (on_unanswered) return on_unanswered(m1.tokens.front(), req);
     return InvocationResult::failure(Outcome::kTimeout, reply.error().code);
   }
 
-  // Step 2: verify resp + NRR_req + NRO_resp.
-  auto result = container::InvocationResult::from_canonical(reply.value().body);
-  if (!result) {
-    return InvocationResult::failure(Outcome::kFailure,
-                                     "malformed response: " + result.error().code);
-  }
-  const Bytes resp = response_subject(run, result.value());
-
-  auto nrr_req = reply.value().token(EvidenceType::kNrrRequest);
-  if (!nrr_req || !ev.accept(nrr_req.value(), req)) {
-    return InvocationResult::failure(Outcome::kFailure, "bad NRR_req evidence");
-  }
-  last_evidence_.has_nrr_request = true;
-
-  auto nro_resp = reply.value().token(EvidenceType::kNroResponse);
-  if (!nro_resp || !ev.accept(nro_resp.value(), resp)) {
-    return InvocationResult::failure(Outcome::kFailure, "bad NRO_resp evidence");
-  }
-  last_evidence_.has_nro_response = true;
-
-  // Step 3: NRR_resp (one-way, reliable). If the receipt cannot be made
-  // durable it is never sent, and the application gets that error rather
-  // than a result it holds no durable evidence for.
-  auto nrr_resp = ev.issue(EvidenceType::kNrrResponse, run, resp);
-  if (nrr_resp) {
-    last_evidence_.has_nrr_response = true;
-    ProtocolMessage m3;
-    m3.protocol = kDirectInvocationProtocol;
-    m3.run = run;
-    m3.step = 3;
-    m3.sender = ev.self();
-    m3.tokens.push_back(std::move(nrr_resp).take());
-    if (auto sent = coordinator_->deliver(server, m3); !sent) {
-      return InvocationResult::failure(Outcome::kFailure, sent.error().code);
-    }
+  // Step 2: verify resp + NRR_req + NRO_resp, then a relay's affidavit.
+  auto checked = check_reply(ev, run, req, reply.value());
+  if (!checked) return InvocationResult::failure(Outcome::kFailure, checked.error().code);
+  out.evidence.has_nrr_request = out.evidence.has_nro_response = true;
+  const Bytes& resp = checked.value().response_subject;
+  if (route.relay_to) {
+    auto affidavit = reply.value().token(EvidenceType::kAffidavit);
+    out.affidavit = affidavit && ev.accept(affidavit.value(), resp);
   }
 
-  return std::move(result).take();
+  // Step 3: NRR_resp (one-way, reliable); a relay also gets the response
+  // subject it checks the receipt against. The send's barrier covers every
+  // token accepted above: if it fails, the application gets that error.
+  if (auto nrr_resp = ev.issue(EvidenceType::kNrrResponse, run, resp)) {
+    out.evidence.has_nrr_response = true;
+    auto sent = coordinator.deliver(
+        route.next_hop, message(3, route.relay_to ? resp : Bytes{}, std::move(nrr_resp).take()));
+    if (!sent) return InvocationResult::failure(Outcome::kFailure, sent.error().code);
+  }
+  out.completed = true;
+  return std::move(checked).take().result;
+}
+
+container::InvocationResult DirectInvocationClient::invoke(const net::Address& server,
+                                                           container::Invocation& inv) {
+  return run_exchange(*coordinator_, {server, std::nullopt}, inv, config_.request_timeout, last_);
 }
 
 DirectInvocationServer::DirectInvocationServer(Coordinator& coordinator, Executor executor,

@@ -12,10 +12,17 @@
 // interceptor-generated evidence "that the request failed or that the
 // server did not respond within some agreed timeout" (§3.2) — encoded via
 // the Outcome field of the canonical InvocationResult.
+//
+// Every client runs the exchange through one routine, run_exchange, with
+// one step-2 check, check_reply. The direct client sends to the server;
+// the inline TTP client (ttp.hpp) sends through a relay and also accepts
+// its affidavit; the optimistic client (fair_exchange.hpp) adds the TTP
+// abort/resolve subprotocol for a step 1 that gets no reply.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "util/lock_discipline.hpp"
@@ -59,6 +66,31 @@ struct RunEvidence {
   }
 };
 
+/// Where steps 1 and 3 go. For an inline TTP (Fig. 3(a)) `next_hop` is the
+/// relay and both bodies are wrapped (encode_relay_body) for `relay_to`.
+struct ExchangeRoute {
+  net::Address next_hop;
+  std::optional<net::Address> relay_to;
+};
+
+/// The client side of the most recent run.
+struct ClientRun {
+  RunId run;
+  RunEvidence evidence;
+  bool affidavit = false;  // a relay's affidavit was accepted
+  bool completed = false;  // got past step 3 without a TTP
+};
+
+/// The client half of §3.2 along `route`: opens the `fx.invoke` span,
+/// sends step 1 with NRO_req, runs check_reply, accepts a relay's affidavit
+/// (a missing or bad one does not fail the run) and sends step 3 with
+/// NRR_resp; `out` records the run. A step 1 without a reply fails with
+/// kTimeout, or goes to `on_unanswered` with its NRO_req and request subject.
+using OnUnanswered = std::function<container::InvocationResult(const EvidenceToken&, BytesView)>;
+container::InvocationResult run_exchange(Coordinator& coordinator, const ExchangeRoute& route,
+                                         container::Invocation& inv, TimeMs timeout,
+                                         ClientRun& out, const OnUnanswered& on_unanswered = {});
+
 class DirectInvocationClient final : public InvocationHandler {
  public:
   DirectInvocationClient(Coordinator& coordinator, InvocationConfig config = {})
@@ -68,14 +100,13 @@ class DirectInvocationClient final : public InvocationHandler {
                                      container::Invocation& inv) override;
 
   /// Evidence held for the most recent run (client perspective).
-  const RunEvidence& last_run_evidence() const noexcept { return last_evidence_; }
-  const RunId& last_run() const noexcept { return last_run_; }
+  const RunEvidence& last_run_evidence() const noexcept { return last_.evidence; }
+  const RunId& last_run() const noexcept { return last_.run; }
 
  private:
   Coordinator* coordinator_;
   InvocationConfig config_;
-  RunEvidence last_evidence_{};
-  RunId last_run_;
+  ClientRun last_;
 };
 
 /// Server-side protocol handler: verifies NRO_req, executes the request
@@ -131,5 +162,18 @@ class DirectInvocationServer final : public ProtocolHandler {
 /// Canonical subject bytes the evidence tokens sign.
 Bytes request_subject(const container::Invocation& inv);
 Bytes response_subject(const RunId& run, const container::InvocationResult& result);
+
+/// A step-2 reply that passed check_reply.
+struct CheckedReply {
+  container::InvocationResult result;
+  Bytes response_subject;
+};
+
+/// The step-2 check of every client and the inline TTP relay: decode the
+/// result, accept NRR_req over `request` and NRO_resp over the response
+/// subject. Errors: "malformed response: <code>", "bad NRR_req evidence",
+/// "bad NRO_resp evidence" (the cause in `detail`).
+Result<CheckedReply> check_reply(EvidenceService& ev, const RunId& run, BytesView request,
+                                 const ProtocolMessage& reply);
 
 }  // namespace nonrep::core

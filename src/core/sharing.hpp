@@ -169,7 +169,7 @@ class B2BObjectController final : public ProtocolHandler {
     RunId run;
     TimeMs expires;
   };
-  std::map<ObjectId, Lock> locks_;
+  std::map<ObjectId, Lock> locks_ NONREP_GUARDED_BY(mu_);
 
   std::atomic<std::uint64_t> rounds_started_{0};
   std::atomic<std::uint64_t> rounds_committed_{0};

@@ -12,6 +12,10 @@
 // -> TTP_B -> server) realises the distributed inline construction: each
 // relay consults its router for the next hop.
 //
+// The client is run_exchange (invocation_protocol.hpp) routed through the
+// relay, also accepting its affidavit; the relay checks the server's reply
+// with the same check_reply.
+//
 // The relay never blocks its strand on the next hop: it forwards with
 // Coordinator::deliver_request_async and answers the client from the
 // continuation, so any number of relayed exchanges can be in flight on a
@@ -67,16 +71,15 @@ class InlineTtpInvocationClient final : public InvocationHandler {
   container::InvocationResult invoke(const net::Address& server,
                                      container::Invocation& inv) override;
 
-  const RunEvidence& last_run_evidence() const noexcept { return last_evidence_; }
+  const RunEvidence& last_run_evidence() const noexcept { return last_.evidence; }
   /// The TTP affidavit countersigning the last exchange, if received.
-  bool last_run_has_affidavit() const noexcept { return last_affidavit_; }
+  bool last_run_has_affidavit() const noexcept { return last_.affidavit; }
 
  private:
   Coordinator* coordinator_;
   net::Address ttp_;
   InvocationConfig config_;
-  RunEvidence last_evidence_{};
-  bool last_affidavit_ = false;
+  ClientRun last_;
 };
 
 /// Inline-TTP wire body: the final server address plus the inner payload.

@@ -10,6 +10,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
+// Defects a crash can leave at the end of the final segment: a frame cut
+// short, or one whose bytes never all reached the disk. A CRC-valid frame
+// in the wrong place (journal.sequence_gap, journal.bad_type) is no crash's
+// doing, so repair never truncates it away.
+bool crash_shaped(const Error& defect) {
+  return defect.code == "journal.torn_frame" || defect.code == "journal.bad_crc" ||
+         defect.code == "journal.bad_length";
+}
+
 Status truncate_file(const std::string& path, std::uint64_t to_bytes) {
   if (::truncate(path.c_str(), static_cast<off_t>(to_bytes)) != 0) {
     return Error::make("journal.io", "truncate failed on " + path);
@@ -75,12 +84,13 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       // A torn tail on the last segment is the expected crash signature;
       // repair truncates it so the journal is appendable again. A file cut
       // short inside its own header holds nothing and is removed. Anything
-      // else (mid-journal damage, a cross-segment gap, a corrupted header
-      // over real data) is preserved for inspection and leaves the journal
-      // read-only.
+      // else (mid-journal damage, a misplaced CRC-valid frame, a
+      // cross-segment gap, a corrupted header over real data) is preserved
+      // for inspection and leaves the journal read-only.
       bool repaired = false;
       if (mode == RecoverMode::kRepair && last) {
-        if (st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes > st.valid_bytes) {
+        if (st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes > st.valid_bytes &&
+            crash_shaped(*st.defect)) {
           auto truncated = truncate_file(path, st.valid_bytes);
           if (!truncated.ok()) return truncated.error();
           report.truncated_bytes += st.file_bytes - st.valid_bytes;

@@ -4,9 +4,11 @@
 // Recovery semantics (§3.5 persistence + dispute-resolution requirements):
 // segments are scanned in sequence order; every record up to the first
 // defect is kept, everything after it is rejected. In repair mode a defect
-// at the tail of the *last* segment is treated as a torn write from a crash
-// and truncated so a Writer can resume; a defect anywhere else is damage
-// that repair never papers over — the journal stays read-only until an
+// a crash can leave (journal.torn_frame, journal.bad_crc,
+// journal.bad_length) at the tail of the *last* segment is treated as a
+// torn write and truncated so a Writer can resume. Any other defect — a
+// CRC-valid frame out of sequence or of an unknown type, or damage anywhere
+// else — is never papered over: the journal stays read-only until an
 // operator (or the audit tool) has looked at it. A scan-only recovery that
 // comes back `clean` is the structural audit: every header and frame CRC
 // holds and sequence numbers run without a gap across all segments. Whether
@@ -43,7 +45,7 @@ struct RecoveryReport {
   /// False when any defect was found (even one repaired away).
   bool clean = true;
   /// True when a Writer may append again: either the journal was clean, or
-  /// the only defect was a torn tail that repair removed. Mid-journal damage
+  /// the only defect was a torn tail that repair removed. Any other damage
   /// leaves the journal read-only.
   bool resumable = true;
   /// Set when the final segment ends on a frame boundary, so a resuming

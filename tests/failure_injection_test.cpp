@@ -767,6 +767,45 @@ TEST_F(WriteAheadFixture, FailedDeferredReplyBarrierRepliesWithErrorAndNoAffidav
   EXPECT_EQ(cont.executions(), 1u);  // the server ran; the TTP withheld its reply
 }
 
+// No send follows a TTP verdict, so no send's barrier covers its tokens:
+// the party passes the barrier itself before it acts on the verdict.
+TEST_F(WriteAheadFixture, FailedVerdictBarrierFailsTheAbortedInvoke) {
+  auto& client = world.add_party("client", {}, gated_memory("token.abort"));
+  auto& server = world.add_party("server");
+  auto& ttp = world.add_party("ttp");
+  serve(server);
+  ttp.coordinator->register_handler(std::make_shared<OptimisticTtp>(*ttp.coordinator));
+  world.network.set_partitioned("client", "server", true);
+
+  OptimisticInvocationClient handler(*client.coordinator, "ttp",
+                                     InvocationConfig{.request_timeout = 300});
+  Invocation inv = echo_invocation(client.id);
+  auto result = handler.invoke("server", inv);
+
+  EXPECT_EQ(result.outcome, container::Outcome::kFailure);
+  EXPECT_EQ(nonrep::to_string(result.payload), "journal.injected");
+  EXPECT_EQ(handler.last_outcome(), OptimisticInvocationClient::LastOutcome::kFailed);
+  EXPECT_FALSE(client.log->backend_status().ok());
+}
+
+TEST_F(WriteAheadFixture, FailedAffidavitBarrierLeavesTheReceiptMissing) {
+  auto& client = world.add_party("client");
+  auto& server = world.add_party("server", {}, gated_memory("token.affidavit"));
+  auto& ttp = world.add_party("ttp");
+  serve(server);
+  ttp.coordinator->register_handler(std::make_shared<OptimisticTtp>(*ttp.coordinator));
+  // The client sends step 1 and withholds its receipt.
+  const ProtocolMessage m1 = step1(client);
+  ASSERT_TRUE(client.coordinator->deliver_request("server", m1, 1000).ok());
+  ASSERT_EQ(nr->pending_runs(), 1u);
+
+  auto status = reclaim_receipt(*server.coordinator, *nr, m1.run, "ttp", 1000);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, "journal.injected");
+  EXPECT_EQ(nr->pending_runs(), 1u);  // the affidavit never stood in
+  EXPECT_FALSE(server.log->backend_status().ok());
+}
+
 TEST_F(WriteAheadFixture, DefaultJournalIsDurableOnceTheBarrierPasses) {
   // §3.5 assumption 3 with the journal as every deployment opens it: once
   // the write-ahead barrier a send would pass returns, the staged token

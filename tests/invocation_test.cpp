@@ -2,8 +2,11 @@
 
 #include "common.hpp"
 #include "container/proxy.hpp"
+#include "core/fair_exchange.hpp"
 #include "core/invocation_protocol.hpp"
 #include "core/nr_interceptor.hpp"
+#include "core/ttp.hpp"
+#include "obs/trace.hpp"
 #include "util/serialize.hpp"
 
 namespace nonrep::core {
@@ -310,6 +313,119 @@ TEST_P(PayloadSweep, RoundTripsAllSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSweep,
                          ::testing::Values(0, 1, 100, 1024, 16 * 1024, 256 * 1024));
+
+// ---- one exchange, three clients ----
+//
+// The direct, optimistic and inline-TTP clients run the same client half
+// of §3.2; only the route differs (classic inline dispatch throughout).
+
+enum class ClientKind { kDirect, kOptimistic, kInlineTtp };
+
+// Serves step 1 through the honest server handler, then forges the NRR_req
+// of its reply.
+class ForgingServer final : public ProtocolHandler {
+ public:
+  explicit ForgingServer(std::shared_ptr<DirectInvocationServer> inner)
+      : inner_(std::move(inner)) {}
+  std::string protocol() const override { return inner_->protocol(); }
+  Result<ProtocolMessage> process_request(const net::Address& from,
+                                          const ProtocolMessage& msg) override {
+    auto reply = inner_->process_request(from, msg);
+    if (reply) {
+      for (auto& token : reply.value().tokens) {
+        if (token.type == EvidenceType::kNrrRequest) token.signature[0] ^= 0x01;
+      }
+    }
+    return reply;
+  }
+  void process(const net::Address& from, const ProtocolMessage& msg) override {
+    inner_->process(from, msg);
+  }
+
+ private:
+  std::shared_ptr<DirectInvocationServer> inner_;
+};
+
+struct ClientSweep : InvocationFixture, ::testing::WithParamInterface<ClientKind> {
+  ClientSweep() {
+    ttp = &world.add_party("ttp");
+    ttp->coordinator->register_handler(std::make_shared<OptimisticTtp>(*ttp->coordinator));
+    ttp->coordinator->register_handler(std::make_shared<InlineTtpRelay>(
+        *ttp->coordinator, [](const net::Address&) { return std::nullopt; }));
+  }
+
+  /// One invocation through the client under test; the result and its run.
+  std::pair<container::InvocationResult, RunId> invoke() {
+    Invocation inv = make_inv();
+    container::InvocationResult result;
+    switch (GetParam()) {
+      case ClientKind::kDirect:
+        result = DirectInvocationClient(*client->coordinator).invoke("server", inv);
+        break;
+      case ClientKind::kOptimistic:
+        result = OptimisticInvocationClient(*client->coordinator, "ttp").invoke("server", inv);
+        break;
+      case ClientKind::kInlineTtp:
+        result = InlineTtpInvocationClient(*client->coordinator, "ttp").invoke("server", inv);
+        break;
+    }
+    world.network.run();
+    return {result, RunId(inv.context.at(container::kRunIdContextKey))};
+  }
+
+  test::Party* ttp = nullptr;
+};
+
+TEST_P(ClientSweep, NormalRunLogsEveryTokenInsideTheExchangeSpan) {
+  auto [result, run] = invoke();
+  ASSERT_TRUE(result.ok()) << nonrep::to_string(result.payload);
+  std::vector<EvidenceType> held = {EvidenceType::kNroRequest, EvidenceType::kNrrRequest,
+                                    EvidenceType::kNroResponse, EvidenceType::kNrrResponse};
+  if (GetParam() == ClientKind::kInlineTtp) held.push_back(EvidenceType::kAffidavit);
+
+  std::uint64_t span = 0;
+  for (EvidenceType type : held) {
+    auto rec = client->log->find(run, log_kind(type));
+    ASSERT_TRUE(rec.has_value()) << log_kind(type);
+    EXPECT_NE(rec->span, 0u) << log_kind(type);
+    if (span == 0) span = rec->span;
+    EXPECT_EQ(rec->span, span) << log_kind(type);
+  }
+  // That span is the exchange's root span.
+  bool found = false;
+  for (const obs::SpanRecord& s : obs::Tracer::global().snapshot()) {
+    if (s.id != span) continue;
+    found = true;
+    EXPECT_EQ(s.name, "fx.invoke");
+    EXPECT_EQ(s.run, run.str());
+    EXPECT_EQ(s.parent, 0u);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_P(ClientSweep, ForgedNrrRequestFailsTheRunBeforeStep3) {
+  server->coordinator->register_handler(std::make_shared<ForgingServer>(server_handler));
+  auto [result, run] = invoke();
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(nonrep::to_string(result.payload), "bad NRR_req evidence");
+  // No step 3: no receipt anywhere, and the server still waits for one.
+  EXPECT_FALSE(client->log->find(run, log_kind(EvidenceType::kNrrResponse)).has_value());
+  EXPECT_FALSE(server->log->find(run, log_kind(EvidenceType::kNrrResponse)).has_value());
+  EXPECT_FALSE(ttp->log->find(run, log_kind(EvidenceType::kNrrResponse)).has_value());
+  EXPECT_EQ(server_handler->pending_runs(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Clients, ClientSweep,
+                         ::testing::Values(ClientKind::kDirect, ClientKind::kOptimistic,
+                                           ClientKind::kInlineTtp),
+                         [](const ::testing::TestParamInfo<ClientKind>& info) {
+                           switch (info.param) {
+                             case ClientKind::kDirect: return "Direct";
+                             case ClientKind::kOptimistic: return "Optimistic";
+                             case ClientKind::kInlineTtp: return "InlineTtp";
+                           }
+                           return "Unknown";
+                         });
 
 }  // namespace
 }  // namespace nonrep::core

@@ -368,6 +368,49 @@ TEST(Journal, SequenceGapInsideSegmentDetected) {
   EXPECT_EQ(report->segments[0].defect->code, "journal.sequence_gap");
 }
 
+TEST(Journal, MisplacedTailFrameIsNotRepairedAway) {
+  // A CRC-valid frame in the wrong place at the tail is no crash's doing:
+  // repair must not truncate the durable records behind it.
+  struct Mutant {
+    const char* name;
+    std::vector<std::pair<RecordType, int>> frames;
+    const char* defect;
+  };
+  const RecordType data = RecordType::kData;
+  const std::vector<Mutant> mutants = {
+      {"two frames swapped",
+       {{data, 0}, {data, 1}, {data, 2}, {data, 4}, {data, 3},
+        {data, 5}, {data, 6}, {data, 7}, {data, 8}, {data, 9}},
+       "journal.sequence_gap"},
+      {"a frame of unknown type",
+       {{data, 0}, {data, 1}, {data, 2}, {static_cast<RecordType>(2), 3}, {data, 4}},
+       "journal.bad_type"},
+  };
+  for (const auto& mutant : mutants) {
+    SCOPED_TRACE(mutant.name);
+    const std::string dir = temp_dir("misplaced_tail");
+    fs::create_directories(dir);
+    Bytes file = encode_segment_header(0);
+    for (const auto& [type, i] : mutant.frames) {
+      append(file, encode_frame(type, static_cast<std::uint64_t>(i), payload(i)));
+    }
+    const std::string path = (fs::path(dir) / segment_filename(0)).string();
+    write_file(path, file);
+
+    auto w = Writer::open({.dir = dir});
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.error().code, "journal.unrecoverable");
+    auto report = Reader::recover(dir, RecoverMode::kRepair);
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report->resumable);
+    EXPECT_EQ(report->truncated_bytes, 0u);
+    EXPECT_EQ(report->records.size(), 3u);
+    ASSERT_TRUE(report->segments[0].defect.has_value());
+    EXPECT_EQ(report->segments[0].defect->code, mutant.defect);
+    EXPECT_EQ(read_file(path), file);  // repair touched no byte
+  }
+}
+
 // ---- group commit ----
 
 TEST(Journal, ConcurrentAppendersAllDurableAndOrdered) {
