@@ -77,11 +77,14 @@ container::InvocationResult run_exchange(Coordinator& coordinator, const Exchang
 
   auto reply = coordinator.deliver_request(route.next_hop, m1, timeout);
   if (!reply) {
-    // No reply: by the §3.2 client assurance the request may or may not
-    // have been received. NRO_req is logged; the run times out unless
-    // `on_unanswered` takes it over (the optimistic client's TTP).
+    // No answer: by the §3.2 client assurance the request may or may not
+    // have been received. NRO_req is logged; `on_unanswered` (the
+    // optimistic client's TTP) takes the run over. Otherwise only a missing
+    // reply is a timeout; an error reply or a failed barrier is a failure.
     if (on_unanswered) return on_unanswered(m1.tokens.front(), req);
-    return InvocationResult::failure(Outcome::kTimeout, reply.error().code);
+    const bool timed_out = reply.error().code == "rpc.timeout";
+    return InvocationResult::failure(timed_out ? Outcome::kTimeout : Outcome::kFailure,
+                                     reply.error().code);
   }
 
   // Step 2: verify resp + NRR_req + NRO_resp, then a relay's affidavit.

@@ -84,8 +84,9 @@ struct ClientRun {
 /// The client half of §3.2 along `route`: opens the `fx.invoke` span,
 /// sends step 1 with NRO_req, runs check_reply, accepts a relay's affidavit
 /// (a missing or bad one does not fail the run) and sends step 3 with
-/// NRR_resp; `out` records the run. A step 1 without a reply fails with
-/// kTimeout, or goes to `on_unanswered` with its NRO_req and request subject.
+/// NRR_resp; `out` records the run. A step 1 without an answer goes to
+/// `on_unanswered` with its NRO_req and request subject; without it, an
+/// `rpc.timeout` fails with kTimeout and any other error with kFailure.
 using OnUnanswered = std::function<container::InvocationResult(const EvidenceToken&, BytesView)>;
 container::InvocationResult run_exchange(Coordinator& coordinator, const ExchangeRoute& route,
                                          container::Invocation& inv, TimeMs timeout,

@@ -131,7 +131,11 @@ void ReliableEndpoint::on_raw(const Address& from, BytesView raw) {
   Handler handler;
   {
     util::MutexLock lk(mu_);
-    if (!delivered_[from].first(id.value())) return;  // duplicate
+    Delivered& d = delivered_[from];
+    const auto held = std::ssize(d.above);
+    const bool first = d.first(id.value());
+    if (std::ssize(d.above) != held) above_gauge_.add(std::ssize(d.above) - held);
+    if (!first) return;  // duplicate
     handler = handler_;
   }
   auto payload = r.bytes();

@@ -13,7 +13,8 @@
 // advances past it and those ids are dropped from the set, so a drained
 // link holds one counter on each side. (A message the sender gave up on
 // leaves a gap the mark never passes; later ids then stay in the set —
-// the bounded-failure assumption makes that the exception.)
+// the bounded-failure assumption makes that the exception. The
+// `net.above_mark_entries` gauge sums the sets of every live endpoint.)
 //
 // Thread-safe: in the concurrent runtime, send() is called from arbitrary
 // party threads, on_raw() from the endpoint's delivery strand and retry
@@ -31,6 +32,7 @@
 
 #include "util/lock_discipline.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace nonrep::net {
 
@@ -97,6 +99,7 @@ class ReliableEndpoint {
       NONREP_GUARDED_BY(mu_);  // keyed by (destination, id)
   std::unordered_map<Address, std::uint64_t> next_msg_id_ NONREP_GUARDED_BY(mu_);
   std::unordered_map<Address, Delivered> delivered_ NONREP_GUARDED_BY(mu_);
+  obs::GaugeShare above_gauge_{"net.above_mark_entries"};  // sum of the `above` sets
   std::atomic<std::uint64_t> retransmissions_{0};
   std::atomic<std::uint64_t> gave_up_{0};
 };

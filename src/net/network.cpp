@@ -53,7 +53,7 @@ SimNetwork::SimNetwork(std::shared_ptr<SimClock> clock, std::uint64_t seed)
 SimNetwork::~SimNetwork() {
   // Workers hold `this` while draining strands; wait them out.
   util::UniqueLock lk(mu_);
-  cv_.wait(lk, [&] { return inflight_ == 0; });
+  cv_.wait(lk, [&] { return inflight_ == 0; });  // woken by inflight_ reaching 0
 }
 
 void SimNetwork::register_endpoint(const Address& addr, Handler handler) {
@@ -68,13 +68,15 @@ void SimNetwork::unregister_endpoint(const Address& addr) {
   // before the erase. Wait for the upcall in flight on the address's strand
   // to return so the caller can safely destroy the endpoint — unless it is
   // our own frame (an endpoint tearing itself down from its own handler).
-  if (tls_upcall.net == this && tls_upcall.strand != nullptr && *tls_upcall.strand == addr) {
+  auto it = strands_.find(addr);
+  if (it == strands_.end() ||
+      (tls_upcall.net == this && tls_upcall.strand != nullptr && *tls_upcall.strand == addr)) {
     return;
   }
-  cv_.wait(lk, [&] {
-    auto it = strands_.find(addr);
-    return it == strands_.end() || !it->second.executing;
-  });
+  Strand& s = it->second;  // strands are never erased
+  ++s.unregistering;
+  cv_.wait(lk, [&] { return !s.executing; });  // woken by drain_strand clearing `executing`
+  --s.unregistering;
 }
 
 void SimNetwork::set_link(const Address& from, const Address& to, LinkConfig config) {
@@ -112,20 +114,27 @@ LinkConfig SimNetwork::link_for_locked(const Address& from, const Address& to) c
   return it != links_.end() ? it->second : default_link_;
 }
 
-void SimNetwork::enqueue_delivery_locked(const Address& from, const Address& to,
-                                         Bytes payload, TimeMs delay) {
-  Event e;
+bool SimNetwork::push_event_locked(TimeMs delay, Event e) {
   e.at = clock_->now() + delay;
   e.seq = next_seq_++;
-  e.from = from;
-  e.to = to;
-  e.payload = std::move(payload);
-  e.enqueue_ns = steady_ns();
+  const std::uint64_t seq = e.seq;
   events_.push(std::move(e));
   metrics().queue_depth.set(static_cast<std::int64_t>(events_.size()));
+  return events_.top().seq == seq;
+}
+
+bool SimNetwork::enqueue_delivery_locked(const Address& from, const Address& to,
+                                         Bytes payload, TimeMs delay) {
+  Event e{.from = from, .to = to, .payload = std::move(payload), .enqueue_ns = steady_ns()};
+  if (!pool_) return push_event_locked(delay, std::move(e));
+  // Live mode: straight onto the destination strand, whose FIFO is the
+  // per-link order. Messages do not move the virtual clock.
+  strand_push_locked(std::move(e));
+  return false;
 }
 
 void SimNetwork::send(const Address& from, const Address& to, Bytes payload) {
+  bool wake = false;
   {
     util::MutexLock lk(mu_);
     ++stats_.sent;
@@ -137,49 +146,40 @@ void SimNetwork::send(const Address& from, const Address& to, Bytes payload) {
       return;
     }
     const bool dup = rng_.chance(link.duplicate);
+    wake = enqueue_delivery_locked(from, to, dup ? payload : std::move(payload), link.latency);
     if (dup) {
       ++stats_.duplicated;
-      enqueue_delivery_locked(from, to, payload, link.latency + 1);
+      wake |= enqueue_delivery_locked(from, to, std::move(payload), link.latency + 1);
     }
-    enqueue_delivery_locked(from, to, std::move(payload), link.latency);
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
 }
 
 void SimNetwork::schedule(TimeMs delay, std::function<void()> fn) {
-  {
-    util::MutexLock lk(mu_);
-    Event e;
-    e.at = clock_->now() + delay;
-    e.seq = next_seq_++;
-    e.timer = std::move(fn);
-    events_.push(std::move(e));
-  }
-  cv_.notify_all();
+  schedule_cancelable(delay, std::move(fn));
 }
 
 SimNetwork::TimerHandle SimNetwork::schedule_cancelable(TimeMs delay, std::function<void()> fn,
                                                         const Address& strand) {
   auto handle = std::make_shared<std::atomic<bool>>(true);
+  bool wake;
   {
     util::MutexLock lk(mu_);
-    Event e;
-    e.at = clock_->now() + delay;
-    e.seq = next_seq_++;
-    e.to = strand;
-    e.timer = std::move(fn);
-    e.timer_active = handle;
-    events_.push(std::move(e));
+    wake = push_event_locked(delay, Event{.to = strand, .timer = std::move(fn),
+                                          .timer_active = handle});
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
   return handle;
 }
 
-void SimNetwork::spawn_drain_locked(const Address& to) {
-  Strand& s = strands_[to];
-  s.active = true;
-  ++inflight_;
-  pool_->submit([this, to] { drain_strand(to); });
+void SimNetwork::strand_push_locked(Event e) {
+  Strand& s = strands_[e.to];
+  if (!s.active) {
+    s.active = true;
+    ++inflight_;
+    pool_->submit([this, to = e.to] { drain_strand(to); });
+  }
+  s.q.push_back(std::move(e));
 }
 
 void SimNetwork::drain_strand(Address to) {
@@ -211,11 +211,10 @@ void SimNetwork::drain_strand(Address to) {
     }
     lk.lock();
     s.executing = false;
-    cv_.notify_all();  // unregister_endpoint may be waiting on `executing`
+    if (s.unregistering > 0) cv_.notify_all();
   }
   s.active = false;
-  --inflight_;
-  cv_.notify_all();  // under the lock: see pump_one
+  if (--inflight_ == 0) cv_.notify_all();  // under the lock: see pump_one
   lk.unlock();
   tls_upcall = Upcall{};
 }
@@ -229,14 +228,13 @@ void SimNetwork::begin_external_work() {
 
 void SimNetwork::end_external_work() {
   util::MutexLock lk(mu_);
-  --inflight_;
-  cv_.notify_all();  // under the lock: see pump_one
+  if (--inflight_ == 0) cv_.notify_all();  // under the lock: see pump_one
 }
 
 void SimNetwork::quiesce_timers() {
   if (tls_upcall.net == this && tls_upcall.timer) return;  // our own frame would never drain
   util::UniqueLock lk(mu_);
-  cv_.wait(lk, [&] { return timer_callbacks_ == 0; });
+  cv_.wait(lk, [&] { return timer_callbacks_ == 0; });  // woken by the pump's timer returning
 }
 
 bool SimNetwork::pump_one() {
@@ -264,6 +262,7 @@ bool SimNetwork::pump_one() {
       // advancing now would fire timeouts under live traffic. Same-time
       // events are always safe to dispatch.
       if (pool_ && inflight_ > 0 && events_.top().at > clock_->now()) {
+        // Woken by inflight_ reaching 0, a new earliest timer or stop_live().
         cv_.wait(lk, [&] {
           return stop_live_ || events_.empty() || inflight_ == 0 ||
                  events_.top().at <= clock_->now();
@@ -273,17 +272,13 @@ bool SimNetwork::pump_one() {
       }
       break;
     }
-    e = events_.top();
+    // The heap orders by `at` and `seq` alone, which a move leaves intact.
+    e = std::move(const_cast<Event&>(events_.top()));
     events_.pop();
     metrics().queue_depth.set(static_cast<std::int64_t>(events_.size()));
     if (e.at > clock_->now()) clock_->set(e.at);
     if (pool_ && !e.to.empty()) {
-      // Concurrent dispatch: append to the destination strand; exactly one
-      // worker drains it, preserving per-party upcall order.
-      const Address dest = e.to;
-      Strand& s = strands_[dest];
-      s.q.push_back(std::move(e));
-      if (!s.active) spawn_drain_locked(dest);
+      strand_push_locked(std::move(e));
       return true;
     }
     if (!e.timer) {
@@ -313,12 +308,11 @@ bool SimNetwork::pump_one() {
   tls_upcall = Upcall{};
   {
     util::MutexLock lk(mu_);
-    --inflight_;
-    if (e.timer) --timer_callbacks_;
+    const bool timer_done = e.timer && --timer_callbacks_ == 0;
     // Notify under the lock: a waiter (drain()/quiesce_timers()/the
     // destructor) must not be able to observe the decrement and finish
     // destruction before this notify executes.
-    cv_.notify_all();
+    if (--inflight_ == 0 || timer_done) cv_.notify_all();
   }
   return true;
 }
@@ -338,6 +332,7 @@ std::size_t SimNetwork::run(std::size_t max_events) {
       if (events_.empty()) break;
       continue;  // a worker raced new events in
     }
+    // Woken by inflight_ reaching 0 or a new earliest event.
     cv_.wait(lk, [&] { return !events_.empty() || inflight_ == 0; });
     if (events_.empty() && inflight_ == 0) break;
   }
@@ -358,7 +353,7 @@ bool SimNetwork::run_until(const std::function<bool()>& predicate, std::size_t m
       if (events_.empty()) return predicate();
       continue;
     }
-    cv_.wait(lk, [&] { return !events_.empty() || inflight_ == 0; });
+    cv_.wait(lk, [&] { return !events_.empty() || inflight_ == 0; });  // as in run()
   }
   return true;
 }
@@ -378,7 +373,7 @@ void SimNetwork::run_live() {
       stop_live_ = false;
       return;
     }
-    cv_.wait(lk, [&] { return stop_live_ || !events_.empty(); });
+    cv_.wait(lk, [&] { return stop_live_ || !events_.empty(); });  // first timer or stop_live()
   }
 }
 
@@ -392,6 +387,7 @@ void SimNetwork::stop_live() {
 
 void SimNetwork::drain() {
   util::UniqueLock lk(mu_);
+  // Woken by inflight_ reaching 0 or the pump emptying the queue.
   cv_.wait(lk, [&] { return events_.empty() && inflight_ == 0; });
 }
 

@@ -11,14 +11,18 @@
 //
 //  * Classic (default): single-threaded and fully deterministic — step()
 //    invokes endpoint handlers and timers inline in virtual-time order.
-//  * Concurrent: attach a util::ThreadPool with set_executor() and message
-//    handlers run on worker threads, the RMI analogue of thread-per-call.
-//    Each endpoint owns a strand: a FIFO of its pending deliveries and
-//    strand timers, drained by at most one worker at a time. So a party
-//    never observes reordered or overlapping upcalls, and a handler's
-//    state needs no lock against the party's other upcalls. One pump
-//    thread (run_live(), or any run* call) pops the virtual-time event
-//    queue.
+//  * Concurrent (live): attach a util::ThreadPool with set_executor() and
+//    message handlers run on worker threads, the RMI analogue of
+//    thread-per-call. Each endpoint owns a strand: a FIFO of its pending
+//    deliveries and strand timers, drained by at most one worker at a time.
+//    So a party never observes reordered or overlapping upcalls, and a
+//    handler's state needs no lock against the party's other upcalls. A
+//    message takes one hop: send() appends it to the destination strand
+//    (after the link's drop/duplicate/partition draw), so per-link order
+//    is send order and link latency is not simulated. Virtual time orders
+//    only timers: one pump thread (run_live(), or any run* call) pops the
+//    timer queue, and advances the clock only while no delivery or upcall
+//    is in flight, so no timeout fires under load.
 //
 // Upcalls never wait on the network. A handler that needs another party's
 // answer sends its request and continues from a callback that runs later
@@ -156,14 +160,16 @@ class SimNetwork {
   void reset_stats();
 
  private:
+  // Every field has an initializer, so a designated initializer names
+  // only the fields it sets.
   struct Event {
-    TimeMs at;
-    std::uint64_t seq;  // FIFO tie-break for determinism
-    Address from;
-    Address to;                   // destination; for timers, the strand (or empty)
-    Bytes payload;
-    std::function<void()> timer;      // set for timer events
-    TimerHandle timer_active;         // optional cancellation flag
+    TimeMs at = 0;
+    std::uint64_t seq = 0;  // FIFO tie-break for determinism
+    Address from{};
+    Address to{};                     // destination; for timers, the strand (or empty)
+    Bytes payload{};
+    std::function<void()> timer{};    // set for timer events
+    TimerHandle timer_active{};       // optional cancellation flag
     std::uint64_t enqueue_ns = 0;     // wall time at send (obs delivery wait)
   };
   struct EventOrder {
@@ -175,25 +181,34 @@ class SimNetwork {
   /// Per-destination ordered delivery queue (concurrent mode only). At
   /// most one drain task owns the strand (`active`). `executing` is set
   /// while that task runs an upcall: unregister_endpoint waits on it so
-  /// endpoint teardown cannot free an object a worker still holds.
+  /// endpoint teardown cannot free an object a worker still holds, and
+  /// counts itself in `unregistering` to be woken when it clears.
   struct Strand {
     std::deque<Event> q;
     bool active = false;
     bool executing = false;
+    int unregistering = 0;
   };
 
   LinkConfig link_for_locked(const Address& from, const Address& to) const
       NONREP_REQUIRES(mu_);
-  void enqueue_delivery_locked(const Address& from, const Address& to, Bytes payload,
+  /// Queue a timer (or a classic-mode delivery) at now + `delay`; true if
+  /// it became the earliest event, the one change a waiting pump needs.
+  bool push_event_locked(TimeMs delay, Event e) NONREP_REQUIRES(mu_);
+  bool enqueue_delivery_locked(const Address& from, const Address& to, Bytes payload,
                                TimeMs delay) NONREP_REQUIRES(mu_);
-  void spawn_drain_locked(const Address& to) NONREP_REQUIRES(mu_);
+  /// Append to `e.to`'s strand, spawning its drain task if it is idle.
+  void strand_push_locked(Event e) NONREP_REQUIRES(mu_);
   void drain_strand(Address to);
   bool pump_one();  // step() body; shared by all run loops
 
   std::shared_ptr<SimClock> clock_;
 
   mutable util::Mutex mu_{util::LockRank::kNetwork, "net.network"};
-  util::CondVar cv_;  // pump wakeups + drain()/dtor waits
+  // Notified only on the transitions its waiters need: inflight_ reaching
+  // 0, a new earliest event, a strand's `executing` clearing under an
+  // unregister, the pump's timer callback returning, and stop_live().
+  util::CondVar cv_;
   crypto::Drbg rng_ NONREP_GUARDED_BY(mu_);
   std::map<Address, Handler> endpoints_ NONREP_GUARDED_BY(mu_);
   std::map<std::pair<Address, Address>, LinkConfig> links_ NONREP_GUARDED_BY(mu_);

@@ -213,6 +213,20 @@ TEST_F(InvocationFixture, ForgedCallerRejectedByServer) {
   EXPECT_EQ(container.executions(), 0u);
 }
 
+TEST_F(InvocationFixture, ServerRejectingNroRequestIsAFailureNotATimeout) {
+  // The server answers step 1 with an error reply: the client knows the
+  // request was refused, so the run fails with the server's code.
+  DirectInvocationClient handler(*client->coordinator);
+  auto inv = make_inv();
+  inv.caller = server->id;  // NRO_req issuer differs from the caller
+  auto result = handler.invoke("server", inv);
+  EXPECT_EQ(result.outcome, Outcome::kFailure);
+  EXPECT_EQ(nonrep::to_string(result.payload), "nr.invocation.issuer_mismatch");
+  EXPECT_TRUE(handler.last_run_evidence().has_nro_request);
+  EXPECT_FALSE(handler.last_run_evidence().has_nrr_request);
+  EXPECT_EQ(container.executions(), 0u);
+}
+
 TEST_F(InvocationFixture, RevokedClientRejected) {
   world.revocation().revoke(client->certificate.serial);
   world.broadcast_crl();
@@ -407,6 +421,8 @@ TEST_P(ClientSweep, ForgedNrrRequestFailsTheRunBeforeStep3) {
   server->coordinator->register_handler(std::make_shared<ForgingServer>(server_handler));
   auto [result, run] = invoke();
   EXPECT_FALSE(result.ok());
+  // A definite rejection, not a missing reply: every client fails the run.
+  EXPECT_EQ(result.outcome, Outcome::kFailure);
   EXPECT_EQ(nonrep::to_string(result.payload), "bad NRR_req evidence");
   // No step 3: no receipt anywhere, and the server still waits for one.
   EXPECT_FALSE(client->log->find(run, log_kind(EvidenceType::kNrrResponse)).has_value());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -380,6 +382,63 @@ TEST_F(ConcurrentNetFixture, ReliableChannelExactlyOnceInOrderUnderDuplication) 
   for (int i = 0; i < kMessages; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)], "m" + std::to_string(i));
   }
+}
+
+// Live mode takes one hop per message: a send goes straight onto the
+// destination strand, so two idle parties talk while a third party's
+// handler is still running. The link latency (default 5 ms) does not
+// move the virtual clock.
+struct HeldPartyFixture : ConcurrentNetFixture {
+  HeldPartyFixture() {
+    net.register_endpoint("held", [this](const Address&, BytesView) {
+      entered.set_value();
+      release_future.wait();
+    });
+    net.send("x", "held", to_bytes("hold"));
+    pump = std::thread([this] { net.run_live(); });
+    entered_future.wait();
+  }
+  ~HeldPartyFixture() {
+    unhold();
+    net.drain();
+    net.stop_live();
+    pump.join();
+  }
+  void unhold() {
+    if (!released) release.set_value();
+    released = true;
+  }
+  bool released = false;
+  std::promise<void> entered, release;
+  std::future<void> entered_future = entered.get_future();
+  std::shared_future<void> release_future = release.get_future().share();
+  std::thread pump;
+};
+
+TEST_F(HeldPartyFixture, MessageBetweenIdlePartiesIsDeliveredUnderLoad) {
+  // Shared: the handler may still run after a failed wait has returned.
+  auto got = std::make_shared<std::promise<std::string>>();
+  auto delivered = got->get_future();
+  net.register_endpoint("b", [got](const Address& from, BytesView p) {
+    got->set_value(from + ":" + to_string(p));
+  });
+  net.send("a", "b", to_bytes("hi"));
+  ASSERT_EQ(delivered.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_EQ(delivered.get(), "a:hi");
+  EXPECT_EQ(clock->now(), 0u);
+}
+
+TEST_F(HeldPartyFixture, StrandTimerDoesNotFireWhileAHandlerRuns) {
+  net.register_endpoint("b", [](const Address&, BytesView) {});
+  const TimeMs start = clock->now();
+  std::promise<TimeMs> fired;
+  net.schedule_cancelable(1, [&] { fired.set_value(clock->now()); }, "b");
+  auto at = fired.get_future();
+  EXPECT_EQ(at.wait_for(std::chrono::milliseconds(200)), std::future_status::timeout);
+  EXPECT_EQ(clock->now(), start);  // virtual time stands still under load
+  unhold();
+  ASSERT_EQ(at.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_EQ(at.get(), start + 1);
 }
 
 TEST_F(ConcurrentNetFixture, BlockingCallsFromManyThreads) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "container/container.hpp"
+#include "net/channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/world.hpp"
@@ -238,6 +239,36 @@ TEST(ObsGauge, RetainedTableGaugesTrackTablesAndTeardown) {
   }
 
   for (const char* name : names) EXPECT_EQ(delta(name), 0) << name;
+}
+
+TEST(ObsGauge, AboveMarkEntriesFollowTheReceiversDedupSet) {
+  obs::Gauge& gauge = obs::Registry::global().gauge("net.above_mark_entries");
+  const std::int64_t base = gauge.value();
+  const auto held = [&] { return gauge.value() - base; };
+  net::SimNetwork network(std::make_shared<SimClock>(0), /*seed=*/1);
+  {
+    net::ReliableEndpoint a(network, "a");
+    net::ReliableEndpoint b(network, "b");
+    int delivered = 0;
+    b.set_handler([&](const net::Address&, BytesView) { ++delivered; });
+    // Each round loses one message once, so the next id lands above b's mark.
+    const auto gap_then_next = [&](const std::string& lost, const std::string& next) {
+      network.set_partitioned("a", "b", true);
+      a.send("b", to_bytes(lost));
+      network.set_partitioned("a", "b", false);
+      a.send("b", to_bytes(next));
+    };
+    gap_then_next("m1", "m2");
+    ASSERT_TRUE(network.run_until([&] { return delivered == 1; }));
+    EXPECT_EQ(held(), 1);
+    // The retransmit fills the gap: the mark passes both ids.
+    ASSERT_TRUE(network.run_until([&] { return delivered == 2; }));
+    EXPECT_EQ(held(), 0);
+    gap_then_next("m3", "m4");  // left open at teardown
+    ASSERT_TRUE(network.run_until([&] { return delivered == 3; }));
+    EXPECT_EQ(held(), 1);
+  }
+  EXPECT_EQ(held(), 0);  // teardown gives the share back
 }
 
 TEST(ObsRegistry, GetOrCreateReturnsStableInstruments) {

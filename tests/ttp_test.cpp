@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,18 +231,25 @@ TEST_F(TtpFixture, ConcurrentClientsThroughOneRelayOverLiveRuntime) {
 }
 
 TEST_F(TtpFixture, AsManyRelayedExchangesAsWorkersDoNotWedge) {
-  // Regression for the inline-relay wedge. Every step 1 is queued before
-  // the pump starts, so all of them reach the relay at once. A relay that
-  // blocked its worker on the server's reply would occupy every worker,
-  // leaving none to run the server, until the RPC layer's 30 s real-time
-  // cap. Forwarding from a continuation finishes in milliseconds.
+  // Regression for the inline-relay wedge. Every worker is held by a gate
+  // task until every step 1 has been sent, so all of them reach the relay
+  // at once. A relay that blocked its worker on the server's reply would
+  // occupy every worker, leaving none to run the server, until the RPC
+  // layer's 30 s real-time cap. Forwarding from a continuation finishes in
+  // milliseconds.
   constexpr int kWorkers = 4;
   install_relay(direct_router());
   std::vector<test::Party*> clients{client};
   for (int i = 2; i <= kWorkers; ++i) {
     clients.push_back(&world.add_party("client" + std::to_string(i)));
   }
-  world.network.set_executor(std::make_shared<util::ThreadPool>(kWorkers));
+  auto pool = std::make_shared<util::ThreadPool>(kWorkers);
+  world.network.set_executor(pool);
+  std::promise<void> gate;
+  const std::shared_future<void> open = gate.get_future().share();
+  // The pool runs tasks in submission order: the gates take every worker
+  // before any delivery can.
+  for (int i = 0; i < kWorkers; ++i) pool->submit([open] { open.wait(); });
 
   std::atomic<int> ok{0};
   std::vector<std::thread> drivers;
@@ -259,9 +267,11 @@ TEST_F(TtpFixture, AsManyRelayedExchangesAsWorkersDoNotWedge) {
          std::chrono::steady_clock::now() < queued_by) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(world.network.stats().sent, static_cast<std::uint64_t>(kWorkers));
+  const std::uint64_t sent = world.network.stats().sent;
 
   const auto start = std::chrono::steady_clock::now();
+  gate.set_value();  // before the check, so a failure cannot leave workers held
+  ASSERT_EQ(sent, static_cast<std::uint64_t>(kWorkers));
   std::thread pump([&] { world.network.run_live(); });
   for (auto& t : drivers) t.join();
   const auto elapsed = std::chrono::steady_clock::now() - start;
