@@ -17,6 +17,7 @@ struct NetMetrics {
       obs::Registry::global().histogram("net.delivery_wait_ns");
   obs::Counter& delivered = obs::Registry::global().counter("net.delivered");
   obs::Counter& dropped = obs::Registry::global().counter("net.dropped");
+  obs::Counter& handoffs = obs::Registry::global().counter("net.handoffs");
 };
 
 NetMetrics& metrics() {
@@ -35,10 +36,12 @@ std::uint64_t steady_ns() {
 // whose strand a worker drains, so an endpoint tearing itself down from
 // its own handler does not wait for itself; `timer` marks a timer closure
 // run by the pump, which quiesce_timers() must not wait for either.
+// `handoff` is the worker's one-entry slot, set while it runs a handler.
 struct Upcall {
   const SimNetwork* net = nullptr;
   const Address* strand = nullptr;
   bool timer = false;
+  Address* handoff = nullptr;
 };
 thread_local Upcall tls_upcall;
 }  // namespace
@@ -177,43 +180,69 @@ void SimNetwork::strand_push_locked(Event e) {
   if (!s.active) {
     s.active = true;
     ++inflight_;
-    pool_->submit([this, to = e.to] { drain_strand(to); });
+    // A handler's first send to an idle party, while its own strand has
+    // nothing queued, waits in the worker's slot and runs on that worker
+    // once the handler returns; any other new drain is a pool task.
+    const Upcall& u = tls_upcall;
+    if (u.net == this && u.handoff != nullptr && u.handoff->empty() &&
+        strands_[*u.strand].q.empty()) {
+      *u.handoff = e.to;
+    } else {
+      pool_->submit([this, to = e.to] { drain_strand(to); });
+    }
   }
   s.q.push_back(std::move(e));
 }
 
 void SimNetwork::drain_strand(Address to) {
+  Address next;  // the hand-off slot: drained here once `to` is empty
+  bool handed_off = false;  // `to` came from the slot
   tls_upcall = Upcall{this, &to, false};
   util::UniqueLock lk(mu_);
-  Strand& s = strands_[to];  // map nodes are stable; strands are never erased
-  while (!s.q.empty()) {
-    Event e = std::move(s.q.front());
-    s.q.pop_front();
-    Handler handler;
-    if (!e.timer) {
-      if (auto it = endpoints_.find(to); it != endpoints_.end()) {
-        ++stats_.delivered;
-        metrics().delivered.add();
-        if (e.enqueue_ns != 0) {
-          metrics().delivery_wait_ns.record(steady_ns() - e.enqueue_ns);
+  for (;;) {
+    Strand& s = strands_[to];  // map nodes are stable; strands are never erased
+    while (!s.q.empty()) {
+      Event e = std::move(s.q.front());
+      s.q.pop_front();
+      Handler handler;
+      if (!e.timer) {
+        if (auto it = endpoints_.find(to); it != endpoints_.end()) {
+          ++stats_.delivered;
+          metrics().delivered.add();
+          if (handed_off) metrics().handoffs.add();
+          if (e.enqueue_ns != 0) {
+            metrics().delivery_wait_ns.record(steady_ns() - e.enqueue_ns);
+          }
+          handler = it->second;
         }
-        handler = it->second;
+      }
+      s.executing = true;
+      lk.unlock();
+      NONREP_ASSERT_NO_LOCKS_HELD("SimNetwork::drain_strand upcall");
+      if (e.timer) {
+        // Re-check cancellation at the last moment, as the pump does.
+        if (!e.timer_active || *e.timer_active) e.timer();
+      } else if (handler) {
+        tls_upcall.handoff = &next;
+        handler(e.from, e.payload);
+        tls_upcall.handoff = nullptr;
+      }
+      lk.lock();
+      s.executing = false;
+      if (s.unregistering > 0) cv_.notify_all();
+      if (!next.empty() && !s.q.empty()) {
+        // `to` has more work: the slot must not wait behind it.
+        pool_->submit([this, b = std::move(next)] { drain_strand(b); });
+        next.clear();
       }
     }
-    s.executing = true;
-    lk.unlock();
-    NONREP_ASSERT_NO_LOCKS_HELD("SimNetwork::drain_strand upcall");
-    if (e.timer) {
-      // Re-check cancellation at the last moment, as the pump does.
-      if (!e.timer_active || *e.timer_active) e.timer();
-    } else if (handler) {
-      handler(e.from, e.payload);
-    }
-    lk.lock();
-    s.executing = false;
-    if (s.unregistering > 0) cv_.notify_all();
+    s.active = false;
+    if (next.empty()) break;
+    --inflight_;  // `next` is still counted, so this never reaches 0
+    to = std::move(next);
+    next.clear();
+    handed_off = true;
   }
-  s.active = false;
   if (--inflight_ == 0) cv_.notify_all();  // under the lock: see pump_one
   lk.unlock();
   tls_upcall = Upcall{};

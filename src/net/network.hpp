@@ -22,13 +22,19 @@
 //    is send order and link latency is not simulated. Virtual time orders
 //    only timers: one pump thread (run_live(), or any run* call) pops the
 //    timer queue, and advances the clock only while no delivery or upcall
-//    is in flight, so no timeout fires under load.
+//    is in flight, so no timeout fires under load. Same-worker hand-off: a
+//    handler's first send to an idle party, while the handler's own strand
+//    has nothing queued, wakes no other worker; the new drain waits in the
+//    worker's one-entry slot and runs on that thread once the handler's
+//    strand is empty. It goes to the pool instead as soon as that strand
+//    gains work, and a second such send is a pool task from the start.
 //
 // Upcalls never wait on the network. A handler that needs another party's
 // answer sends its request and continues from a callback that runs later
 // on its own strand (RpcEndpoint::call_async). Blocking waits belong to
 // application threads outside any upcall; in_upcall() lets the RPC layer
-// refuse the rest.
+// refuse the rest. A handler that blocked after a send would also hold
+// back that delivery, which may be waiting in its worker's slot.
 #pragma once
 
 #include <atomic>
@@ -179,7 +185,8 @@ class SimNetwork {
     }
   };
   /// Per-destination ordered delivery queue (concurrent mode only). At
-  /// most one drain task owns the strand (`active`). `executing` is set
+  /// most one drain task, or one worker's hand-off slot, owns the strand
+  /// (`active`); either way it is counted in `inflight_`. `executing` is set
   /// while that task runs an upcall: unregister_endpoint waits on it so
   /// endpoint teardown cannot free an object a worker still holds, and
   /// counts itself in `unregistering` to be woken when it clears.
@@ -197,8 +204,10 @@ class SimNetwork {
   bool push_event_locked(TimeMs delay, Event e) NONREP_REQUIRES(mu_);
   bool enqueue_delivery_locked(const Address& from, const Address& to, Bytes payload,
                                TimeMs delay) NONREP_REQUIRES(mu_);
-  /// Append to `e.to`'s strand, spawning its drain task if it is idle.
+  /// Append to `e.to`'s strand; if it is idle, start its drain as a pool
+  /// task or in the calling worker's hand-off slot.
   void strand_push_locked(Event e) NONREP_REQUIRES(mu_);
+  /// Run `to`'s strand, then any strand its handlers left in the slot.
   void drain_strand(Address to);
   bool pump_one();  // step() body; shared by all run loops
 

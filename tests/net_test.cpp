@@ -384,6 +384,76 @@ TEST_F(ConcurrentNetFixture, ReliableChannelExactlyOnceInOrderUnderDuplication) 
   }
 }
 
+// Same-worker hand-off: a handler's send to an idle party runs on the
+// sending worker once the handler's strand is empty, instead of waking
+// another worker.
+TEST_F(ConcurrentNetFixture, HandlerSendToAnIdlePartyRunsOnTheSendingWorker) {
+  std::thread::id a_thread, b_thread;
+  net.register_endpoint("a", [&](const Address&, BytesView) {
+    a_thread = std::this_thread::get_id();
+    net.send("a", "b", to_bytes("relay"));
+  });
+  net.register_endpoint("b", [&](const Address&, BytesView) {
+    b_thread = std::this_thread::get_id();
+  });
+  const std::uint64_t before = pool->executed();
+  net.send("x", "a", to_bytes("go"));
+  net.drain();
+  pool->wait_idle();
+  EXPECT_EQ(b_thread, a_thread);
+  EXPECT_EQ(pool->executed() - before, 1u);  // one pool task for both deliveries
+}
+
+// The slot must not wait behind the sender's own queued work: once the
+// sender's strand gains a message, the held delivery goes to the pool.
+TEST_F(ConcurrentNetFixture, HandOffGoesToThePoolWhenTheSenderHasMoreQueued) {
+  std::promise<void> sent, queued, b_ran;
+  std::future<void> queued_future = queued.get_future();
+  std::future<void> b_ran_future = b_ran.get_future();
+  bool second_saw_b = false;
+  net.register_endpoint("a", [&](const Address&, BytesView p) {
+    if (to_string(p) == "first") {
+      net.send("a", "b", to_bytes("relay"));
+      sent.set_value();
+      queued_future.wait();  // "second" is now queued behind this handler
+    } else {
+      second_saw_b = b_ran_future.wait_for(std::chrono::seconds(5)) ==
+                     std::future_status::ready;
+    }
+  });
+  net.register_endpoint("b", [&](const Address&, BytesView) { b_ran.set_value(); });
+  net.send("x", "a", to_bytes("first"));
+  sent.get_future().wait();
+  net.send("x", "a", to_bytes("second"));
+  queued.set_value();
+  net.drain();
+  EXPECT_TRUE(second_saw_b);
+}
+
+// Only the first send may take the slot: a fan-out still runs its other
+// deliveries in parallel with the sending handler.
+TEST_F(ConcurrentNetFixture, FanOutFromAHandlerStillRunsInParallel) {
+  std::atomic<int> others{0};
+  std::atomic<int> b_runs{0};
+  std::promise<void> both;
+  std::future<void> both_future = both.get_future();
+  bool saw_both = false;
+  net.register_endpoint("a", [&](const Address&, BytesView) {
+    for (const char* to : {"b", "c", "d"}) net.send("a", to, to_bytes("fan"));
+    saw_both = both_future.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  });
+  net.register_endpoint("b", [&](const Address&, BytesView) { ++b_runs; });
+  const SimNetwork::Handler other = [&](const Address&, BytesView) {
+    if (++others == 2) both.set_value();
+  };
+  net.register_endpoint("c", other);
+  net.register_endpoint("d", other);
+  net.send("x", "a", to_bytes("go"));
+  net.drain();
+  EXPECT_TRUE(saw_both);
+  EXPECT_EQ(b_runs.load(), 1);
+}
+
 // Live mode takes one hop per message: a send goes straight onto the
 // destination strand, so two idle parties talk while a third party's
 // handler is still running. The link latency (default 5 ms) does not

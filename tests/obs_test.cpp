@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -21,6 +22,7 @@
 #include "scenario/world.hpp"
 #include "store/evidence_log.hpp"
 #include "util/clock.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -269,6 +271,28 @@ TEST(ObsGauge, AboveMarkEntriesFollowTheReceiversDedupSet) {
     EXPECT_EQ(held(), 1);
   }
   EXPECT_EQ(held(), 0);  // teardown gives the share back
+}
+
+TEST(ObsCounter, HandoffsCountDeliveriesDrainedOnTheSendingWorker) {
+  obs::Counter& handoffs = obs::Registry::global().counter("net.handoffs");
+  const std::uint64_t base = handoffs.value();
+  auto pool = std::make_shared<util::ThreadPool>(2);
+  net::SimNetwork network(std::make_shared<SimClock>(0), /*seed=*/1);
+  network.set_executor(pool);
+  std::atomic<int> b_runs{0};
+  network.register_endpoint("a", [&](const net::Address&, BytesView) {
+    network.send("a", "b", to_bytes("relay"));
+  });
+  network.register_endpoint("b", [&](const net::Address&, BytesView) { ++b_runs; });
+  network.send("x", "b", to_bytes("direct"));  // an application thread's send is a pool task
+  network.drain();
+  EXPECT_EQ(handoffs.value() - base, 0u);
+  network.send("x", "a", to_bytes("go"));  // a's handler hands b's delivery to its own worker
+  network.drain();
+  EXPECT_EQ(handoffs.value() - base, 1u);
+  EXPECT_EQ(b_runs.load(), 2);
+  EXPECT_EQ(obs::Registry::global().snapshot().counters.count("net.handoffs"), 1u);
+  network.set_executor(nullptr);
 }
 
 TEST(ObsRegistry, GetOrCreateReturnsStableInstruments) {
