@@ -30,10 +30,27 @@ def load(path):
     return out, report.get("harness") or {}
 
 
+# Fixed-work host calibration the bench harness records (median of 5
+# SHA-256 passes over 1 MiB); a time, not a footprint.
+HOST_REF_KEY = "host_ref_ns"
+
+
+def print_host_calibration(base, fresh):
+    """One line on relative host speed, read next to the speedup column:
+    both are baseline/fresh, so a row whose speedup matches the calibration
+    ratio ran as fast as the host allows. Informational only."""
+    b, f = base.get(HOST_REF_KEY), fresh.get(HOST_REF_KEY)
+    if not b or not f:
+        print("host calibration: not recorded in both reports")
+        return
+    print(f"host calibration ({HOST_REF_KEY}): baseline {b} ns, fresh {f} ns, "
+          f"baseline/fresh {b / f:.2f}x (<1: this host is slower)")
+
+
 def print_harness_diff(base, fresh):
     """Footprint comparison from the harness blocks (informational only —
     RSS and disk use vary with corpus knobs, so they never gate)."""
-    keys = sorted(base.keys() | fresh.keys())
+    keys = sorted((base.keys() | fresh.keys()) - {HOST_REF_KEY})
     if not keys:
         return
     print("harness footprint (informational):")
@@ -65,6 +82,7 @@ def main():
     base, base_harness = load(args.baseline)
     fresh, fresh_harness = load(args.fresh)
 
+    print_host_calibration(base_harness, fresh_harness)
     width = max((len(n) for n in base | fresh), default=10)
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  {'speedup':>8}")
     regressions = []

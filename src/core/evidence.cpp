@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "util/hex.hpp"
 #include "util/serialize.hpp"
@@ -158,12 +157,8 @@ Status EvidenceService::verify(const EvidenceToken& token, BytesView subject) co
     return Error::make("evidence.subject_mismatch",
                        to_string(token.type) + " does not cover presented subject");
   }
-  // Content-address the token and go through the credential manager's
-  // object memo — audit_log derives the same id from the logged payload,
-  // so issue/accept/audit all share one memo entry.
-  const store::ObjectId oid = store::object_id(store::kTypeToken, token.encode());
-  auto verified = credentials_->verify_object(oid, token.issuer, token.tbs(),
-                                              token.signature, clock_->now());
+  auto verified = credentials_->verify_signature(token.issuer, token.tbs(), token.signature,
+                                                 clock_->now());
   if (!verified) return verified.error();
   return Status::ok_status();
 }
@@ -191,14 +186,16 @@ std::size_t EvidenceService::segment_memo_size() const {
 
 EvidenceService::LogAuditReport EvidenceService::audit_log(
     const store::EvidenceLog& log, const LogAuditOptions& options) const {
+  using Window = pki::CredentialManager::ValidityWindow;
   LogAuditReport report;
   const std::vector<store::LogRecord>& records = log.records();
   const TimeMs at = clock_->now();
   const std::uint64_t epoch = credentials_->trust_epoch();
-  const std::uint64_t memo_hits_before = credentials_->memo_hits();
   const std::size_t seg_len = std::max<std::size_t>(options.segment_records, 1);
 
-  std::unordered_set<store::ObjectId, crypto::DigestHash> distinct;
+  // Tokens verified during this pass, by SHA-256 of the logged payload: a
+  // token repeated across the log is decoded and verified once.
+  std::unordered_map<crypto::Digest, Window, crypto::DigestHash> verified_tokens;
   crypto::Digest prev{};
   Status verdict = Status::ok_status();
 
@@ -210,7 +207,7 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
     // Probe the memo by the segment's tail chain digest. chain_i commits to
     // every record before it, so one match (under the current trust epoch,
     // at a covered time, with the same span) re-establishes the whole
-    // segment — and its prefix — without hashing or signature work.
+    // segment — and its prefix — without token decode or signature work.
     bool memoized = false;
     {
       util::ReadLock lk(audit_mu_);
@@ -220,37 +217,13 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
                  it->second.first_sequence == records[begin].sequence &&
                  it->second.record_count == end - begin;
     }
-    if (memoized) {
-      // Memo hit: all token decode + signature work is skipped. The hash
-      // chain is still recomputed — the memo key (the tail digest) was read
-      // from the very records it vouches for, so without the rehash a
-      // tampered interior record paired with its stale tail digest would
-      // pass.
-      for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
-        const store::LogRecord& rec = records[i];
-        if (rec.sequence != i) {
-          verdict = Error::make("log.sequence_gap", "at index " + std::to_string(i));
-          break;
-        }
-        const crypto::Digest expect = store::chain_digest(prev, rec);
-        if (!constant_time_equal(BytesView(expect.data(), expect.size()),
-                                 BytesView(rec.chain.data(), rec.chain.size()))) {
-          verdict = Error::make("log.chain_mismatch", "record " + std::to_string(i));
-          break;
-        }
-        prev = rec.chain;
-        if (rec.kind.starts_with("token.")) ++report.token_records;
-        ++report.records;
-      }
-      if (!verdict.ok()) break;
-      ++report.segments_memoized;
-      continue;
-    }
 
-    // Cold path: recompute the chain, verify every token signature through
-    // the object memo, memoize.
-    pki::CredentialManager::ValidityWindow window{0, std::numeric_limits<TimeMs>::max()};
-    for (std::size_t i = begin; i < end && verdict.ok(); ++i) {
+    // The hash chain is recomputed either way: the memo key (the tail
+    // digest) was read from the very records it vouches for, so without the
+    // rehash a tampered interior record paired with its stale tail digest
+    // would pass. Token signatures are verified only on a memo miss.
+    Window window{0, std::numeric_limits<TimeMs>::max()};
+    for (std::size_t i = begin; i < end; ++i) {
       const store::LogRecord& rec = records[i];
       if (rec.sequence != i) {
         verdict = Error::make("log.sequence_gap", "at index " + std::to_string(i));
@@ -265,27 +238,37 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
       prev = rec.chain;
       if (rec.kind.starts_with("token.")) {
         ++report.token_records;
-        auto token = EvidenceToken::decode(rec.payload);
-        if (!token) {
-          verdict = Error::make("audit.bad_token",
-                                "record " + std::to_string(i) + ": " + token.error().code);
-          break;
+        if (!memoized) {
+          const crypto::Digest key = crypto::Sha256::hash(rec.payload);
+          auto it = verified_tokens.find(key);
+          if (it == verified_tokens.end()) {
+            auto token = EvidenceToken::decode(rec.payload);
+            if (!token) {
+              verdict = Error::make("audit.bad_token", "record " + std::to_string(i) + ": " +
+                                                           token.error().code);
+              break;
+            }
+            auto verified = credentials_->verify_signature(token->issuer, token->tbs(),
+                                                           token->signature, at);
+            if (!verified) {
+              verdict = Error::make("audit.bad_signature", "record " + std::to_string(i) +
+                                                               ": " + verified.error().code);
+              break;
+            }
+            it = verified_tokens.emplace(key, verified.value()).first;
+            ++report.distinct_tokens;
+          }
+          window.not_before = std::max(window.not_before, it->second.not_before);
+          window.not_after = std::min(window.not_after, it->second.not_after);
         }
-        const store::ObjectId oid = store::object_id(store::kTypeToken, rec.payload);
-        if (distinct.insert(oid).second) ++report.distinct_tokens;
-        auto verified = credentials_->verify_object(oid, token->issuer, token->tbs(),
-                                                    token->signature, at);
-        if (!verified) {
-          verdict = Error::make("audit.bad_signature", "record " + std::to_string(i) +
-                                                           ": " + verified.error().code);
-          break;
-        }
-        window.not_before = std::max(window.not_before, verified->not_before);
-        window.not_after = std::min(window.not_after, verified->not_after);
       }
       ++report.records;
     }
     if (!verdict.ok()) break;
+    if (memoized) {
+      ++report.segments_memoized;
+      continue;
+    }
 
     util::WriteLock lk(audit_mu_);
     if (segment_memo_.size() >= kSegmentMemoMax) segment_memo_.clear();
@@ -294,10 +277,6 @@ EvidenceService::LogAuditReport EvidenceService::audit_log(
                                 static_cast<std::uint64_t>(end - begin)});
   }
 
-  // Delta of the credential memo's hit counter — exact when the audit has
-  // the service to itself (the normal case), approximate under concurrent
-  // verify traffic.
-  report.token_memo_hits = credentials_->memo_hits() - memo_hits_before;
   report.verdict = std::move(verdict);
   return report;
 }

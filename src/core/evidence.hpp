@@ -118,10 +118,9 @@ class EvidenceService {
   /// like a verification failure.
   Status accept(const EvidenceToken& token, BytesView subject);
 
-  /// Verification only (no persistence side effects). Memoized: the token
-  /// is addressed by its object id (SHA-256 of its encoding), so a token
-  /// verified before — under the same trust state, at a covered time —
-  /// costs one hash and a cache probe instead of a chain walk plus RSA.
+  /// Verification only (no persistence side effects): the subject digest
+  /// check, then the issuer's chain (validity, revocation) and signature
+  /// through the credential manager.
   Status verify(const EvidenceToken& token, BytesView subject) const;
 
   /// Batched verification: fan the records across `pool` (RSA signature
@@ -155,14 +154,13 @@ class EvidenceService {
     std::uint64_t token_records = 0;
     std::uint64_t segments = 0;
     std::uint64_t segments_memoized = 0;  // accepted via the segment memo
-    std::uint64_t distinct_tokens = 0;    // distinct token objects verified this pass
-    std::uint64_t token_memo_hits = 0;    // credential memo hits during this pass
+    std::uint64_t distinct_tokens = 0;    // distinct token payloads verified this pass
     Status verdict = Status::ok_status();
   };
 
   /// Full audit of an evidence log: recompute and check the hash chain,
-  /// verify every token signature (through the object-id memo, so repeated
-  /// tokens — fleet-wide duplicates — are verified once), and intersect
+  /// verify every token signature (each distinct payload once per pass, so
+  /// a token logged many times costs one verification), and intersect
   /// validity windows per chain segment of `segment_records` records.
   ///
   /// Verified segments are memoized by their *tail* chain digest, which by
@@ -173,11 +171,9 @@ class EvidenceService {
   /// to the key, so an in-process mutation of an already-audited record is
   /// caught on the next pass. Entries carry the trust epoch and the
   /// segment's intersected validity window, so a root/cert/CRL change or an
-  /// audit time outside the window falls back to the cold path. A token's
-  /// memo key is store::object_id(kTypeToken, payload), computed here on
-  /// the cold path only: the same key verify() uses, so tokens a party
-  /// already accepted are memo hits. Like every audit-side accessor this
-  /// reads log.records() unlocked — callers run it on a quiescent log.
+  /// audit time outside the window falls back to the cold path. Like every
+  /// audit-side accessor this reads log.records() unlocked — callers run it
+  /// on a quiescent log.
   LogAuditReport audit_log(const store::EvidenceLog& log,
                            const LogAuditOptions& options) const;
   LogAuditReport audit_log(const store::EvidenceLog& log) const {

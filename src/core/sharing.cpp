@@ -613,8 +613,9 @@ void B2BObjectController::process(const net::Address& /*from*/, const ProtocolMe
 
   bool apply = false;
   if (commit) {
-    // Safety: apply only when every member's accept vote verifies
-    // (§3.3 point 3 — the collective decision is available to all).
+    // Safety: apply only when every member's accept vote verifies and is
+    // staged as evidence (§3.3 point 3 — the collective decision is
+    // available to all); a vote that cannot be archived does not count.
     // Signature checks run outside mu_ — they are the expensive part and
     // touch only the thread-safe evidence services.
     auto view = view_of(round.object);
@@ -623,9 +624,8 @@ void B2BObjectController::process(const net::Address& /*from*/, const ProtocolMe
     for (const auto& token : msg.tokens) {
       if (token.type != EvidenceType::kVote) continue;
       if (!view.value().contains(token.issuer)) continue;  // strangers don't count
-      if (ev.verify(token, vote_subject(round, msg.run, true))) {
+      if (ev.accept(token, vote_subject(round, msg.run, true))) {
         verified_accepts.insert(token.issuer);
-        (void)ev.accept(token, vote_subject(round, msg.run, true));
       }
     }
     apply =

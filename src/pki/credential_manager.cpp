@@ -14,35 +14,22 @@ std::string cert_digest(const Certificate& cert) {
   return std::string(reinterpret_cast<const char*>(d.data()), d.size());
 }
 
-// Handles resolved once; recording is lock-free so it is safe under the
-// manager's locks (memo hit rate = memo_hits / (memo_hits + object_verifies)).
-struct PkiMetrics {
-  obs::Counter& memo_hits = obs::Registry::global().counter("pki.memo_hits");
-  obs::Counter& object_verifies = obs::Registry::global().counter("pki.object_verifies");
-  obs::Counter& chain_cache_hits =
-      obs::Registry::global().counter("pki.chain_cache_hits");
-};
-
-PkiMetrics& metrics() {
-  static PkiMetrics m;
-  return m;
+// Resolved once; recording is lock-free so it is safe under the manager's
+// locks.
+obs::Counter& chain_cache_hits_counter() {
+  static obs::Counter& c = obs::Registry::global().counter("pki.chain_cache_hits");
+  return c;
 }
 
 }  // namespace
 
 void CredentialManager::invalidate_caches_locked() const {
-  // The chain cache and the object memo depend on trust state. The
-  // VerifierCache is content-addressed (keyed by a digest of the key
-  // bytes), so its entries can never go stale and survive root/cert/CRL
-  // changes.
+  // The chain cache depends on trust state. The VerifierCache is
+  // content-addressed (keyed by a digest of the key bytes), so its entries
+  // can never go stale and survive root/cert/CRL changes.
   {
     util::MutexLock lk(cache_mu_);
     chain_cache_.clear();
-  }
-  {
-    util::WriteLock lk(memo_mu_);
-    memo_.clear();
-    memo_gauge_.reset();
   }
   trust_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -144,7 +131,7 @@ Status CredentialManager::verify_chain_locked(const Certificate& leaf, TimeMs at
       // hold), so only the time-dependent validity check remains.
       if (it->second.covers(at)) {
         ++chain_cache_hits_;
-        metrics().chain_cache_hits.add();
+        chain_cache_hits_counter().add();
         if (window_out != nullptr) *window_out = it->second;
         return Status::ok_status();
       }
@@ -198,88 +185,17 @@ Status CredentialManager::verify_chain_locked(const Certificate& leaf, TimeMs at
   return Error::make("pki.chain_too_long", leaf.subject.str());
 }
 
-Status CredentialManager::verify_signature(const PartyId& party, BytesView msg,
-                                           BytesView signature, TimeMs at) const {
+Result<CredentialManager::ValidityWindow> CredentialManager::verify_signature(
+    const PartyId& party, BytesView msg, BytesView signature, TimeMs at) const {
   util::ReadLock lk(trust_mu_);
-  const Certificate* cert = find_locked(party);
-  if (cert == nullptr) return Error::make("pki.unknown_party", party.str());
-  if (auto chain = verify_chain_locked(*cert, at); !chain) return chain;
-  if (!verifier_cache_.verify(cert->algorithm, cert->public_key, msg, signature)) {
-    return Error::make("pki.signature_mismatch", party.str());
-  }
-  return Status::ok_status();
-}
-
-namespace {
-
-// Memo key: SHA256(oid || claimed issuer). Committing to the party keeps a
-// hit from vouching for an issuer the object was never verified against —
-// two additional compression rounds per probe, noise next to the map walk.
-crypto::Digest memo_key(const crypto::Digest& oid, const PartyId& party) {
-  crypto::Sha256 h;
-  h.update(BytesView(oid.data(), oid.size()));
-  const std::string& p = party.str();
-  h.update(BytesView(reinterpret_cast<const std::uint8_t*>(p.data()), p.size()));
-  return h.finish();
-}
-
-}  // namespace
-
-std::optional<CredentialManager::ValidityWindow> CredentialManager::memo_probe(
-    const crypto::Digest& oid, const PartyId& party, TimeMs at) const {
-  // The shared trust lock excludes mutations, so an entry read here cannot
-  // be a leftover from a different trust state (mutations clear the memo
-  // before releasing the exclusive lock).
-  util::ReadLock lk(trust_mu_);
-  util::ReadLock memo_lk(memo_mu_);
-  auto it = memo_.find(memo_key(oid, party));
-  if (it == memo_.end() || !it->second.covers(at)) return std::nullopt;
-  memo_hits_.fetch_add(1, std::memory_order_relaxed);
-  metrics().memo_hits.add();
-  return it->second;
-}
-
-Result<CredentialManager::ValidityWindow> CredentialManager::verify_object(
-    const crypto::Digest& oid, const PartyId& party, BytesView msg,
-    BytesView signature, TimeMs at) const {
-  const crypto::Digest key = memo_key(oid, party);
-  util::ReadLock lk(trust_mu_);
-  {
-    util::ReadLock memo_lk(memo_mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end() && it->second.covers(at)) {
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics().memo_hits.add();
-      return it->second;
-    }
-    // A memoized window that does not cover `at` falls through to the full
-    // path: unlike a certificate (whose window *is* its validity), an
-    // object's recorded window is just where the cached answer applies.
-  }
-
   const Certificate* cert = find_locked(party);
   if (cert == nullptr) return Error::make("pki.unknown_party", party.str());
   ValidityWindow window;
-  if (auto chain = verify_chain_locked(*cert, at, &window); !chain.ok()) {
-    return chain.error();
-  }
+  if (auto chain = verify_chain_locked(*cert, at, &window); !chain) return chain.error();
   if (!verifier_cache_.verify(cert->algorithm, cert->public_key, msg, signature)) {
     return Error::make("pki.signature_mismatch", party.str());
   }
-  metrics().object_verifies.add();
-
-  util::WriteLock memo_lk(memo_mu_);
-  if (memo_.size() >= kMemoMaxEntries) {
-    memo_.clear();
-    memo_gauge_.reset();
-  }
-  if (memo_.insert_or_assign(key, window).second) memo_gauge_.add(1);
   return window;
-}
-
-std::size_t CredentialManager::memo_size() const {
-  util::ReadLock lk(memo_mu_);
-  return memo_.size();
 }
 
 void CredentialManager::clear_caches() {

@@ -5,23 +5,18 @@
 // issuer. verify_chain() walks subject -> issuer(s) -> trusted root,
 // checking signatures, validity windows, CA flags and revocation.
 //
-// Steady-state verification is cached three ways:
+// Steady-state verification is cached two ways:
 //  * a VerifierCache memoizes decoded signing keys (and their Montgomery
-//    contexts) by key digest,
+//    contexts) by key digest, and
 //  * successful chain walks are cached by leaf-certificate digest together
 //    with the chain's intersected validity window, so re-verifying the same
-//    leaf at a covered time does no signature work at all, and
-//  * whole verified evidence objects are memoized by (object id, claimed
-//    issuer) — the key commits to both, so the same bytes presented as a
-//    different party never hit another party's entry (verify_object): a
-//    content-addressed token seen before, under the same trust state, at a
-//    time inside its recorded validity window, is accepted with one
-//    shared-lock map probe — no chain walk, no RSA.
-// All caches are invalidated whenever the trust state changes (certificate
-// added, root added, CRL installed), so a revocation can never be masked by
-// a stale cache entry. Only *successes* are memoized. The trust epoch
-// counter ticks on every invalidation so external caches layered on top
-// (e.g. the evidence service's segment memo) can follow along.
+//    leaf at a covered time does no certificate signature work at all.
+// Every token signature itself is checked on every verification. The chain
+// cache is invalidated whenever the trust state changes (certificate added,
+// root added, CRL installed), so a revocation can never be masked by a stale
+// cache entry. Only *successes* are cached. The trust epoch counter ticks on
+// every invalidation so external caches layered on top (e.g. the evidence
+// service's segment memo) can follow along.
 //
 // Thread-safe: verification (the steady state) takes a shared lock on the
 // trust state, so any number of delivery strands and batch-verify workers
@@ -31,14 +26,11 @@
 #pragma once
 
 #include <atomic>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "util/lock_discipline.hpp"
-#include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
-#include "obs/metrics.hpp"
 #include "pki/certificate.hpp"
 #include "pki/revocation.hpp"
 
@@ -70,29 +62,13 @@ class CredentialManager {
   /// Full chain verification of `leaf` at time `at`.
   Status verify_chain(const Certificate& leaf, TimeMs at) const;
 
-  /// Convenience: verify `signature` over `msg` as made by `party`,
-  /// resolving and chain-checking the party's certificate first.
-  Status verify_signature(const PartyId& party, BytesView msg, BytesView signature,
-                          TimeMs at) const;
-
-  /// Memoized form of verify_signature for content-addressed evidence:
-  /// `oid` is the object id of the evidence object carrying (msg,
-  /// signature). On a memo hit (same object verified before, trust state
-  /// unchanged, `at` inside the recorded window) this is one shared-lock
-  /// probe. On a miss it runs the full path and records the chain's
-  /// intersected validity window under the (oid, party) pair — not the oid
-  /// alone, so a hit can never vouch for an issuer the object was not
-  /// verified against. The caller owns the oid ↔ (msg, signature) binding —
-  /// object ids are collision-resistant digests of the object bytes, so the
-  /// binding is stable by construction.
-  Result<ValidityWindow> verify_object(const crypto::Digest& oid, const PartyId& party,
-                                       BytesView msg, BytesView signature,
-                                       TimeMs at) const;
-
-  /// Memo lookup alone (no verification on miss): the recorded window when
-  /// (oid, party) is memoized and covers `at`, nullopt otherwise.
-  std::optional<ValidityWindow> memo_probe(const crypto::Digest& oid,
-                                           const PartyId& party, TimeMs at) const;
+  /// Verify `signature` over `msg` as made by `party` at time `at`:
+  /// resolve the party's certificate, chain-check it (validity, revocation,
+  /// issuer signatures), then check the signature. On success returns the
+  /// chain's intersected validity window — the range over which the answer
+  /// holds under the current trust state.
+  Result<ValidityWindow> verify_signature(const PartyId& party, BytesView msg,
+                                          BytesView signature, TimeMs at) const;
 
   bool is_revoked(const PartyId& issuer, const std::string& serial) const;
 
@@ -106,14 +82,9 @@ class CredentialManager {
   /// Cache observability (tests and benches).
   std::size_t chain_cache_size() const;
   std::size_t chain_cache_hits() const;
-  std::size_t memo_size() const;
-  std::uint64_t memo_hits() const noexcept {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
 
-  /// Drop every cached verification result (chain cache and object memo)
-  /// and tick the epoch, as if the trust state had changed. Cold-path
-  /// benchmarking and tests.
+  /// Drop every cached chain walk and tick the epoch, as if the trust
+  /// state had changed. Cold-path benchmarking and tests.
   void clear_caches();
 
  private:
@@ -126,15 +97,7 @@ class CredentialManager {
   const Certificate* find_locked(const PartyId& subject) const;
   void invalidate_caches_locked() const;
 
-  // Object memo holds at most this many windows. An entry costs about 64 B
-  // (32-byte key, 16-byte window, the node's next pointer and cached hash)
-  // plus its bucket slot, so the bound is about 64 MB; a server reaches it
-  // after about 500k fx_direct exchanges. Overflow clears wholesale — the
-  // memo refills from the verification stream it accelerates.
-  static constexpr std::size_t kMemoMaxEntries = 1u << 20;
-
-  // Lock order: trust_mu_ before cache_mu_ / memo_mu_ (never the reverse;
-  // cache_mu_ and memo_mu_ are never nested within each other). Enforced by
+  // Lock order: trust_mu_ before cache_mu_ (never the reverse). Enforced by
   // the ranks below (util::LockRank) and checked at runtime by lockdep.
   mutable util::SharedMutex trust_mu_{util::LockRank::kTrustRoots, "pki.trust_roots"};
   std::unordered_map<std::string, Certificate> roots_;  // by subject id
@@ -149,13 +112,6 @@ class CredentialManager {
   mutable std::unordered_map<std::string, ValidityWindow> chain_cache_;
   mutable crypto::VerifierCache verifier_cache_;
   mutable std::size_t chain_cache_hits_ = 0;
-
-  // Object-id memo (verify_object). shared_mutex: the steady state is
-  // concurrent probes from delivery strands and audit workers.
-  mutable util::SharedMutex memo_mu_{util::LockRank::kVerifyMemo, "pki.object_memo"};
-  mutable std::unordered_map<crypto::Digest, ValidityWindow, crypto::DigestHash> memo_;
-  mutable obs::GaugeShare memo_gauge_{"pki.object_memo_entries"};  // memo_.size()
-  mutable std::atomic<std::uint64_t> memo_hits_{0};
   mutable std::atomic<std::uint64_t> trust_epoch_{0};
 };
 

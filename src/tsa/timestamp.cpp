@@ -63,8 +63,10 @@ Status verify_timestamp(const TimestampToken& token, BytesView original_data,
                                      token.subject_digest.size()))) {
     return Error::make("tsa.digest_mismatch", "token does not cover this data");
   }
-  return credentials.verify_signature(token.authority, token.tbs(), token.signature,
-                                      verification_time);
+  auto verified = credentials.verify_signature(token.authority, token.tbs(), token.signature,
+                                               verification_time);
+  if (!verified) return verified.error();
+  return Status::ok_status();
 }
 
 }  // namespace nonrep::tsa

@@ -112,11 +112,10 @@ enum class LockRank : std::uint16_t {
   kStateStore = 430,     // store::StateStore stripes (multi, address order)
   kObjectStore = 440,    // store::ObjectStore stripes (multi, address order)
 
-  // -- Tier 4: PKI + crypto (trust_mu_ -> cache_mu_/memo_mu_ -> signer ->
+  // -- Tier 4: PKI + crypto (trust_mu_ -> cache_mu_ -> signer ->
   //    verifier cache -> lazily built Montgomery contexts).
   kTrustRoots = 500,     // pki::CredentialManager trust_mu_
   kVerifyCache = 510,    // pki::CredentialManager cache_mu_
-  kVerifyMemo = 515,     // pki::CredentialManager memo_mu_
   kSignerState = 520,    // crypto::MerkleSchemeSigner one-time-leaf state
   kVerifierKeys = 530,   // crypto::VerifierCache decoded-key map
   kCryptoContext = 540,  // crypto RSA key Montgomery-context caches

@@ -5,6 +5,7 @@
 #include "common.hpp"
 #include "core/evidence.hpp"
 #include "core/protocol_message.hpp"
+#include "obs/metrics.hpp"
 
 namespace nonrep::core {
 namespace {
@@ -186,16 +187,6 @@ TEST_F(EvidenceFixture, ErrorReplyRoundTrip) {
   EXPECT_FALSE(as_error(req).has_value());
 }
 
-TEST_F(EvidenceFixture, RepeatedVerifyHitsObjectMemo) {
-  const Bytes subject = to_bytes("snapshot");
-  auto token = a->evidence->issue(EvidenceType::kNroRequest, RunId("r"), subject);
-  ASSERT_TRUE(token.ok());
-  ASSERT_TRUE(b->evidence->verify(token.value(), subject).ok());
-  const std::uint64_t hits = b->evidence->credentials().memo_hits();
-  ASSERT_TRUE(b->evidence->verify(token.value(), subject).ok());
-  EXPECT_EQ(b->evidence->credentials().memo_hits(), hits + 1);
-}
-
 TEST_F(EvidenceFixture, AuditLogColdThenMemoized) {
   // Party a logs 30 tokens (10 distinct payloads); auditing twice must do
   // the signature work once and answer the re-audit from the segment memo.
@@ -233,18 +224,30 @@ TEST_F(EvidenceFixture, AuditLogColdThenMemoized) {
   EXPECT_EQ(grown.segments_memoized, 3u);  // the untouched full segments
 }
 
-TEST_F(EvidenceFixture, AuditAfterAcceptHitsObjectMemo) {
-  // Records carry no object id: audit_log derives the token's memo key from
-  // the logged payload. It must be the key accept()'s verify stored, so the
-  // audit of a party's own log re-uses what it verified on receipt.
-  const Bytes subject = to_bytes("accepted snapshot");
-  auto token = a->evidence->issue(EvidenceType::kNroRequest, RunId("r"), subject);
-  ASSERT_TRUE(token.ok());
-  ASSERT_TRUE(b->evidence->accept(token.value(), subject).ok());
-  auto report = b->evidence->audit_log(*b->log);
+TEST_F(EvidenceFixture, ColdAuditVerifiesEachDistinctTokenOnce) {
+  // 30 token records, 10 distinct payloads: a cold audit decodes and
+  // verifies each distinct payload once per pass. With the chain cache
+  // cleared that is 10 token signatures plus the one certificate signature
+  // of org a's chain walk — every other record reuses the pass's result.
+  for (int i = 0; i < 30; ++i) {
+    auto token = a->evidence->issue(EvidenceType::kNroRequest,
+                                    RunId("run-" + std::to_string(i % 10)),
+                                    to_bytes("subject-" + std::to_string(i % 10)));
+    ASSERT_TRUE(token.ok());
+  }
+  auto* auditor = b->evidence.get();
+  auditor->credentials().clear_caches();
+  auto& reg = obs::Registry::global();
+  auto verifies = [&] {
+    return reg.counter("crypto.verifier_cache_hits").value() +
+           reg.counter("crypto.verifier_cache_misses").value();
+  };
+  const std::uint64_t before = verifies();
+  auto report = auditor->audit_log(*a->log);
   ASSERT_TRUE(report.verdict.ok()) << report.verdict.error().code;
-  EXPECT_EQ(report.token_records, 1u);
-  EXPECT_GE(report.token_memo_hits, 1u);
+  EXPECT_EQ(report.token_records, 30u);
+  EXPECT_EQ(report.distinct_tokens, 10u);
+  EXPECT_EQ(verifies() - before, 11u);
 }
 
 TEST_F(EvidenceFixture, ConcurrentAuditsAgree) {

@@ -184,8 +184,7 @@ TEST(ObsGauge, ConcurrentAddBalances) {
 TEST(ObsGauge, RetainedTableGaugesTrackTablesAndTeardown) {
   auto& reg = obs::Registry::global();
   const char* const names[] = {"store.log_records", "store.log_payload_bytes",
-                               "store.state_bytes", "container.completed_runs",
-                               "pki.object_memo_entries"};
+                               "store.state_bytes", "container.completed_runs"};
   std::map<std::string, std::int64_t> base;
   for (const char* name : names) base[name] = reg.gauge(name).value();
   auto delta = [&](const char* name) { return reg.gauge(name).value() - base[name]; };
@@ -230,14 +229,6 @@ TEST(ObsGauge, RetainedTableGaugesTrackTablesAndTeardown) {
     EXPECT_EQ(delta("store.log_payload_bytes"), payload_bytes);
     EXPECT_EQ(delta("store.state_bytes"), 2 * subject_bytes);  // a on issue, b on accept
     EXPECT_EQ(delta("container.completed_runs"), kOps);
-    EXPECT_EQ(delta("pki.object_memo_entries"),
-              static_cast<std::int64_t>(a.credentials->memo_size() +
-                                        b.credentials->memo_size()));
-    EXPECT_EQ(b.credentials->memo_size(), static_cast<std::size_t>(kOps));
-
-    b.credentials->clear_caches();  // a clear gives its entries back at once
-    EXPECT_EQ(delta("pki.object_memo_entries"),
-              static_cast<std::int64_t>(a.credentials->memo_size()));
   }
 
   for (const char* name : names) EXPECT_EQ(delta(name), 0) << name;

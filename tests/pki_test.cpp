@@ -323,116 +323,49 @@ TEST_F(PkiFixture, CachedSignatureVerificationStaysCorrect) {
   EXPECT_FALSE(manager.verify_signature(PartyId("org:a"), msg, tampered, 100).ok());
 }
 
-TEST_F(PkiFixture, VerifyObjectMemoizesSuccesses) {
-  const Bytes msg = to_bytes("content-addressed evidence");
-  const crypto::Digest oid = crypto::Sha256::hash(msg);  // any stable object id
-  auto sig = subject_signer->sign(msg);
-  ASSERT_TRUE(sig.ok());
-
-  EXPECT_EQ(manager.memo_size(), 0u);
-  EXPECT_FALSE(manager.memo_probe(oid, PartyId("org:a"), 100).has_value());
-  auto first = manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(manager.memo_size(), 1u);
-  EXPECT_EQ(manager.memo_hits(), 0u);
-
-  // The memoized path answers without touching message or signature at all.
-  auto again = manager.verify_object(oid, PartyId("org:a"), to_bytes("ignored"),
-                                     to_bytes("ignored"), 200);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(manager.memo_hits(), 1u);
-  EXPECT_EQ(again.value().not_before, first.value().not_before);
-  EXPECT_EQ(again.value().not_after, first.value().not_after);
-
-  auto window = manager.memo_probe(oid, PartyId("org:a"), 100);
-  ASSERT_TRUE(window.has_value());
-  EXPECT_TRUE(window->covers(100));
-  // ...but never for a time outside the chain's validity window.
-  EXPECT_FALSE(manager.memo_probe(oid, PartyId("org:a"), kYear + 1).has_value());
-  EXPECT_FALSE(manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), kYear + 1).ok());
-}
-
-TEST_F(PkiFixture, ObjectMemoCommitsToClaimedIssuer) {
-  // The memo key covers (oid, party): a success recorded for org:a must not
-  // vouch for the same object id presented as some other issuer.
-  const Bytes msg = to_bytes("whose token is this");
-  const crypto::Digest oid = crypto::Sha256::hash(msg);
-  auto sig = subject_signer->sign(msg);
-  ASSERT_TRUE(sig.ok());
-  ASSERT_TRUE(manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100).ok());
-  ASSERT_TRUE(manager.memo_probe(oid, PartyId("org:a"), 100).has_value());
-
-  EXPECT_FALSE(manager.memo_probe(oid, PartyId("org:b"), 100).has_value());
-  auto other = manager.verify_object(oid, PartyId("org:b"), msg, sig.value(), 100);
-  ASSERT_FALSE(other.ok());
-  EXPECT_EQ(other.error().code, "pki.unknown_party");
-  EXPECT_EQ(manager.memo_size(), 1u);  // the failure added nothing for org:b
-}
-
-TEST_F(PkiFixture, VerifyObjectDoesNotMemoizeFailures) {
-  const Bytes msg = to_bytes("statement");
-  const crypto::Digest oid = crypto::Sha256::hash(msg);
-  auto sig = subject_signer->sign(msg);
-  ASSERT_TRUE(sig.ok());
-  Bytes bad = sig.value();
-  bad[bad.size() / 2] ^= 0x08;
-  EXPECT_FALSE(manager.verify_object(oid, PartyId("org:a"), msg, bad, 100).ok());
-  EXPECT_EQ(manager.memo_size(), 0u);
-  EXPECT_FALSE(manager.memo_probe(oid, PartyId("org:a"), 100).has_value());
-  // The failed attempt must not poison the id: the genuine signature passes.
-  EXPECT_TRUE(manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100).ok());
-}
-
-TEST_F(PkiFixture, CrlRevocationInvalidatesObjectMemo) {
-  const Bytes msg = to_bytes("soon to be revoked");
-  const crypto::Digest oid = crypto::Sha256::hash(msg);
-  auto sig = subject_signer->sign(msg);
-  ASSERT_TRUE(sig.ok());
-  ASSERT_TRUE(manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100).ok());
-  ASSERT_TRUE(manager.memo_probe(oid, PartyId("org:a"), 100).has_value());
-  const std::uint64_t epoch_before = manager.trust_epoch();
-
-  RevocationAuthority ra(PartyId("ca:root"), ca_signer);
-  ra.revoke(subject_cert.serial);
-  ASSERT_TRUE(manager.install_crl(ra.current(50).take()).ok());
-
-  // The memoized success must not survive the trust change.
-  EXPECT_GT(manager.trust_epoch(), epoch_before);
-  EXPECT_EQ(manager.memo_size(), 0u);
-  EXPECT_FALSE(manager.memo_probe(oid, PartyId("org:a"), 100).has_value());
-  auto status = manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, "pki.revoked");
-}
-
-TEST_F(PkiFixture, ClearCachesDropsObjectMemoAndTicksEpoch) {
+TEST_F(PkiFixture, ClearCachesDropsChainCacheAndTicksEpoch) {
   const Bytes msg = to_bytes("m");
-  const crypto::Digest oid = crypto::Sha256::hash(msg);
   auto sig = subject_signer->sign(msg);
   ASSERT_TRUE(sig.ok());
-  ASSERT_TRUE(manager.verify_object(oid, PartyId("org:a"), msg, sig.value(), 100).ok());
+  ASSERT_TRUE(manager.verify_signature(PartyId("org:a"), msg, sig.value(), 100).ok());
+  ASSERT_EQ(manager.chain_cache_size(), 1u);
   const std::uint64_t epoch = manager.trust_epoch();
   manager.clear_caches();
-  EXPECT_EQ(manager.memo_size(), 0u);
   EXPECT_EQ(manager.chain_cache_size(), 0u);
+  // The tick is what stales the evidence service's audit segment memo.
   EXPECT_GT(manager.trust_epoch(), epoch);
 }
 
-TEST_F(PkiFixture, EightThreadVerifyObjectUnderConcurrentRevocation) {
-  // Readers hammer the object memo while the CRL lands mid-flight. Every
+TEST_F(PkiFixture, VerifySignatureReturnsTheChainWindow) {
+  const Bytes msg = to_bytes("windowed");
+  auto sig = subject_signer->sign(msg);
+  ASSERT_TRUE(sig.ok());
+  auto window = manager.verify_signature(PartyId("org:a"), msg, sig.value(), 100);
+  ASSERT_TRUE(window.ok());
+  EXPECT_EQ(window->not_before, subject_cert.not_before);
+  EXPECT_EQ(window->not_after, subject_cert.not_after);
+  // A chain-cache hit hands back the same window.
+  auto again = manager.verify_signature(PartyId("org:a"), msg, sig.value(), 200);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->not_before, window->not_before);
+  EXPECT_EQ(again->not_after, window->not_after);
+  EXPECT_FALSE(manager.verify_signature(PartyId("org:a"), msg, sig.value(), kYear + 1).ok());
+}
+
+TEST_F(PkiFixture, EightThreadVerifySignatureUnderConcurrentRevocation) {
+  // Readers hammer verify_signature while the CRL lands mid-flight. Every
   // answer must be one of the two legal ones — verified (pre-revocation
-  // trust) or pki.revoked — and after the dust settles the memo agrees with
-  // the CRL. (The TSan job is what gives this test its teeth.)
+  // trust) or pki.revoked — the installing thread never sees a success
+  // after its install, and afterwards nothing is cached. (The TSan job is
+  // what gives this test its teeth.)
   constexpr int kThreads = 8;
-  constexpr int kObjects = 16;
+  constexpr int kMessages = 16;
   constexpr int kOpsPerThread = 300;
 
   std::vector<Bytes> msgs;
-  std::vector<crypto::Digest> oids;
   std::vector<Bytes> sigs;
-  for (int i = 0; i < kObjects; ++i) {
+  for (int i = 0; i < kMessages; ++i) {
     msgs.push_back(to_bytes("object-" + std::to_string(i)));
-    oids.push_back(crypto::Sha256::hash(msgs.back()));
     auto sig = subject_signer->sign(msgs.back());
     ASSERT_TRUE(sig.ok());
     sigs.push_back(std::move(sig).take());
@@ -446,15 +379,16 @@ TEST_F(PkiFixture, EightThreadVerifyObjectUnderConcurrentRevocation) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      bool installed = false;
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const auto idx = static_cast<std::size_t>((t * 13 + i) % kObjects);
-        auto r = manager.verify_object(oids[idx], PartyId("org:a"), msgs[idx], sigs[idx],
-                                       100);
+        const auto idx = static_cast<std::size_t>((t * 13 + i) % kMessages);
+        auto r = manager.verify_signature(PartyId("org:a"), msgs[idx], sigs[idx], 100);
         if (!r.ok() && r.error().code != "pki.revoked") bogus.fetch_add(1);
-        if (i % 5 == 0) (void)manager.memo_probe(oids[idx], PartyId("org:a"), 100);
+        if (r.ok() && installed) bogus.fetch_add(1);  // a masked revocation
         if (t == 0 && i == kOpsPerThread / 2) {
           RevocationList copy = crl;
           if (!manager.install_crl(std::move(copy)).ok()) bogus.fetch_add(1);
+          installed = true;
         }
       }
     });
@@ -462,10 +396,10 @@ TEST_F(PkiFixture, EightThreadVerifyObjectUnderConcurrentRevocation) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(bogus.load(), 0);
-  auto status = manager.verify_object(oids[0], PartyId("org:a"), msgs[0], sigs[0], 100);
+  auto status = manager.verify_signature(PartyId("org:a"), msgs[0], sigs[0], 100);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, "pki.revoked");
-  EXPECT_EQ(manager.memo_size(), 0u);  // nothing re-memoized after revocation
+  EXPECT_EQ(manager.chain_cache_size(), 0u);  // nothing re-cached after revocation
 }
 
 TEST(VerifierCache, MatchesUncachedVerify) {

@@ -5,6 +5,7 @@
 
 #include "common.hpp"
 #include "core/sharing.hpp"
+#include "obs/metrics.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
@@ -140,6 +141,27 @@ TEST_F(SharingFixture, EvidenceTrailCoversWholeRound) {
     EXPECT_TRUE(voter_logged_decision) << i;
     EXPECT_TRUE(nodes[i].party->log->verify_chain().ok());
   }
+}
+
+TEST_F(SharingFixture, DecisionVerifiesEachTokenOnce) {
+  // One 3-party round receives 12 tokens: the proposal at each voter (2),
+  // the peer votes at the proposer (2), and the decision plus all three
+  // votes at each voter (8). Each must cost exactly one signature check.
+  // A warm-up round first fills every party's chain cache, so the measured
+  // round does no certificate work.
+  build(3);
+  ASSERT_TRUE(nodes[0].controller->propose_update(kSpec, to_bytes("ok:v2")).ok());
+  world.network.run();
+  auto& reg = obs::Registry::global();
+  auto verifies = [&] {
+    return reg.counter("crypto.verifier_cache_hits").value() +
+           reg.counter("crypto.verifier_cache_misses").value();
+  };
+  const std::uint64_t before = verifies();
+  ASSERT_TRUE(nodes[0].controller->propose_update(kSpec, to_bytes("ok:v3")).ok());
+  world.network.run();
+  EXPECT_EQ(verifies() - before, 12u);
+  expect_converged(to_bytes("ok:v3"), 3);
 }
 
 TEST_F(SharingFixture, AgreedStateReconstructibleFromStore) {
