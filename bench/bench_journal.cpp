@@ -63,7 +63,8 @@ BENCHMARK(BM_JournalAppend_EveryRecord)->Unit(benchmark::kMicrosecond);
 // The async API's ROI axis: N appender threads stage records through
 // append_async() and keep a window of up to `inflight` unsettled durability
 // tickets per thread, so ticket waits overlap with later appends' writes
-// and the barriers they request fold together. inflight=1 waits for each
+// and the barrier a wait requests covers every record written before it
+// (appends request none). inflight=1 waits for each
 // record right after staging the next.
 void run_append_pipelined(benchmark::State& state, const std::string& name) {
   const int appenders = static_cast<int>(state.range(0));
@@ -126,8 +127,9 @@ void run_append_pipelined(benchmark::State& state, const std::string& name) {
   fs::remove_all(dir);
 }
 
-/// Pipelined per-record durability: every record's barrier still retires,
-/// but the appender overlaps the wait across `inflight` outstanding tickets.
+/// Pipelined per-record durability: every record is durable before its
+/// ticket leaves the window, but the appender overlaps the wait across
+/// `inflight` outstanding tickets, and one wait's barrier covers them all.
 void BM_JournalAppendPipelined_EveryRecord(benchmark::State& state) {
   run_append_pipelined(state, "pipe_every_record");
 }

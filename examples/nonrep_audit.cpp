@@ -13,16 +13,21 @@
 //
 // Usage:
 //   nonrep_audit [--json] <journal-dir>
-//                                 audit an existing journal (exit 1 on any
-//                                 defect; a final segment cut at a frame
-//                                 boundary is accepted, because a crash
-//                                 leaves exactly that). With --json the
-//                                 report is a single machine-readable JSON
-//                                 object on stdout: structural result,
-//                                 chain result (with undecodable frames)
-//                                 and the final verdict.
-//   nonrep_audit [--self-demo]    self-demo: build a journal, crash it with
-//                                 a torn record, recover, audit both states
+//                                 audit an existing journal, live, closed
+//                                 or crash-left (exit 1 on any defect). A
+//                                 final segment cut at a frame boundary is
+//                                 accepted, because a crash leaves exactly
+//                                 that; so are zeros after a segment's last
+//                                 frame, the padding a live or crashed
+//                                 writer leaves (shown per segment). Zeros
+//                                 followed by other bytes are a defect.
+//                                 With --json the report is a single
+//                                 machine-readable JSON object on stdout:
+//                                 structural result, chain result (with
+//                                 undecodable frames) and the final verdict.
+//   nonrep_audit [--self-demo]    self-demo: build a journal, crash it,
+//                                 audit the crash-left journal, tear its
+//                                 next record, audit, recover, audit again
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -54,11 +59,14 @@ std::vector<std::string> structural_problems(const journal::RecoveryReport& repo
 void print_segments(const journal::RecoveryReport& report,
                     const std::vector<std::string>& problems) {
   for (const auto& seg : report.segments) {
-    std::printf("  %-32s first_seq=%-6llu records=%-6llu %8llu bytes  %s\n",
+    const std::string padding =
+        seg.padding_bytes ? " + " + std::to_string(seg.padding_bytes) + " zero padding" : "";
+    std::printf("  %-32s first_seq=%-6llu records=%-6llu %8llu bytes%s  %s\n",
                 fs::path(seg.path).filename().string().c_str(),
                 static_cast<unsigned long long>(seg.first_sequence),
                 static_cast<unsigned long long>(seg.data_records),
-                static_cast<unsigned long long>(seg.file_bytes),
+                static_cast<unsigned long long>(seg.file_bytes - seg.padding_bytes),
+                padding.c_str(),
                 seg.defect.has_value() ? ("DEFECT: " + seg.defect->code).c_str() : "OK");
   }
   for (const auto& p : problems) std::printf("  problem: %s\n", p.c_str());
@@ -192,14 +200,25 @@ int demo() {
     std::printf("log after 40 appends: %zu records, %llu payload bytes\n\n", log.size(),
                 static_cast<unsigned long long>(log.payload_bytes()));
 
-    // Crash mid-append: the writer dies and the next record only
-    // half-reaches the disk.
+    // The writer dies: its final segment keeps the zero padding ahead of
+    // the last frame, which the audit accepts.
     raw->writer().simulate_crash();
+  }
+  std::printf("-- after crash --\n");
+  (void)audit_dir(dir);  // expected: VERIFIED, padding shown
+
+  {
+    // The crash came mid-append: the next record only half-reached the
+    // disk, at the writer's position, over the padding.
     auto segments = journal::Segment::list(dir);
     if (!segments.ok() || segments.value().empty()) return 1;
-    const Bytes torn = journal::encode_frame(journal::RecordType::kData, log.size(),
-                                             to_bytes("torn final record"));
-    std::ofstream out(segments.value().back(), std::ios::binary | std::ios::app);
+    auto tail = journal::Segment::scan(segments.value().back());
+    if (!tail.ok()) return 1;
+    const Bytes torn = journal::encode_frame(
+        journal::RecordType::kData, tail.value().first_sequence + tail.value().records.size(),
+        to_bytes("torn final record"));
+    std::fstream out(segments.value().back(), std::ios::binary | std::ios::in | std::ios::out);
+    out.seekp(static_cast<std::streamoff>(tail.value().valid_bytes));
     out.write(reinterpret_cast<const char*>(torn.data()),
               static_cast<std::streamsize>(torn.size() / 2));
   }
@@ -213,12 +232,12 @@ int demo() {
     if (!reopened.ok()) return 1;
     const auto truncated = reopened.value()->recovery().truncated_bytes;
     store::EvidenceLog log(std::move(reopened).take(), clock);
-    std::printf("recovery truncated %llu torn bytes; %zu records survive "
-                "(%llu payload bytes)\n\n",
+    std::printf("recovery truncated %llu torn bytes (zero padding not counted); "
+                "%zu records survive (%llu payload bytes)\n\n",
                 static_cast<unsigned long long>(truncated), log.size(),
                 static_cast<unsigned long long>(log.payload_bytes()));
-    // Clean shutdown: every record is durable and the tail segment stays
-    // open-ended, for the next open to continue.
+    // Clean shutdown: every record is durable and the tail segment ends at
+    // its last frame, open-ended for the next open to continue.
   }
   return audit_dir(dir);
 }

@@ -1,56 +1,50 @@
 #!/usr/bin/env python3
-"""Compare two Google-Benchmark JSON reports and print a speedup table.
+"""Compare Google-Benchmark JSON reports of a base and a fresh build.
 
-Usage: bench_diff.py BASELINE.json FRESH.json [--tolerance X] [--fail-on-regression]
+Usage: bench_diff.py --base B1.json [B2.json ...] --fresh F1.json [F2.json ...]
+                     [--tolerance X] [--fail-on-regression]
 
-Benchmarks are matched by name. Speedup is baseline/fresh real_time (>1 is
-faster). With --fail-on-regression, exits 1 if any benchmark present in both
-files runs slower than TOLERANCE x the baseline (default 2.0 — generous, so
-machine noise and debug-vs-release skew don't flap CI; real regressions on
-crypto hot paths are an order of magnitude, not tens of percent).
+Each side is one or more reports of the same bench, one per round, taken
+on the same host (scripts/run_benches.sh --base runs the two builds
+interleaved). Benchmarks are matched by name, and each side's time for a
+name is the median of its rounds' real_time. Speedup is base/fresh (>1 is
+faster). With --fail-on-regression, exits 1 if any benchmark present on
+both sides has a fresh median slower than TOLERANCE x the base median
+(default 2.0 — generous, so scheduler noise does not flap the gate; real
+regressions on crypto hot paths are an order of magnitude, not tens of
+percent).
 
-A missing BASELINE file is not an error: a bench added in the current change
-has no committed baseline yet, so the fresh results are printed standalone
-and the run passes — the baseline exists from the next commit on.
+A base side whose files are all missing is not an error: a bench added in
+the fresh build has no base yet, so the fresh results are printed
+standalone and the run passes.
 """
 import argparse
 import json
 import os
+import statistics
 import sys
 
 
-def load(path):
-    with open(path) as f:
-        report = json.load(f)
-    out = {}
-    for b in report.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = (float(b["real_time"]), b.get("time_unit", "ns"))
-    return out, report.get("harness") or {}
-
-
-# Fixed-work host calibration the bench harness records (median of 5
-# SHA-256 passes over 1 MiB); a time, not a footprint.
-HOST_REF_KEY = "host_ref_ns"
-
-
-def print_host_calibration(base, fresh):
-    """One line on relative host speed, read next to the speedup column:
-    both are baseline/fresh, so a row whose speedup matches the calibration
-    ratio ran as fast as the host allows. Informational only."""
-    b, f = base.get(HOST_REF_KEY), fresh.get(HOST_REF_KEY)
-    if not b or not f:
-        print("host calibration: not recorded in both reports")
-        return
-    print(f"host calibration ({HOST_REF_KEY}): baseline {b} ns, fresh {f} ns, "
-          f"baseline/fresh {b / f:.2f}x (<1: this host is slower)")
+def load(paths):
+    """Median real_time per benchmark name over `paths`, plus the harness
+    block of the last report."""
+    times, units, harness = {}, {}, {}
+    for path in paths:
+        with open(path) as f:
+            report = json.load(f)
+        for b in report.get("benchmarks", []):
+            if b.get("run_type") == "aggregate":
+                continue
+            times.setdefault(b["name"], []).append(float(b["real_time"]))
+            units[b["name"]] = b.get("time_unit", "ns")
+        harness = report.get("harness") or harness
+    return {n: (statistics.median(ts), units[n]) for n, ts in times.items()}, harness
 
 
 def print_harness_diff(base, fresh):
     """Footprint comparison from the harness blocks (informational only —
     RSS and disk use vary with corpus knobs, so they never gate)."""
-    keys = sorted((base.keys() | fresh.keys()) - {HOST_REF_KEY})
+    keys = sorted((base.keys() | fresh.keys()) - {"host_ref_ns"})
     if not keys:
         return
     print("harness footprint (informational):")
@@ -63,28 +57,27 @@ def print_harness_diff(base, fresh):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("fresh")
+    ap.add_argument("--base", nargs="+", required=True, help="base reports, one per round")
+    ap.add_argument("--fresh", nargs="+", required=True, help="fresh reports, one per round")
     ap.add_argument("--tolerance", type=float, default=2.0,
-                    help="fail when fresh > tolerance * baseline")
+                    help="fail when the fresh median > tolerance * the base median")
     ap.add_argument("--fail-on-regression", action="store_true")
     args = ap.parse_args()
 
-    if not os.path.exists(args.baseline):
-        fresh, _ = load(args.fresh)
-        print(f"new bench — no baseline at {args.baseline}; nothing to gate")
+    fresh, fresh_harness = load(args.fresh)
+    base_paths = [p for p in args.base if os.path.exists(p)]
+    if not base_paths:
+        print(f"new bench — no base report ({args.base[0]}); nothing to gate")
         width = max((len(n) for n in fresh), default=10)
         for name in sorted(fresh):
             t, u = fresh[name]
             print(f"  {name:<{width}}  {t:>10.1f} {u}")
         return 0
+    base, base_harness = load(base_paths)
 
-    base, base_harness = load(args.baseline)
-    fresh, fresh_harness = load(args.fresh)
-
-    print_host_calibration(base_harness, fresh_harness)
+    print(f"medians of {len(base_paths)} base and {len(args.fresh)} fresh rounds")
     width = max((len(n) for n in base | fresh), default=10)
-    print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  {'speedup':>8}")
+    print(f"{'benchmark':<{width}}  {'base':>12}  {'fresh':>12}  {'speedup':>8}")
     regressions = []
     for name in sorted(base | fresh):
         if name not in base:

@@ -1,19 +1,42 @@
 #!/usr/bin/env bash
 # Runs every bench executable and collects the BENCH_<name>.json reports.
+# With --base, gates the timed benches against another revision, built and
+# run on the same host.
 #
-# Usage: scripts/run_benches.sh [--quick] [build-dir] [out-dir]
-#   --quick    pass a tiny --benchmark_min_time for smoke/CI runs
-#   build-dir  defaults to ./build
-#   out-dir    defaults to ./bench_results
+# Usage: scripts/run_benches.sh [--quick] [--base REV] [--rounds N] [build-dir] [out-dir]
+#   --quick     pass a tiny --benchmark_min_time for smoke/CI runs
+#   --base REV  check REV out into a local git worktree (<build-dir>/base-src),
+#               build its gated benches in <build-dir>/base-build with the
+#               fresh build's type and compiler, run base and fresh binaries
+#               of each gated bench interleaved for N rounds, and fail when
+#               a fresh median is slower than tolerance x the base median.
+#               Without --base nothing is gated: a report from another host
+#               (such as the committed bench_results/) says nothing about
+#               this build.
+#   --rounds N  rounds per side with --base (default and minimum 3)
+#   build-dir   defaults to ./build
+#   out-dir     defaults to ./bench_results; per-round reports go to
+#               <out-dir>/rounds/{base,fresh}-<round>/
 set -euo pipefail
 
 quick=0
-if [[ "${1:-}" == "--quick" ]]; then
-  quick=1
-  shift
+base_rev=""
+rounds=3
+positional=()
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --quick) quick=1; shift ;;
+    --base) base_rev="${2:?--base needs a revision}"; shift 2 ;;
+    --rounds) rounds="${2:?--rounds needs a count}"; shift 2 ;;
+    *) positional+=("$1"); shift ;;
+  esac
+done
+build_dir="${positional[0]:-build}"
+out_dir="${positional[1]:-bench_results}"
+if (( rounds < 3 )); then
+  echo "error: --rounds must be at least 3" >&2
+  exit 2
 fi
-build_dir="${1:-build}"
-out_dir="${2:-bench_results}"
 
 if [[ ! -d "$build_dir/bench" ]]; then
   echo "error: $build_dir/bench not found — build first: cmake -B $build_dir -S . && cmake --build $build_dir -j" >&2
@@ -22,41 +45,97 @@ fi
 
 mkdir -p "$out_dir"
 out_dir="$(cd "$out_dir" && pwd)"
+build_dir="$(cd "$build_dir" && pwd)"
 script_dir="$(cd "$(dirname "$0")" && pwd)"
+rounds_dir="$out_dir/rounds"
 
-# Snapshot the committed baselines of every gated bench before the run
-# overwrites them, so we can diff (and fail on regressions) afterwards.
-# crypto is pure CPU (tight tolerance); invocation rides the virtual
-# network and journal does real fsync work, so they get more headroom;
-# scenarios drive whole multi-party protocol waves (contention + injected
-# loss), so they get the widest band — the gate exists to catch
-# order-of-magnitude regressions in the end-to-end protocol path.
-# objectstore mixes pure hashing with journal I/O and a ~1M-record corpus
-# build, so it rides the journal band.
+# Gated benches and their tolerances on the ratio of medians. crypto is
+# pure CPU (tight tolerance); invocation rides the virtual network and
+# journal does real fsync work, so they get more headroom; scenarios drive
+# whole multi-party protocol waves (contention + injected loss), so they
+# get the widest band — the gate exists to catch order-of-magnitude
+# regressions in the end-to-end protocol path. objectstore mixes pure
+# hashing with journal I/O and a ~1M-record corpus build, so it rides the
+# journal band. Quick runs time each case for a few milliseconds, so their
+# medians are noisier and the bands are twice as wide.
 gated_benches=(crypto invocation journal objectstore scenarios)
 declare -A gate_tolerance=([crypto]=2.0 [invocation]=3.0 [journal]=3.0 [objectstore]=3.0 [scenarios]=4.0)
 declare -A gate_tolerance_quick=([crypto]=4.0 [invocation]=6.0 [journal]=6.0 [objectstore]=6.0 [scenarios]=8.0)
-declare -A gate_baseline=()
-for nm in "${gated_benches[@]}"; do
-  if [[ -f "$out_dir/BENCH_$nm.json" ]]; then
-    tmp="$(mktemp)"
-    cp "$out_dir/BENCH_$nm.json" "$tmp"
-    gate_baseline[$nm]="$tmp"
-  fi
-done
 
 extra_args=()
 if [[ $quick -eq 1 ]]; then
   extra_args+=("--benchmark_min_time=0.01" "--benchmark_min_warmup_time=0")
 fi
 
+# run_bench BINARY DIR: run one bench, its report written into DIR.
+run_bench() {
+  mkdir -p "$2"
+  (cd "$2" && "$1" "${extra_args[@]}")
+}
+
+# run_round BINARY DIR: run_bench with the console output kept in DIR.
+run_round() {
+  local log
+  log="$2/$(basename "$1").log"
+  mkdir -p "$2"
+  run_bench "$1" "$2" >"$log" 2>&1 || { echo "!!! $1 failed, see $log" >&2; return 1; }
+}
+
 failed=0
+
+if [[ -n "$base_rev" ]]; then
+  repo_root="$(git -C "$script_dir/.." rev-parse --show-toplevel)"
+  base_sha="$(git -C "$repo_root" rev-parse --verify "$base_rev^{commit}")"
+  worktree="$build_dir/base-src"
+  base_build="$build_dir/base-build"
+  if [[ -e "$worktree/.git" ]]; then
+    git -C "$worktree" checkout --quiet --detach --force "$base_sha"
+  else
+    git -C "$repo_root" worktree prune
+    git -C "$repo_root" worktree add --quiet --detach "$worktree" "$base_sha"
+  fi
+  # Same build type, compiler and launcher (ccache in CI) as the fresh build.
+  cfg=()
+  for var in CMAKE_BUILD_TYPE CMAKE_CXX_COMPILER CMAKE_CXX_COMPILER_LAUNCHER; do
+    value="$(sed -n "s/^$var:[A-Z]*=//p" "$build_dir/CMakeCache.txt")"
+    [[ -n "$value" ]] && cfg+=("-D$var=$value")
+  done
+  echo "=== building base $base_rev ($base_sha) in $base_build ==="
+  cmake -S "$worktree" -B "$base_build" "${cfg[@]}" >/dev/null
+  for nm in "${gated_benches[@]}"; do
+    cmake --build "$base_build" --target "bench_$nm" -j "$(nproc)" >"$base_build/bench_$nm.build.log" 2>&1 ||
+      echo "note: bench_$nm did not build at the base (see $base_build/bench_$nm.build.log); its gate passes" >&2
+  done
+
+  # Interleaved rounds: base and fresh runs of a bench sit next to each
+  # other in time, so host drift hits both sides alike.
+  rm -rf "$rounds_dir"
+  for ((round = 1; round <= rounds; round++)); do
+    for nm in "${gated_benches[@]}"; do
+      [[ -x "$build_dir/bench/bench_$nm" ]] || continue
+      if [[ -x "$base_build/bench/bench_$nm" ]]; then
+        echo "=== bench_$nm (base, round $round/$rounds) ==="
+        run_round "$base_build/bench/bench_$nm" "$rounds_dir/base-$round" || failed=1
+      fi
+      echo "=== bench_$nm (fresh, round $round/$rounds) ==="
+      run_round "$build_dir/bench/bench_$nm" "$rounds_dir/fresh-$round" || failed=1
+    done
+  done
+  for nm in "${gated_benches[@]}"; do
+    last="$rounds_dir/fresh-$rounds/BENCH_$nm.json"
+    [[ -f "$last" ]] && cp "$last" "$out_dir/"
+  done
+fi
+
+# Every bench not run in rounds above runs once.
 for bench in "$build_dir"/bench/bench_*; do
   [[ -x "$bench" && ! -d "$bench" ]] || continue
   name="$(basename "$bench")"
-  bench_abs="$(cd "$(dirname "$bench")" && pwd)/$name"
+  if [[ -n "$base_rev" && " ${gated_benches[*]} " == *" ${name#bench_} "* ]]; then
+    continue
+  fi
   echo "=== $name ==="
-  if (cd "$out_dir" && "$bench_abs" "${extra_args[@]}"); then
+  if run_bench "$bench" "$out_dir"; then
     echo "--- wrote $out_dir/BENCH_${name#bench_}.json"
   else
     echo "!!! $name failed" >&2
@@ -66,33 +145,33 @@ done
 
 ls -l "$out_dir"/BENCH_*.json
 
-# Bench diff: compare each fresh gated report against its pre-run baseline
-# and fail on regressions beyond tolerance. Quick/CI runs execute on
-# arbitrary shared runners against a baseline recorded elsewhere, so the
-# tolerance widens there: it still catches the order-of-magnitude
-# regressions that matter without flapping on hardware skew.
-if command -v python3 >/dev/null; then
+# Gate: the median of the fresh rounds against the median of the base
+# rounds, per benchmark (bench_diff.py).
+if [[ -n "$base_rev" ]]; then
   for nm in "${gated_benches[@]}"; do
-    [[ -f "$out_dir/BENCH_$nm.json" ]] || continue
-    # No pre-run snapshot means the committed tree had no baseline for this
-    # bench (it is new); bench_diff prints the fresh numbers and passes.
-    baseline="${gate_baseline[$nm]:-$out_dir/.no-baseline-$nm.json}"
+    [[ -f "$rounds_dir/fresh-1/BENCH_$nm.json" ]] || continue
+    base_reports=()
+    fresh_reports=()
+    for ((round = 1; round <= rounds; round++)); do
+      base_reports+=("$rounds_dir/base-$round/BENCH_$nm.json")
+      fresh_reports+=("$rounds_dir/fresh-$round/BENCH_$nm.json")
+    done
     tolerance="${gate_tolerance[$nm]}"
     [[ $quick -eq 1 ]] && tolerance="${gate_tolerance_quick[$nm]}"
-    echo "=== bench diff ($nm, vs committed baseline, tolerance ${tolerance}x) ==="
+    echo "=== bench diff ($nm, vs $base_rev, tolerance ${tolerance}x) ==="
     python3 "$script_dir/bench_diff.py" --fail-on-regression --tolerance "$tolerance" \
-      "$baseline" "$out_dir/BENCH_$nm.json" || failed=1
-    rm -f "$baseline"
+      --base "${base_reports[@]}" --fresh "${fresh_reports[@]}" || failed=1
   done
 else
-  echo "note: python3 not found, skipping bench diff" >&2
+  echo "note: no --base revision given, so no bench is gated" >&2
 fi
 
 # Journal durability bench: print the pipelined-commit ROI — per-append
 # throughput for each appenders x ticket-window cell against the blocking
 # per-record append (acceptance floor: >= 1.5x blocking throughput with a
-# window of >= 2 tickets). Every append requests its own barrier; a wider
-# window lets more of those requests fold into one fdatasync.
+# window of >= 2 tickets). An append requests no barrier; a ticket wait
+# requests one covering every append written so far, so a wider window
+# lets more appends ride one fdatasync.
 if [[ -f "$out_dir/BENCH_journal.json" ]] && command -v python3 >/dev/null; then
   python3 - "$out_dir/BENCH_journal.json" <<'PYEOF'
 import json, sys

@@ -620,11 +620,26 @@ void B2BObjectController::process(const net::Address& /*from*/, const ProtocolMe
     // touch only the thread-safe evidence services.
     auto view = view_of(round.object);
     if (!view) return;
+    // Our own accept vote was signed and logged at issue: it counts without
+    // a second check or record, provided we still hold this run's lock
+    // (granted only with an accept vote). Otherwise it is checked like any
+    // other vote, so one forged in our name still fails.
+    bool own_accept_held = false;
+    {
+      util::ReadLock lock(mu_);
+      auto held = locks_.find(round.object);
+      own_accept_held = held != locks_.end() && held->second.run == msg.run;
+    }
+    const Bytes accept_subject = vote_subject(round, msg.run, true);
+    const crypto::Digest accept_digest = crypto::Sha256::hash(accept_subject);
     std::set<PartyId> verified_accepts;
     for (const auto& token : msg.tokens) {
       if (token.type != EvidenceType::kVote) continue;
       if (!view.value().contains(token.issuer)) continue;  // strangers don't count
-      if (ev.accept(token, vote_subject(round, msg.run, true))) {
+      if (token.issuer == ev.self() && own_accept_held && token.run == msg.run &&
+          token.subject == accept_digest) {
+        verified_accepts.insert(token.issuer);
+      } else if (ev.accept(token, accept_subject)) {
         verified_accepts.insert(token.issuer);
       }
     }

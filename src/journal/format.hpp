@@ -7,7 +7,9 @@
 //   ...
 //
 // Each segment starts with a fixed header and is followed by length-prefixed
-// record frames:
+// record frames, then optionally by zero padding:
+//
+//   segment = header | frame* | 0x00*
 //
 //   segment header (28 bytes)
 //   +--------+---------+-----------+----------+------------+
@@ -23,6 +25,14 @@
 //
 // All integers are little-endian. The CRC is CRC32C over the body, so a torn
 // or bit-flipped frame is detected by a plain forward scan with no crypto.
+//
+// Padding rule: the writer keeps its active segment zero-filled ahead of the
+// next frame (journal/writer.hpp), so the bytes after the last frame may be
+// zeros. A scan that reaches a frame boundary and finds only zero bytes up
+// to the end of the file has reached the segment's clean end; no frame can
+// start with a zero length. Zeros followed by any non-zero byte are damage
+// a crash can leave (journal.dirty_padding). A crash leaves the padding on
+// disk; rotation and close() cut a segment back to its last frame.
 // Frames carry consecutive sequence numbers, within a segment and across
 // segments, so a dropped, reordered or cut-off frame shows as a gap. That is
 // all the framing checks: whether a frame's *content* is genuine evidence is

@@ -11,12 +11,13 @@ namespace fs = std::filesystem;
 namespace {
 
 // Defects a crash can leave at the end of the final segment: a frame cut
-// short, or one whose bytes never all reached the disk. A CRC-valid frame
-// in the wrong place (journal.sequence_gap, journal.bad_type) is no crash's
-// doing, so repair never truncates it away.
+// short, one whose bytes never all reached the disk, or a later page of
+// frames that reached it before an earlier one (non-zero bytes after zero
+// padding). A CRC-valid frame in the wrong place (journal.sequence_gap,
+// journal.bad_type) is no crash's doing, so repair never truncates it away.
 bool crash_shaped(const Error& defect) {
   return defect.code == "journal.torn_frame" || defect.code == "journal.bad_crc" ||
-         defect.code == "journal.bad_length";
+         defect.code == "journal.bad_length" || defect.code == "journal.dirty_padding";
 }
 
 Status truncate_file(const std::string& path, std::uint64_t to_bytes) {
@@ -59,6 +60,7 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
     st.first_sequence = scan.first_sequence;
     st.valid_bytes = scan.valid_bytes;
     st.file_bytes = scan.file_bytes;
+    st.padding_bytes = scan.padding_bytes;
     st.defect = scan.defect;
 
     // Cross-segment continuity: a segment must pick up exactly where the
@@ -82,19 +84,22 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       report.clean = false;
       stopped = true;
       // A torn tail on the last segment is the expected crash signature;
-      // repair truncates it so the journal is appendable again. A file cut
-      // short inside its own header holds nothing and is removed. Anything
-      // else (mid-journal damage, a misplaced CRC-valid frame, a
-      // cross-segment gap, a corrupted header over real data) is preserved
-      // for inspection and leaves the journal read-only.
+      // repair truncates it, with any zero padding, so the journal is
+      // appendable again; truncated_bytes counts the torn bytes only, never
+      // the trailing zeros. A file cut short inside its own header holds
+      // nothing and is removed. Anything else (mid-journal damage, a
+      // misplaced CRC-valid frame, a cross-segment gap, a corrupted header
+      // over real data) is preserved for inspection and leaves the journal
+      // read-only.
       bool repaired = false;
       if (mode == RecoverMode::kRepair && last) {
         if (st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes > st.valid_bytes &&
             crash_shaped(*st.defect)) {
           auto truncated = truncate_file(path, st.valid_bytes);
           if (!truncated.ok()) return truncated.error();
-          report.truncated_bytes += st.file_bytes - st.valid_bytes;
+          report.truncated_bytes += st.file_bytes - st.valid_bytes - st.padding_bytes;
           st.file_bytes = st.valid_bytes;
+          st.padding_bytes = 0;
           repaired = true;
         } else if (st.file_bytes < kSegmentHeaderBytes) {
           std::error_code rm_ec;
@@ -110,7 +115,8 @@ Result<RecoveryReport> Reader::recover(const std::string& dir, RecoverMode mode)
       if (!repaired) report.resumable = false;
     }
 
-    if (last && st.valid_bytes >= kSegmentHeaderBytes && st.file_bytes == st.valid_bytes) {
+    if (last && st.valid_bytes >= kSegmentHeaderBytes &&
+        st.file_bytes == st.valid_bytes + st.padding_bytes) {
       report.tail_path = path;
       report.tail_valid_bytes = st.valid_bytes;
     }

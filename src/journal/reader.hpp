@@ -3,10 +3,11 @@
 //
 // Recovery semantics (§3.5 persistence + dispute-resolution requirements):
 // segments are scanned in sequence order; every record up to the first
-// defect is kept, everything after it is rejected. In repair mode a defect
-// a crash can leave (journal.torn_frame, journal.bad_crc,
-// journal.bad_length) at the tail of the *last* segment is treated as a
-// torn write and truncated so a Writer can resume. Any other defect — a
+// defect is kept, everything after it is rejected. Zero padding after a
+// segment's last frame is its clean end, not a defect. In repair mode a
+// defect a crash can leave (journal.torn_frame, journal.bad_crc,
+// journal.bad_length, journal.dirty_padding) at the tail of the *last*
+// segment is treated as a torn write and truncated so a Writer can resume. Any other defect — a
 // CRC-valid frame out of sequence or of an unknown type, or damage anywhere
 // else — is never papered over: the journal stays read-only until an
 // operator (or the audit tool) has looked at it. A scan-only recovery that
@@ -31,6 +32,7 @@ struct SegmentStatus {
   std::uint64_t data_records = 0;
   std::uint64_t valid_bytes = 0;
   std::uint64_t file_bytes = 0;
+  std::uint64_t padding_bytes = 0;  // trailing zeros after the valid bytes
   std::optional<Error> defect;
 };
 
@@ -40,7 +42,8 @@ struct RecoveryReport {
   std::vector<SegmentStatus> segments;
   /// Sequence the next append must use.
   std::uint64_t next_sequence = 0;
-  /// Bytes removed by repair (torn tail frames).
+  /// Torn bytes removed by repair (torn tail frames); zero padding cut
+  /// with them is not counted.
   std::uint64_t truncated_bytes = 0;
   /// False when any defect was found (even one repaired away).
   bool clean = true;
@@ -48,8 +51,9 @@ struct RecoveryReport {
   /// the only defect was a torn tail that repair removed. Any other damage
   /// leaves the journal read-only.
   bool resumable = true;
-  /// Set when the final segment ends on a frame boundary, so a resuming
-  /// Writer continues it in place.
+  /// Set when the final segment ends on a frame boundary, optionally
+  /// followed by zero padding, so a resuming Writer continues it in place
+  /// after its last frame.
   std::optional<std::string> tail_path;
   std::uint64_t tail_valid_bytes = 0;
 };

@@ -59,6 +59,12 @@ Result<Segment::ScanResult> Segment::scan(const std::string& path) {
   std::uint64_t expected_seq = out.first_sequence;
   std::size_t offset = kSegmentHeaderBytes;
   while (offset < buf.size()) {
+    // Zero padding: an all-zero remainder is the segment's clean end.
+    if (buf[offset] == 0 &&
+        std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(offset), buf.end(),
+                    [](std::uint8_t b) { return b == 0; })) {
+      break;
+    }
     if (buf.size() - offset < kFrameHeaderBytes) {
       out.defect = Error::make("journal.torn_frame",
                                "partial frame header at offset " + std::to_string(offset));
@@ -66,6 +72,12 @@ Result<Segment::ScanResult> Segment::scan(const std::string& path) {
     }
     const std::uint32_t body_len = read_u32le(buf.data() + offset);
     const std::uint32_t stored_crc = read_u32le(buf.data() + offset + 4);
+    if (body_len == 0) {
+      out.defect = Error::make("journal.dirty_padding",
+                               "non-zero byte in the zero padding from offset " +
+                                   std::to_string(offset));
+      break;
+    }
     if (body_len < kRecordPrefixBytes || body_len > kMaxBodyBytes) {
       out.defect = Error::make("journal.bad_length",
                                "frame length " + std::to_string(body_len) +
@@ -104,6 +116,9 @@ Result<Segment::ScanResult> Segment::scan(const std::string& path) {
     offset += kFrameHeaderBytes + body_len;
     out.valid_bytes = offset;
   }
+  std::size_t end = buf.size();
+  while (end > out.valid_bytes && buf[end - 1] == 0) --end;
+  out.padding_bytes = buf.size() - end;
   return out;
 }
 

@@ -7,6 +7,9 @@
 // reports how many bytes were valid — the caller decides whether what
 // follows is a torn tail to truncate (crash recovery on the last segment)
 // or corruption to reject (audit, or damage in the middle of the journal).
+// Where a frame would start, an all-zero remainder is the writer's zero
+// padding and ends the scan cleanly; zeros followed by any non-zero byte are
+// journal.dirty_padding, a defect a crash can leave.
 #pragma once
 
 #include <optional>
@@ -24,6 +27,7 @@ class Segment {
     std::vector<Record> records;    // valid frames, in file order
     std::uint64_t valid_bytes = 0;  // header + fully valid frames
     std::uint64_t file_bytes = 0;
+    std::uint64_t padding_bytes = 0;  // trailing zeros after the valid bytes
     std::optional<Error> defect;    // why the scan stopped early
     bool clean() const { return !defect.has_value(); }
   };

@@ -1,20 +1,23 @@
 // The sync stage behind journal::Writer.
 //
-// Appenders (holding the writer's mutex) enqueue barrier *jobs* — "make
-// everything up to (target_lsn, target_bytes) on fd durable" — and return
-// immediately with a durability ticket. A dedicated worker retires the jobs
-// off-thread with fdatasync and publishes watermarks through the shared
-// DurabilityState, which settles the tickets. Appenders keep writing while a
-// barrier is in flight.
+// The writer (holding its mutex) enqueues barrier *jobs* — "make everything
+// up to (target_lsn, target_bytes) on fd durable" — when the first caller
+// waits on a record no requested barrier covers yet (a ticket wait,
+// wait_durable, sync, rotation or close; appends enqueue nothing), and the
+// job it enqueues covers every record written so far. A dedicated worker
+// retires the jobs off-thread with fdatasync and publishes watermarks
+// through the shared DurabilityState, which settles the tickets. Appenders
+// keep writing while a barrier is in flight.
 //
-// Group commit happens at enqueue: a request for the fd of the queued job
-// widens that job instead of queueing another, so however many records
-// arrive while a barrier is in flight, they all ride the next one. The
-// writer drains the stage before it closes an fd, so there is never more
-// than one job queued beside the one executing.
+// Group commit: a request for the fd of the queued job widens that job
+// instead of queueing another, so every record a waiter asks for while a
+// barrier is in flight rides the next one. The writer drains the stage
+// before it closes an fd, so there is never more than one job queued
+// beside the one executing.
 //
-// Locking: Writer::mu_ -> SyncStage::mu_. The worker takes only stage
-// state (never the writer's mutex); crash() and shutdown() join it.
+// Locking: DurabilityState::request_mu -> Writer::mu_ -> SyncStage::mu_.
+// The worker takes only stage state (never the writer's mutex); crash()
+// and shutdown() join it.
 #pragma once
 
 #include <cstdint>

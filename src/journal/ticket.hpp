@@ -3,10 +3,15 @@
 //
 // append_async() writes every record and hands it an AppendTicket
 // immediately; the record becomes *evidence* only once the sync stage has
-// retired the device barrier covering its LSN. A DurableFuture is how a caller observes that moment:
-// it shares the writer's durability watermark, so waiting costs one
-// condition-variable sleep and completing a batch costs one notify for every
-// ticket it covers — there is no per-ticket allocation or registration.
+// retired the device barrier covering its LSN. Nobody asks for that barrier
+// at the append: the first caller that waits does. DurableFuture::wait()
+// asks the owning writer, through the request hook in DurabilityState, for
+// one barrier covering everything written so far, then sleeps; later waiters
+// whose LSN that barrier already covers only sleep. A DurableFuture shares
+// the writer's durability watermark, so waiting costs one condition-variable
+// sleep and completing a batch costs one notify for every ticket it covers —
+// there is no per-ticket allocation or registration. ready() only polls: it
+// never asks for a barrier.
 //
 // Futures outlive their writer: the shared state survives until the last
 // ticket drops, and close()/crash() settle every outstanding ticket (with
@@ -16,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "util/lock_discipline.hpp"
@@ -25,13 +31,25 @@ namespace nonrep::journal {
 
 /// Shared durability watermark of one Writer: which LSN (1-based append
 /// index) and how many bytes of the active segment the device has committed.
-/// The sync stage publishes, tickets and wait_durable() observe.
+/// The sync stage publishes, tickets and wait_durable() observe. The writer
+/// also publishes here how far barriers have been requested, and installs
+/// the hook a waiter uses to request one.
 struct DurabilityState {
   util::Mutex mu{util::LockRank::kJournalState, "journal.durability_state"};
   util::CondVar cv;
   std::uint64_t durable_lsn NONREP_GUARDED_BY(mu) = 0;    // records the device has committed
   std::uint64_t durable_bytes NONREP_GUARDED_BY(mu) = 0;  // active-segment bytes those barriers covered
   Status error NONREP_GUARDED_BY(mu);                     // sticky: first barrier/crash failure
+
+  // Highest LSN a requested barrier covers. Raised by the writer (under its
+  // own mutex) after it queues the barrier, so a waiter that reads it at or
+  // above its LSN has nothing to ask for.
+  std::atomic<std::uint64_t> requested_lsn{0};
+  // Asks the owning writer for a barrier covering at least the given LSN.
+  // Installed when the writer opens and cleared when it closes; empty for a
+  // state no writer owns.
+  util::Mutex request_mu{util::LockRank::kJournalRequest, "journal.barrier_request"};
+  std::function<void(std::uint64_t)> request_hook NONREP_GUARDED_BY(request_mu);
 
   // Ticket accounting (Writer::Stats / obs). Relaxed: counters only.
   std::atomic<std::uint64_t> ticket_waits{0};
@@ -45,6 +63,14 @@ struct DurabilityState {
       if (bytes > durable_bytes) durable_bytes = bytes;
     }
     cv.notify_all();
+  }
+
+  /// Make sure a barrier covering `lsn` is requested. Free when one already
+  /// is; otherwise the hook runs with no lock of this state held.
+  void request(std::uint64_t lsn) {
+    if (requested_lsn.load(std::memory_order_acquire) >= lsn) return;
+    util::MutexLock lk(request_mu);
+    if (request_hook) request_hook(lsn);
   }
 
   /// Record a sticky failure and wake every waiter. First error wins.
@@ -85,10 +111,12 @@ class DurableFuture {
     return state_->durable_lsn >= lsn_ || !state_->error.ok();
   }
 
-  /// Block until settled. Ok when the covering barrier retired; the sticky
-  /// writer error when durability can no longer happen. Re-waitable.
+  /// Block until settled, first requesting the covering barrier if nobody
+  /// has. Ok when that barrier retired; the sticky writer error when
+  /// durability can no longer happen. Re-waitable.
   Status wait() const {
     if (!state_) return Status::ok_status();
+    state_->request(lsn_);
     util::UniqueLock lk(state_->mu);
     if (state_->durable_lsn < lsn_ && state_->error.ok()) {
       state_->ticket_waits.fetch_add(1, std::memory_order_relaxed);
@@ -115,7 +143,7 @@ class DurableFuture {
 
 /// What append_async() returns: the record's journal sequence, its LSN in
 /// the writer's append order, and the future that settles when it is on the
-/// device (its barrier is already requested).
+/// device (waiting on it requests the barrier).
 struct AppendTicket {
   std::uint64_t sequence = 0;
   std::uint64_t lsn = 0;

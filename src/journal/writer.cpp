@@ -1,11 +1,14 @@
 #include "journal/writer.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "journal/reader.hpp"
@@ -46,15 +49,32 @@ Error errno_error(const std::string& what) {
   return Error::make("journal.io", what + ": " + std::strerror(errno));
 }
 
-Status write_all(int fd, BytesView data) {
+/// How far ahead of the write position the active segment is zero-filled.
+constexpr std::uint64_t kPadAheadBytes = 64 << 10;
+
+Status pwrite_all(int fd, BytesView data, std::uint64_t at) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n = ::pwrite(fd, data.data() + off, data.size() - off,
+                               static_cast<off_t>(at + off));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_error("write");
+      return errno_error("pwrite");
     }
     off += static_cast<std::size_t>(n);
+  }
+  return Status::ok_status();
+}
+
+/// Zero-fill [from, to) of fd.
+Status write_zeros(int fd, std::uint64_t from, std::uint64_t to) {
+  static const std::array<std::uint8_t, kPadAheadBytes> zeros{};
+  while (from < to) {
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(to - from, zeros.size()));
+    if (auto written = pwrite_all(fd, BytesView(zeros.data(), n), from); !written.ok()) {
+      return written;
+    }
+    from += n;
   }
   return Status::ok_status();
 }
@@ -99,11 +119,20 @@ Result<std::unique_ptr<Writer>> Writer::resume(Options options,
   w->stage_ = std::make_unique<SyncStage>(w->state_);
   w->next_seq_ = report.next_sequence;
   if (report.tail_path.has_value()) {
-    // Continue the final segment in place.
-    const int fd = ::open(report.tail_path->c_str(), O_WRONLY | O_APPEND);
+    // Continue the final segment in place, after its last frame; a crash
+    // may have left zero padding beyond it, which the next frames reuse.
+    const int fd = ::open(report.tail_path->c_str(), O_WRONLY);
     if (fd < 0) return errno_error("open " + *report.tail_path);
     w->fd_ = fd;
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) return errno_error("fstat " + *report.tail_path);
     w->active_bytes_ = report.tail_valid_bytes;
+    w->padded_bytes_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(st.st_size),
+                                               report.tail_valid_bytes);
+  }
+  {
+    util::MutexLock lk(w->state_->request_mu);
+    w->state_->request_hook = [raw = w.get()](std::uint64_t lsn) { raw->request_barrier(lsn); };
   }
   return w;
 }
@@ -118,23 +147,55 @@ Status Writer::open_segment_locked(std::uint64_t first_sequence) {
   if (fd < 0) return errno_error("open " + path);
   fd_ = fd;
   const Bytes header = encode_segment_header(first_sequence);
-  auto written = write_all(fd_, header);
+  auto written = pwrite_all(fd_, header, 0);
   if (!written.ok()) return written;
   active_bytes_ = header.size();
+  padded_bytes_ = header.size();
   // The name must be durable before any record is: a later fdatasync on the
   // fd would commit data into a file whose name could vanish with the power.
   return fsync_dir(opt_.dir);
 }
 
+Status Writer::write_frame_locked(BytesView frame) {
+  const std::uint64_t end = active_bytes_ + frame.size();
+  if (end > padded_bytes_) {
+    // Grow the file once per 64 KiB rather than on every append: the frames
+    // that follow overwrite zeros, so their barriers commit no new size.
+    const std::uint64_t padded = end + kPadAheadBytes;
+    if (auto zeroed = write_zeros(fd_, padded_bytes_, padded); !zeroed.ok()) return zeroed;
+    padded_bytes_ = padded;
+  }
+  return pwrite_all(fd_, frame, active_bytes_);
+}
+
+void Writer::request_barrier(std::uint64_t lsn) {
+  util::MutexLock lock(mu_);
+  if (lsn > state_->requested_lsn.load(std::memory_order_relaxed)) request_locked();
+}
+
+void Writer::request_locked() {
+  if (fd_ < 0 || written_lsn_ <= state_->requested_lsn.load(std::memory_order_relaxed)) return;
+  stage_->request(fd_, written_lsn_, active_bytes_);
+  state_->requested_lsn.store(written_lsn_, std::memory_order_release);
+}
+
 Status Writer::close_segment_locked() {
   if (fd_ < 0) return Status::ok_status();
-  // Every append already requested its barrier; draining retires them all,
-  // so the segment is durable in full and no job for this fd outlives it.
+  // One barrier over everything written; draining retires it, so the
+  // segment is durable in full and no job for this fd outlives it.
+  request_locked();
   auto drained = stage_->drain();
   if (!drained.ok()) return drained;
+  // No frame will use the padding now. The cut needs no sync: if a crash
+  // undoes it, recovery reads the zeros as the segment's clean end.
+  Status cut = Status::ok_status();
+  if (padded_bytes_ > active_bytes_ &&
+      ::ftruncate(fd_, static_cast<off_t>(active_bytes_)) != 0) {
+    cut = errno_error("ftruncate");
+  }
   ::close(fd_);
   fd_ = -1;
-  return Status::ok_status();
+  return cut;
 }
 
 Status Writer::maybe_rotate_locked() {
@@ -171,7 +232,7 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
 
   const std::uint64_t seq = next_seq_++;
   const Bytes frame = encode_frame(RecordType::kData, seq, payload);
-  if (auto written = write_all(fd_, frame); !written.ok()) {
+  if (auto written = write_frame_locked(frame); !written.ok()) {
     io_error_ = written;
     state_->fail(written);  // settle earlier tickets still waiting on a barrier
     return written.error();
@@ -180,7 +241,6 @@ Result<AppendTicket> Writer::append_async(BytesView payload) {
   ++written_lsn_;
   ++stats_.appends;
   metrics().appends.add();
-  stage_->request(fd_, written_lsn_, active_bytes_);
 
   if (auto rotated = maybe_rotate_locked(); !rotated.ok()) {
     io_error_ = rotated;
@@ -224,6 +284,12 @@ Status Writer::sync() {
 }
 
 Status Writer::close() {
+  {
+    // No waiter may reach this writer once it is gone; the drain below
+    // covers every ticket issued so far.
+    util::MutexLock lk(state_->request_mu);
+    state_->request_hook = nullptr;
+  }
   Status closed;
   {
     util::MutexLock lock(mu_);

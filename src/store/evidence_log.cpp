@@ -109,8 +109,9 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
 }
 
 Status EvidenceLog::settle(const AppendReceipt& receipt) {
-  // The barrier was requested at staging; the wait goes through the
-  // backend's sync() so a backend decorator sees (and can time) it.
+  // Staging requested no barrier; the backend's sync() requests the one
+  // covering everything staged so far and waits for it, so a backend
+  // decorator sees (and can time) the wait.
   if (!receipt.durable.ready()) {
     if (auto forced = backend_->sync(); !forced.ok()) {
       util::MutexLock lk(mu_);

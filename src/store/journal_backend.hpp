@@ -4,9 +4,9 @@
 // persisted as its self-contained encoding (encode_log_record — canonical
 // bytes, payload included, plus chain digest) inside the segmented journal,
 // gaining CRC-checked framing, group commit, segment rotation, and crash
-// recovery that truncates torn tails and resumes sequence numbering. Every
-// staged record has its barrier requested at once; the party waits for it at
-// the send (EvidenceLog::barrier). Because a frame carries its own payload,
+// recovery that truncates torn tails and resumes sequence numbering. A
+// staged record is written at once; the party requests and waits for its
+// barrier at the send (EvidenceLog::barrier). Because a frame carries its own payload,
 // the barrier that makes a record durable covers its evidence too: there is
 // no second log to order against and no reference that can dangle after a
 // crash.
@@ -38,8 +38,8 @@ class JournalLogBackend final : public LogBackend {
 
   /// append_async, then wait until the record is durable.
   Status append(const LogRecord& record) override;
-  /// The record frame is written and its barrier requested; the receipt's
-  /// future settles when that barrier retires.
+  /// The record frame is written; the receipt's future settles when a
+  /// barrier covering it retires (waiting on it requests one).
   Result<AppendReceipt> append_async(const LogRecord& record) override;
   /// The records recovered at open, handed over once (later calls return
   /// none), as MemoryLogBackend does.

@@ -120,7 +120,9 @@ enum class LockRank : std::uint16_t {
   kVerifierKeys = 530,   // crypto::VerifierCache decoded-key map
   kCryptoContext = 540,  // crypto RSA key Montgomery-context caches
 
-  // -- Tier 5: durable journal (writer -> sync stage -> shared watermark).
+  // -- Tier 5: durable journal (barrier request -> writer -> sync stage ->
+  //    shared watermark).
+  kJournalRequest = 590,  // journal::DurabilityState barrier-request hook
   kJournalWriter = 600,  // journal::Writer append state
   kJournalSync = 610,    // journal::SyncStage barrier queue
   kJournalState = 620,   // journal::DurabilityState LSN watermark

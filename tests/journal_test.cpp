@@ -16,6 +16,7 @@
 #include "journal/segment.hpp"
 #include "journal/sync_stage.hpp"
 #include "journal/writer.hpp"
+#include "obs/metrics.hpp"
 #include "util/crc32c.hpp"
 
 namespace nonrep::journal {
@@ -514,6 +515,160 @@ TEST(Journal, CrashSettlesTicketsByDurability) {
   auto report = Reader::recover(dir, RecoverMode::kScanOnly);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->records.size(), 40u);
+}
+
+TEST(Journal, AppendsRequestNoBarrierUntilAWait) {
+  // An append only writes. The first wait asks for one barrier covering
+  // everything written so far, so waiting on the oldest ticket settles all.
+  const std::string dir = temp_dir("lazy_barrier");
+  auto w = Writer::open({.dir = dir});
+  ASSERT_TRUE(w.ok());
+  obs::Counter& syncs = obs::Registry::global().counter("journal.syncs");
+  const std::uint64_t syncs_before = syncs.value();
+  std::vector<AppendTicket> tickets;
+  for (int i = 0; i < 16; ++i) {
+    auto t = w.value()->append_async(payload(i));
+    ASSERT_TRUE(t.ok());
+    tickets.push_back(std::move(t).take());
+  }
+  // Give a barrier that had been requested time to retire.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(syncs.value(), syncs_before);
+  EXPECT_EQ(w.value()->stats().syncs, 0u);
+  for (const auto& t : tickets) EXPECT_FALSE(t.durable.ready());
+
+  ASSERT_TRUE(tickets.front().durable.wait().ok());
+  for (const auto& t : tickets) EXPECT_TRUE(t.durable.ready()) << "lsn " << t.lsn;
+  EXPECT_EQ(w.value()->stats().syncs, 1u);
+  EXPECT_EQ(syncs.value(), syncs_before + 1);
+  // Covered tickets ask for nothing more.
+  ASSERT_TRUE(tickets.back().durable.wait().ok());
+  ASSERT_TRUE(w.value()->sync().ok());
+  EXPECT_EQ(w.value()->stats().syncs, 1u);
+  ASSERT_TRUE(w.value()->close().ok());
+}
+
+// ---- zero padding ----
+
+TEST(Journal, CrashLeavesZeroPaddingThatRecoversClean) {
+  const std::string dir = temp_dir("padding_crash");
+  {
+    auto w = Writer::open({.dir = dir});
+    ASSERT_TRUE(w.ok());
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(w.value()->append(payload(i)).ok());
+    w.value()->simulate_crash();
+  }
+  auto segs = Segment::list(dir);
+  ASSERT_TRUE(segs.ok());
+  ASSERT_EQ(segs.value().size(), 1u);
+  const std::string path = segs.value()[0];
+  const std::uint64_t frame_bytes = encode_frame(RecordType::kData, 0, payload(0)).size();
+  const std::uint64_t frames_end = kSegmentHeaderBytes + 10 * frame_bytes;
+  const Bytes crashed = read_file(path);
+  ASSERT_GT(crashed.size(), frames_end);
+  for (std::size_t i = frames_end; i < crashed.size(); ++i) ASSERT_EQ(crashed[i], 0) << i;
+
+  // The padding is the segment's clean end: the audit passes, repair
+  // touches no byte, and the writer resumes at the last frame.
+  auto audit = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->clean);
+  EXPECT_EQ(audit->records.size(), 10u);
+  EXPECT_EQ(audit->segments[0].valid_bytes, frames_end);
+  EXPECT_EQ(audit->segments[0].padding_bytes, crashed.size() - frames_end);
+  {
+    auto w = Writer::open({.dir = dir});
+    ASSERT_TRUE(w.ok()) << w.error().detail;
+    EXPECT_EQ(read_file(path), crashed);
+    EXPECT_EQ(w.value()->next_sequence(), 10u);
+    ASSERT_TRUE(w.value()->append(payload(10)).ok());
+    // The new frame went into the padding, right after the last one.
+    EXPECT_EQ(fs::file_size(path), crashed.size());
+    auto live = Reader::recover(dir, RecoverMode::kScanOnly);
+    ASSERT_TRUE(live.ok());
+    EXPECT_TRUE(live->clean);
+    ASSERT_EQ(live->records.size(), 11u);
+    EXPECT_EQ(live->records[10].payload, payload(10));
+    ASSERT_TRUE(w.value()->close().ok());
+  }
+  EXPECT_TRUE(scans_clean(dir));
+}
+
+TEST(Journal, NonZeroByteInPaddingIsRepairedAway) {
+  const std::string dir = temp_dir("padding_dirty");
+  {
+    auto w = Writer::open({.dir = dir});
+    ASSERT_TRUE(w.ok());
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(w.value()->append(payload(i)).ok());
+    w.value()->simulate_crash();
+  }
+  auto segs = Segment::list(dir);
+  ASSERT_TRUE(segs.ok());
+  const std::string path = segs.value()[0];
+  auto before = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->clean);
+  const std::uint64_t frames_end = before->segments[0].valid_bytes;
+
+  // A later page reached the disk before the zeros in front of it were
+  // overwritten: a crash's doing, so repair cuts it off.
+  Bytes bytes = read_file(path);
+  ASSERT_GT(bytes.size(), frames_end + 200);
+  bytes[frames_end + 100] = 0x5a;
+  write_file(path, bytes);
+
+  auto audit = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(audit.ok());
+  EXPECT_FALSE(audit->clean);
+  EXPECT_EQ(audit->records.size(), 10u);
+  ASSERT_TRUE(audit->segments[0].defect.has_value());
+  EXPECT_EQ(audit->segments[0].defect->code, "journal.dirty_padding");
+
+  auto repaired = Reader::recover(dir, RecoverMode::kRepair);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_TRUE(repaired->resumable);
+  // The torn bytes run to the stray byte; the zeros after it are padding.
+  EXPECT_EQ(repaired->truncated_bytes, 101u);
+  EXPECT_EQ(fs::file_size(path), frames_end);
+
+  auto w = Writer::open({.dir = dir});
+  ASSERT_TRUE(w.ok()) << w.error().detail;
+  EXPECT_EQ(w.value()->next_sequence(), 10u);
+  ASSERT_TRUE(w.value()->append(payload(10)).ok());
+  ASSERT_TRUE(w.value()->close().ok());
+  auto report = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean);
+  EXPECT_EQ(report->records.size(), 11u);
+}
+
+TEST(Journal, RotatedAndClosedSegmentsEndAtTheirLastFrame) {
+  // The padding serves only the active segment: rotation and close cut a
+  // segment back to its last frame. A live journal audits clean.
+  const std::string dir = temp_dir("padding_cut");
+  auto w = Writer::open({.dir = dir, .segment_max_bytes = 512});
+  ASSERT_TRUE(w.ok());
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(w.value()->append(payload(i)).ok());
+  ASSERT_GE(w.value()->stats().rotations, 2u);
+
+  auto live = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(live.ok());
+  EXPECT_TRUE(live->clean);
+  EXPECT_EQ(live->records.size(), 40u);
+  for (std::size_t i = 0; i + 1 < live->segments.size(); ++i) {
+    EXPECT_EQ(live->segments[i].padding_bytes, 0u) << live->segments[i].path;
+    EXPECT_EQ(live->segments[i].file_bytes, live->segments[i].valid_bytes);
+  }
+  EXPECT_GT(live->segments.back().padding_bytes, 0u);
+
+  ASSERT_TRUE(w.value()->close().ok());
+  auto closed = Reader::recover(dir, RecoverMode::kScanOnly);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_TRUE(closed->clean);
+  for (const auto& seg : closed->segments) {
+    EXPECT_EQ(seg.padding_bytes, 0u) << seg.path;
+    EXPECT_EQ(seg.file_bytes, seg.valid_bytes) << seg.path;
+  }
 }
 
 TEST(SyncStage, RequestsWhileWorkerBusyFoldIntoOneBarrier) {

@@ -132,21 +132,28 @@ TEST_F(SharingFixture, EvidenceTrailCoversWholeRound) {
   EXPECT_TRUE(has_proposal);
   EXPECT_TRUE(has_decision);
   EXPECT_EQ(votes, 3);
-  // Each voter logged: accepted proposal + own vote + decision + peer votes.
+  // Each voter logged: accepted proposal + own vote + decision + the two
+  // peer votes. Its own vote comes back in the decision and is counted
+  // there, but it was logged once, at issue.
   for (std::size_t i = 1; i < 3; ++i) {
     bool voter_logged_decision = false;
+    int voter_votes = 0;
     for (const auto& rec : nodes[i].party->log->records()) {
       if (rec.kind == "token.decision") voter_logged_decision = true;
+      if (rec.kind == "token.vote") ++voter_votes;
     }
     EXPECT_TRUE(voter_logged_decision) << i;
+    EXPECT_EQ(voter_votes, 3) << i;
     EXPECT_TRUE(nodes[i].party->log->verify_chain().ok());
   }
 }
 
 TEST_F(SharingFixture, DecisionVerifiesEachTokenOnce) {
-  // One 3-party round receives 12 tokens: the proposal at each voter (2),
-  // the peer votes at the proposer (2), and the decision plus all three
-  // votes at each voter (8). Each must cost exactly one signature check.
+  // One 3-party round checks 10 tokens: the proposal at each voter (2),
+  // the peer votes at the proposer (2), and the decision plus the two peer
+  // votes at each voter (6). A voter's own vote, back in the decision, was
+  // signed by it and is not checked again. Each check is one signature
+  // verify.
   // A warm-up round first fills every party's chain cache, so the measured
   // round does no certificate work.
   build(3);
@@ -160,8 +167,59 @@ TEST_F(SharingFixture, DecisionVerifiesEachTokenOnce) {
   const std::uint64_t before = verifies();
   ASSERT_TRUE(nodes[0].controller->propose_update(kSpec, to_bytes("ok:v3")).ok());
   world.network.run();
-  EXPECT_EQ(verifies() - before, 12u);
+  EXPECT_EQ(verifies() - before, 10u);
   expect_converged(to_bytes("ok:v3"), 3);
+}
+
+TEST_F(SharingFixture, ForgedOwnVoteInDecisionIsCheckedAndRejected) {
+  // A voter counts its own vote from a decision without a second check only
+  // when it holds the run's lock, i.e. it did vote accept. Here a proposer
+  // sends node 1 a commit for a round node 1 never voted on, carrying a
+  // vote in node 1's name with node 0's signature: it is checked, fails,
+  // and the round does not apply at node 1.
+  build(3);
+  auto& proposer = *nodes[0].party;
+  EvidenceService& ev = *proposer.evidence;
+  const RunId run = ev.new_run();
+  BinaryWriter round;
+  round.u8(1);  // RoundKind::kState
+  round.str(kSpec.str());
+  round.u64(1);  // current base version
+  round.bytes(to_bytes("ok:forged"));
+  const Bytes round_bytes = std::move(round).take();
+  const auto subject = [&](const char* tag) {
+    BinaryWriter w;
+    w.str(tag);
+    w.str(run.str());
+    w.u8(1);
+    w.bytes(crypto::digest_bytes(crypto::Sha256::hash(round_bytes)));
+    return std::move(w).take();
+  };
+  ProtocolMessage decide;
+  decide.protocol = kSharingProtocol;
+  decide.run = run;
+  decide.step = kStepDecide;
+  decide.sender = proposer.id;
+  BinaryWriter body;
+  body.bytes(round_bytes);
+  body.u8(1);  // commit
+  decide.body = std::move(body).take();
+  decide.tokens.push_back(ev.issue(EvidenceType::kDecision, run,
+                                   subject("nr.sharing.decision")).value());
+  const EvidenceToken own = ev.issue(EvidenceType::kVote, run, subject("nr.sharing.vote")).value();
+  EvidenceToken forged = own;
+  forged.issuer = nodes[1].party->id;
+  decide.tokens.push_back(own);
+  decide.tokens.push_back(forged);
+  decide.tokens.push_back(
+      nodes[2].party->evidence->issue(EvidenceType::kVote, run, subject("nr.sharing.vote"))
+          .value());
+  ASSERT_TRUE(proposer.coordinator->deliver(nodes[1].party->address, decide).ok());
+  world.network.run();
+  auto got = nodes[1].controller->get(kSpec);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().state, to_bytes("ok:v1"));
+  EXPECT_EQ(got.value().version, 1u);
 }
 
 TEST_F(SharingFixture, AgreedStateReconstructibleFromStore) {
