@@ -3,9 +3,6 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -13,8 +10,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "crypto/sha256.hpp"
 
 namespace nonrep::bench {
 namespace {
@@ -69,31 +64,11 @@ std::uint64_t disk_bytes() {
   return total;
 }
 
-// Fixed-work host calibration: median wall time of 5 SHA-256 passes over
-// 1 MiB (after one warm-up pass), through the same dispatching kernel the
-// crypto benches time. Reports from different hosts carry it so a reader
-// can tell a slower host from a slower build.
-std::uint64_t host_ref_ns() {
-  const Bytes buf(std::size_t{1} << 20, 0x5a);
-  auto pass = [&] {
-    const auto t0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(crypto::Sha256::hash(buf));
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          std::chrono::steady_clock::now() - t0)
-                                          .count());
-  };
-  (void)pass();
-  std::array<std::uint64_t, 5> ns{};
-  for (auto& t : ns) t = pass();
-  std::nth_element(ns.begin(), ns.begin() + 2, ns.end());
-  return ns[2];
-}
-
 // Append {"harness": {...}} into the top-level JSON object of the report.
 // Done textually (trailing '}' found and spliced before) so we need no JSON
 // library; consumers like bench_diff.py read report["benchmarks"] and are
 // unaffected.
-void splice_harness_block(const std::string& report_path, std::uint64_t ref_ns) {
+void splice_harness_block(const std::string& report_path) {
   std::string text;
   {
     std::ifstream in(report_path, std::ios::binary);
@@ -105,7 +80,6 @@ void splice_harness_block(const std::string& report_path, std::uint64_t ref_ns) 
   const std::string block = ",\n  \"harness\": {\n    \"peak_rss_bytes\": " +
                             std::to_string(peak_rss_bytes()) +
                             ",\n    \"disk_bytes\": " + std::to_string(disk_bytes()) +
-                            ",\n    \"host_ref_ns\": " + std::to_string(ref_ns) +
                             "\n  }\n";
   text.insert(close, block);
   std::ofstream out(report_path, std::ios::binary | std::ios::trunc);
@@ -145,11 +119,9 @@ int run(int argc, char** argv) {
 
   benchmark::Initialize(&argc2, argv2.data());
   if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
-  // Calibrate before the cases run, on a host not yet heated by them.
-  const std::uint64_t ref_ns = report_path.empty() ? 0 : host_ref_ns();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!report_path.empty()) splice_harness_block(report_path, ref_ns);
+  if (!report_path.empty()) splice_harness_block(report_path);
   return 0;
 }
 

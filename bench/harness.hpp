@@ -7,9 +7,7 @@
 // After the run the harness splices a "harness" block into the report:
 // peak RSS of the process, the total bytes-on-disk under every directory
 // registered with track_disk() — so space costs (journal segments, object
-// stores) land in the same artifact as the timings — and host_ref_ns, a
-// fixed-work host calibration (median of 5 SHA-256 passes over 1 MiB) that
-// tells a slower host apart from a slower build.
+// stores) land in the same artifact as the timings.
 #pragma once
 
 #include <string>

@@ -44,7 +44,7 @@ def load(paths):
 def print_harness_diff(base, fresh):
     """Footprint comparison from the harness blocks (informational only —
     RSS and disk use vary with corpus knobs, so they never gate)."""
-    keys = sorted((base.keys() | fresh.keys()) - {"host_ref_ns"})
+    keys = sorted(base.keys() | fresh.keys())
     if not keys:
         return
     print("harness footprint (informational):")

@@ -3,17 +3,16 @@
 # With --base, gates the timed benches against another revision, built and
 # run on the same host.
 #
-# Usage: scripts/run_benches.sh [--quick] [--base REV] [--rounds N] [build-dir] [out-dir]
+# Usage: scripts/run_benches.sh [--quick] [--base REV] [build-dir] [out-dir]
 #   --quick     pass a tiny --benchmark_min_time for smoke/CI runs
 #   --base REV  check REV out into a local git worktree (<build-dir>/base-src),
 #               build its gated benches in <build-dir>/base-build with the
 #               fresh build's type and compiler, run base and fresh binaries
-#               of each gated bench interleaved for N rounds, and fail when
+#               of each gated bench interleaved for 3 rounds, and fail when
 #               a fresh median is slower than tolerance x the base median.
 #               Without --base nothing is gated: a report from another host
 #               (such as the committed bench_results/) says nothing about
 #               this build.
-#   --rounds N  rounds per side with --base (default and minimum 3)
 #   build-dir   defaults to ./build
 #   out-dir     defaults to ./bench_results; per-round reports go to
 #               <out-dir>/rounds/{base,fresh}-<round>/
@@ -21,22 +20,16 @@ set -euo pipefail
 
 quick=0
 base_rev=""
-rounds=3
 positional=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) quick=1; shift ;;
     --base) base_rev="${2:?--base needs a revision}"; shift 2 ;;
-    --rounds) rounds="${2:?--rounds needs a count}"; shift 2 ;;
     *) positional+=("$1"); shift ;;
   esac
 done
 build_dir="${positional[0]:-build}"
 out_dir="${positional[1]:-bench_results}"
-if (( rounds < 3 )); then
-  echo "error: --rounds must be at least 3" >&2
-  exit 2
-fi
 
 if [[ ! -d "$build_dir/bench" ]]; then
   echo "error: $build_dir/bench not found — build first: cmake -B $build_dir -S . && cmake --build $build_dir -j" >&2
@@ -59,6 +52,8 @@ rounds_dir="$out_dir/rounds"
 # journal band. Quick runs time each case for a few milliseconds, so their
 # medians are noisier and the bands are twice as wide.
 gated_benches=(crypto invocation journal objectstore scenarios)
+# Rounds per side with --base: the median of 3 shrugs off one outlier run.
+readonly rounds=3
 declare -A gate_tolerance=([crypto]=2.0 [invocation]=3.0 [journal]=3.0 [objectstore]=3.0 [scenarios]=4.0)
 declare -A gate_tolerance_quick=([crypto]=4.0 [invocation]=6.0 [journal]=6.0 [objectstore]=6.0 [scenarios]=8.0)
 

@@ -69,6 +69,8 @@ struct EvidenceToken {
   crypto::Digest subject{};  // SHA-256 of the canonical subject bytes
   Bytes signature;           // issuer's signature over tbs()
 
+  bool operator==(const EvidenceToken&) const = default;
+
   Bytes tbs() const;
   Bytes encode() const;
   static Result<EvidenceToken> decode(BytesView b);

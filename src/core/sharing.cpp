@@ -273,7 +273,7 @@ Result<std::uint64_t> B2BObjectController::coordinate(Round round) {
         held != locks_.end() && held->second.expires > now && held->second.run != run) {
       return Error::make("sharing.busy", "another round is in progress");
     }
-    locks_[round.object] = Lock{run, now + config_.lock_lease};
+    locks_[round.object] = Lock{run, now + config_.lock_lease, std::nullopt};
   }
 
   auto proposal = ev.issue(EvidenceType::kProposal, run, proposal_subject(round, run));
@@ -528,12 +528,19 @@ Result<ProtocolMessage> B2BObjectController::process_request(const net::Address&
     if (accept) accept = validate_round_locked(round, msg.sender);
 
     if (accept) {
-      locks_[round.object] = Lock{msg.run, now + config_.lock_lease};
+      locks_[round.object] = Lock{msg.run, now + config_.lock_lease, std::nullopt};
     }
   }
 
   auto vote = ev.issue(EvidenceType::kVote, msg.run, vote_subject(round, msg.run, accept));
   if (!vote) return vote.error();
+  if (accept) {
+    util::WriteLock lock(mu_);
+    if (auto held = locks_.find(round.object);
+        held != locks_.end() && held->second.run == msg.run) {
+      held->second.vote = vote.value();
+    }
+  }
 
   ProtocolMessage reply;
   reply.protocol = kSharingProtocol;
@@ -620,15 +627,15 @@ void B2BObjectController::process(const net::Address& /*from*/, const ProtocolMe
     // touch only the thread-safe evidence services.
     auto view = view_of(round.object);
     if (!view) return;
-    // Our own accept vote was signed and logged at issue: it counts without
-    // a second check or record, provided we still hold this run's lock
-    // (granted only with an accept vote). Otherwise it is checked like any
-    // other vote, so one forged in our name still fails.
-    bool own_accept_held = false;
+    // Our own accept vote was signed and logged at issue: the very token we
+    // issued for this run counts without a second check or record, if it
+    // covers this round. Any other vote in our name — a different round
+    // under the same run, a forged signature — is checked like any other.
+    std::optional<EvidenceToken> own_vote;
     {
       util::ReadLock lock(mu_);
       auto held = locks_.find(round.object);
-      own_accept_held = held != locks_.end() && held->second.run == msg.run;
+      if (held != locks_.end() && held->second.run == msg.run) own_vote = held->second.vote;
     }
     const Bytes accept_subject = vote_subject(round, msg.run, true);
     const crypto::Digest accept_digest = crypto::Sha256::hash(accept_subject);
@@ -636,8 +643,7 @@ void B2BObjectController::process(const net::Address& /*from*/, const ProtocolMe
     for (const auto& token : msg.tokens) {
       if (token.type != EvidenceType::kVote) continue;
       if (!view.value().contains(token.issuer)) continue;  // strangers don't count
-      if (token.issuer == ev.self() && own_accept_held && token.run == msg.run &&
-          token.subject == accept_digest) {
+      if (own_vote && token == *own_vote && token.subject == accept_digest) {
         verified_accepts.insert(token.issuer);
       } else if (ev.accept(token, accept_subject)) {
         verified_accepts.insert(token.issuer);

@@ -168,6 +168,9 @@ class B2BObjectController final : public ProtocolHandler {
   struct Lock {
     RunId run;
     TimeMs expires;
+    // The accept vote this party signed for `run`, once issued: the only
+    // own vote a decision may carry that counts without a check.
+    std::optional<EvidenceToken> vote;
   };
   std::map<ObjectId, Lock> locks_ NONREP_GUARDED_BY(mu_);
 

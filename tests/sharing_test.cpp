@@ -171,50 +171,118 @@ TEST_F(SharingFixture, DecisionVerifiesEachTokenOnce) {
   expect_converged(to_bytes("ok:v3"), 3);
 }
 
-TEST_F(SharingFixture, ForgedOwnVoteInDecisionIsCheckedAndRejected) {
-  // A voter counts its own vote from a decision without a second check only
-  // when it holds the run's lock, i.e. it did vote accept. Here a proposer
-  // sends node 1 a commit for a round node 1 never voted on, carrying a
-  // vote in node 1's name with node 0's signature: it is checked, fails,
-  // and the round does not apply at node 1.
-  build(3);
-  auto& proposer = *nodes[0].party;
-  EvidenceService& ev = *proposer.evidence;
-  const RunId run = ev.new_run();
-  BinaryWriter round;
-  round.u8(1);  // RoundKind::kState
-  round.str(kSpec.str());
-  round.u64(1);  // current base version
-  round.bytes(to_bytes("ok:forged"));
-  const Bytes round_bytes = std::move(round).take();
-  const auto subject = [&](const char* tag) {
-    BinaryWriter w;
-    w.str(tag);
-    w.str(run.str());
-    w.u8(1);
-    w.bytes(crypto::digest_bytes(crypto::Sha256::hash(round_bytes)));
-    return std::move(w).take();
-  };
+/// A state round on kSpec at base version 1, encoded as on the wire.
+Bytes state_round(const std::string& payload) {
+  BinaryWriter w;
+  w.u8(1);  // RoundKind::kState
+  w.str(kSpec.str());
+  w.u64(1);
+  w.bytes(to_bytes(payload));
+  return std::move(w).take();
+}
+
+/// Vote or decision subject (`tag`) accepting/committing `round` in `run`.
+Bytes agreement_subject(const char* tag, const RunId& run, const Bytes& round) {
+  BinaryWriter w;
+  w.str(tag);
+  w.str(run.str());
+  w.u8(1);
+  w.bytes(crypto::digest_bytes(crypto::Sha256::hash(round)));
+  return std::move(w).take();
+}
+
+/// A commit decision for `round` signed by `proposer`, carrying `votes`.
+ProtocolMessage commit_decision(test::Party& proposer, const RunId& run, const Bytes& round,
+                                const std::vector<EvidenceToken>& votes) {
   ProtocolMessage decide;
   decide.protocol = kSharingProtocol;
   decide.run = run;
   decide.step = kStepDecide;
   decide.sender = proposer.id;
   BinaryWriter body;
-  body.bytes(round_bytes);
+  body.bytes(round);
   body.u8(1);  // commit
   decide.body = std::move(body).take();
-  decide.tokens.push_back(ev.issue(EvidenceType::kDecision, run,
-                                   subject("nr.sharing.decision")).value());
-  const EvidenceToken own = ev.issue(EvidenceType::kVote, run, subject("nr.sharing.vote")).value();
+  decide.tokens.push_back(
+      proposer.evidence
+          ->issue(EvidenceType::kDecision, run, agreement_subject("nr.sharing.decision", run, round))
+          .value());
+  for (const auto& v : votes) decide.tokens.push_back(v);
+  return decide;
+}
+
+EvidenceToken vote_by(test::Party& party, const RunId& run, const Bytes& round) {
+  return party.evidence
+      ->issue(EvidenceType::kVote, run, agreement_subject("nr.sharing.vote", run, round))
+      .value();
+}
+
+TEST_F(SharingFixture, ForgedOwnVoteInDecisionIsCheckedAndRejected) {
+  // A voter counts its own vote from a decision without a second check only
+  // when it is the token the voter issued. Here a proposer sends node 1 a
+  // commit for a round node 1 never voted on, carrying a vote in node 1's
+  // name with node 0's signature: it is checked, fails, and the round does
+  // not apply at node 1.
+  build(3);
+  auto& proposer = *nodes[0].party;
+  const RunId run = proposer.evidence->new_run();
+  const Bytes round = state_round("ok:forged");
+  const EvidenceToken own = vote_by(proposer, run, round);
   EvidenceToken forged = own;
   forged.issuer = nodes[1].party->id;
-  decide.tokens.push_back(own);
-  decide.tokens.push_back(forged);
-  decide.tokens.push_back(
-      nodes[2].party->evidence->issue(EvidenceType::kVote, run, subject("nr.sharing.vote"))
-          .value());
-  ASSERT_TRUE(proposer.coordinator->deliver(nodes[1].party->address, decide).ok());
+  ASSERT_TRUE(proposer.coordinator
+                  ->deliver(nodes[1].party->address,
+                            commit_decision(proposer, run, round,
+                                            {own, forged, vote_by(*nodes[2].party, run, round)}))
+                  .ok());
+  world.network.run();
+  auto got = nodes[1].controller->get(kSpec);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().state, to_bytes("ok:v1"));
+  EXPECT_EQ(got.value().version, 1u);
+}
+
+TEST_F(SharingFixture, OwnVoteShortcutIsBoundToTheRoundVotedOn) {
+  // Node 1 votes accept on round R1 and so holds the run's lock. The
+  // proposer then sends it a commit for a different round R2 under the same
+  // run, with a colluding node 2's vote and a vote in node 1's name whose
+  // subject is R2's and whose signature is garbage. Node 1 never validated
+  // or signed R2: the vote is checked like any other, fails, and R2 does
+  // not apply.
+  build(3);
+  auto& proposer = *nodes[0].party;
+  const RunId run = proposer.evidence->new_run();
+  const Bytes r1 = state_round("ok:r1");
+  ProtocolMessage propose;
+  propose.protocol = kSharingProtocol;
+  propose.run = run;
+  propose.step = kStepPropose;
+  propose.sender = proposer.id;
+  propose.body = r1;
+  {
+    BinaryWriter subject;
+    subject.str("nr.sharing.proposal");
+    subject.str(run.str());
+    subject.bytes(r1);
+    propose.tokens.push_back(
+        proposer.evidence->issue(EvidenceType::kProposal, run, std::move(subject).take())
+            .value());
+  }
+  auto reply = proposer.coordinator->deliver_request(nodes[1].party->address, propose,
+                                                     SharingConfig{}.vote_timeout);
+  ASSERT_TRUE(reply.ok()) << reply.error().code;
+  ASSERT_EQ(reply.value().body, Bytes{1});  // node 1 voted accept on R1
+
+  const Bytes r2 = state_round("ok:r2");
+  EvidenceToken forged = vote_by(proposer, run, r2);
+  forged.issuer = nodes[1].party->id;
+  forged.signature.assign(forged.signature.size(), 0xA5);
+  ASSERT_TRUE(proposer.coordinator
+                  ->deliver(nodes[1].party->address,
+                            commit_decision(proposer, run, r2,
+                                            {vote_by(proposer, run, r2), forged,
+                                             vote_by(*nodes[2].party, run, r2)}))
+                  .ok());
   world.network.run();
   auto got = nodes[1].controller->get(kSpec);
   ASSERT_TRUE(got.ok());
