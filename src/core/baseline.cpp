@@ -72,7 +72,7 @@ Result<ProtocolMessage> AsymmetricInvocationServer::process_request(
   if (!inv) return inv.error();
   container::Invocation invocation = std::move(inv).take();
 
-  const Bytes req = request_subject(invocation);
+  const Bytes req = request_subject(msg.body);
   auto nro_req = msg.token(EvidenceType::kNroRequest);
   if (!nro_req) return nro_req.error();
   if (auto ok = ev.accept(nro_req.value(), req); !ok) return ok.error();

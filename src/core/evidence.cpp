@@ -1,7 +1,9 @@
 #include "core/evidence.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <optional>
 
 #include "util/hex.hpp"
 #include "util/serialize.hpp"
@@ -26,32 +28,78 @@ std::string to_string(EvidenceType t) {
   return "unknown";
 }
 
-std::string log_kind(EvidenceType t) { return "token." + to_string(t); }
+namespace {
 
-std::string tsa_log_kind(EvidenceType t) { return "tsa." + to_string(t); }
+// Kind strings by type value, built once: appends and log scans compare
+// against these instead of concatenating a string per call. Index 0 holds
+// the kind of an out-of-range type.
+std::array<std::string, 12> kind_table(std::string_view prefix) {
+  std::array<std::string, 12> table;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = std::string(prefix) + to_string(static_cast<EvidenceType>(i));
+  }
+  return table;
+}
+
+std::size_t kind_index(EvidenceType t) {
+  const auto v = static_cast<std::size_t>(t);
+  return v < 12 ? v : 0;
+}
+
+// The tbs() fields, shared by tbs() and encode() so both write them
+// straight into their own buffer.
+std::size_t tbs_size(const EvidenceToken& t) noexcept {
+  return kU8Size + prefixed_size(t.run.str().size()) + prefixed_size(t.issuer.str().size()) +
+         kU64Size + prefixed_size(t.subject.size());
+}
+
+void write_tbs(BinaryWriter& w, const EvidenceToken& t) {
+  w.u8(static_cast<std::uint8_t>(t.type));
+  w.str(t.run.str());
+  w.str(t.issuer.str());
+  w.u64(t.issued_at);
+  w.bytes(t.subject);
+}
+
+}  // namespace
+
+const std::string& log_kind(EvidenceType t) {
+  static const std::array<std::string, 12> table = kind_table("token.");
+  return table[kind_index(t)];
+}
+
+const std::string& tsa_log_kind(EvidenceType t) {
+  static const std::array<std::string, 12> table = kind_table("tsa.");
+  return table[kind_index(t)];
+}
 
 Bytes EvidenceToken::tbs() const {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.str(run.str());
-  w.str(issuer.str());
-  w.u64(issued_at);
-  w.bytes(crypto::digest_bytes(subject));
+  BinaryWriter w(tbs_size(*this));
+  write_tbs(w, *this);
   return std::move(w).take();
 }
 
-Bytes EvidenceToken::encode() const {
-  BinaryWriter w;
-  w.bytes(tbs());
+std::size_t EvidenceToken::encoded_size() const noexcept {
+  return prefixed_size(tbs_size(*this)) + prefixed_size(signature.size());
+}
+
+void EvidenceToken::encode_into(BinaryWriter& w) const {
+  w.u32(static_cast<std::uint32_t>(tbs_size(*this)));
+  write_tbs(w, *this);
   w.bytes(signature);
+}
+
+Bytes EvidenceToken::encode() const {
+  BinaryWriter w(encoded_size());
+  encode_into(w);
   return std::move(w).take();
 }
 
 Result<EvidenceToken> EvidenceToken::decode(BytesView b) {
   BinaryReader outer(b);
-  auto tbs_bytes = outer.bytes();
+  auto tbs_bytes = outer.bytes_view();
   if (!tbs_bytes) return tbs_bytes.error();
-  auto sig = outer.bytes();
+  auto sig = outer.bytes_view();
   if (!sig) return sig.error();
 
   BinaryReader r(tbs_bytes.value());
@@ -62,21 +110,21 @@ Result<EvidenceToken> EvidenceToken::decode(BytesView b) {
     return Error::make("evidence.bad_type", std::to_string(type.value()));
   }
   token.type = static_cast<EvidenceType>(type.value());
-  auto run = r.str();
+  auto run = r.str_view();
   if (!run) return run.error();
-  token.run = RunId(run.value());
-  auto issuer = r.str();
+  token.run = RunId(std::string(run.value()));
+  auto issuer = r.str_view();
   if (!issuer) return issuer.error();
-  token.issuer = PartyId(issuer.value());
+  token.issuer = PartyId(std::string(issuer.value()));
   auto at = r.u64();
   if (!at) return at.error();
   token.issued_at = at.value();
-  auto digest = r.bytes();
+  auto digest = r.bytes_view();
   if (!digest) return digest.error();
   if (!crypto::digest_from_bytes(digest.value(), token.subject)) {
     return Error::make("evidence.bad_digest", "wrong digest length");
   }
-  token.signature = sig.value();
+  token.signature.assign(sig.value().begin(), sig.value().end());
   return token;
 }
 
@@ -129,17 +177,19 @@ Result<EvidenceToken> EvidenceService::issue(EvidenceType type, const RunId& run
   token.signature = std::move(sig).take();
 
   states_->put(subject);
-  // Stage the token record, then its TSA countersignature. Their device
-  // barrier overlaps the countersigning and whatever the caller does next;
-  // the message that carries the token waits for it at the send.
-  auto [rec, receipt] = log_->append_async(run, log_kind(type), token.encode());
+  // One encoding serves the TSA and the log: the TSA countersigns it before
+  // the log takes it over. The token record is staged first, then its
+  // countersignature; the message that carries the token waits for both at
+  // the send.
+  Bytes encoded = token.encode();
+  std::optional<Result<Bytes>> stamp;
+  if (tsa_) stamp = tsa_->countersign(encoded);
+  const auto receipt = log_->append_async(run, log_kind(type), std::move(encoded));
   if (auto s = fail_if_refused(*log_, receipt); !s) return s.error();
-  if (tsa_) {
-    if (auto stamp = tsa_->countersign(token.encode())) {
-      auto [stamp_rec, stamp_receipt] =
-          log_->append_async(run, tsa_log_kind(type), std::move(stamp).take());
-      if (auto s = fail_if_refused(*log_, stamp_receipt); !s) return s.error();
-    }
+  if (stamp && stamp->ok()) {
+    const auto stamp_receipt =
+        log_->append_async(run, tsa_log_kind(type), std::move(*stamp).take());
+    if (auto s = fail_if_refused(*log_, stamp_receipt); !s) return s.error();
   }
   return token;
 }
@@ -175,7 +225,7 @@ std::vector<Status> EvidenceService::verify_batch(const std::vector<EvidenceChec
 Status EvidenceService::accept(const EvidenceToken& token, BytesView subject) {
   if (auto v = verify(token, subject); !v) return v;
   states_->put(subject);
-  auto [rec, receipt] = log_->append_async(token.run, log_kind(token.type), token.encode());
+  const auto receipt = log_->append_async(token.run, log_kind(token.type), token.encode());
   return fail_if_refused(*log_, receipt);
 }
 

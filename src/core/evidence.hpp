@@ -27,6 +27,10 @@
 #include "util/ids.hpp"
 #include "util/result.hpp"
 
+namespace nonrep {
+class BinaryWriter;
+}
+
 namespace nonrep::util {
 class ThreadPool;
 }
@@ -48,8 +52,8 @@ enum class EvidenceType : std::uint8_t {
 };
 
 std::string to_string(EvidenceType t);
-std::string log_kind(EvidenceType t);      // kind string used in the evidence log
-std::string tsa_log_kind(EvidenceType t);  // kind of the TSA countersignature record
+const std::string& log_kind(EvidenceType t);      // kind string used in the evidence log
+const std::string& tsa_log_kind(EvidenceType t);  // kind of the TSA countersignature record
 
 /// Abstract countersigning hook (implemented by tsa::TimestampAuthority
 /// via the adapter in tsa/timestamp.hpp; kept abstract here to avoid a
@@ -74,6 +78,11 @@ struct EvidenceToken {
   Bytes tbs() const;
   Bytes encode() const;
   static Result<EvidenceToken> decode(BytesView b);
+
+  /// Size of encode()'s output, and encode() appended to `w` — for
+  /// encoders that embed tokens (ProtocolMessage) in their own buffer.
+  std::size_t encoded_size() const noexcept;
+  void encode_into(BinaryWriter& w) const;
 };
 
 /// One signed evidence record together with the subject bytes its digest

@@ -6,18 +6,29 @@
 
 namespace nonrep::core {
 
-Bytes request_subject(const container::Invocation& inv) {
-  BinaryWriter w;
-  w.str("nr.invocation.request");
-  w.bytes(inv.canonical());
+namespace {
+
+constexpr std::string_view kRequestSubjectTag = "nr.invocation.request";
+constexpr std::string_view kResponseSubjectTag = "nr.invocation.response";
+
+}  // namespace
+
+Bytes request_subject(BytesView invocation) {
+  BinaryWriter w(prefixed_size(kRequestSubjectTag.size()) + prefixed_size(invocation.size()));
+  w.str(kRequestSubjectTag);
+  w.bytes(invocation);
   return std::move(w).take();
 }
 
+Bytes request_subject(const container::Invocation& inv) { return request_subject(inv.canonical()); }
+
 Bytes response_subject(const RunId& run, const container::InvocationResult& result) {
-  BinaryWriter w;
-  w.str("nr.invocation.response");
+  const Bytes canonical = result.canonical();
+  BinaryWriter w(prefixed_size(kResponseSubjectTag.size()) + prefixed_size(run.str().size()) +
+                 prefixed_size(canonical.size()));
+  w.str(kResponseSubjectTag);
   w.str(run.str());
-  w.bytes(result.canonical());
+  w.bytes(canonical);
   return std::move(w).take();
 }
 
@@ -64,16 +75,17 @@ container::InvocationResult run_exchange(Coordinator& coordinator, const Exchang
         .tokens = {std::move(token)}};
   };
 
-  // Step 1: req + NRO_req.
-  const Bytes req = request_subject(inv);
+  // Step 1: req + NRO_req. The invocation is encoded once, for the body
+  // and the subject.
+  Bytes body = container::encode_invocation(inv);
+  const Bytes req = request_subject(body);
   auto nro_req = ev.issue(EvidenceType::kNroRequest, run, req);
   if (!nro_req) {
     return InvocationResult::failure(Outcome::kFailure,
                                      "cannot sign request: " + nro_req.error().code);
   }
   out.evidence.has_nro_request = true;
-  const ProtocolMessage m1 =
-      message(1, container::encode_invocation(inv), std::move(nro_req).take());
+  const ProtocolMessage m1 = message(1, std::move(body), std::move(nro_req).take());
 
   auto reply = coordinator.deliver_request(route.next_hop, m1, timeout);
   if (!reply) {
@@ -134,8 +146,9 @@ Result<ProtocolMessage> DirectInvocationServer::process_request(const net::Addre
   container::Invocation invocation = std::move(inv).take();
 
   // Rule 1 (§3.2): the request is passed to the server only if the client
-  // provides NRO_req.
-  const Bytes req = request_subject(invocation);
+  // provides NRO_req. decode_invocation accepts only canonical bytes, so
+  // the body is the invocation's canonical encoding.
+  const Bytes req = request_subject(msg.body);
   auto nro_req = msg.token(EvidenceType::kNroRequest);
   if (!nro_req) return nro_req.error();
   if (nro_req.value().issuer != invocation.caller) {

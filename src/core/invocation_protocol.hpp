@@ -160,7 +160,10 @@ class DirectInvocationServer final : public ProtocolHandler {
   std::unordered_map<RunId, Bytes> awaiting_receipt_ NONREP_GUARDED_BY(runs_mu_);
 };
 
-/// Canonical subject bytes the evidence tokens sign.
+/// Canonical subject bytes the evidence tokens sign. The request subject
+/// wraps the invocation's canonical bytes (Invocation::canonical(), or a
+/// step-1 body that decode_invocation accepted, which is canonical).
+Bytes request_subject(BytesView invocation);
 Bytes request_subject(const container::Invocation& inv);
 Bytes response_subject(const RunId& run, const container::InvocationResult& result);
 

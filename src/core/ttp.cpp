@@ -5,7 +5,7 @@
 namespace nonrep::core {
 
 Bytes encode_relay_body(const net::Address& server, BytesView inner) {
-  BinaryWriter w;
+  BinaryWriter w(prefixed_size(server.size()) + prefixed_size(inner.size()));
   w.str(server);
   w.bytes(inner);
   return std::move(w).take();
@@ -17,7 +17,7 @@ Result<std::pair<net::Address, Bytes>> decode_relay_body(BytesView body) {
   if (!server) return server.error();
   auto inner = r.bytes();
   if (!inner) return inner.error();
-  return std::make_pair(server.value(), inner.value());
+  return std::make_pair(std::move(server).take(), std::move(inner).take());
 }
 
 namespace {
@@ -51,7 +51,7 @@ Result<ProtocolMessage> InlineTtpRelay::process_request(const net::Address& /*fr
   // before relaying (assumption 4: only well-constructed messages pass).
   auto inv = container::decode_invocation(inner);
   if (!inv) return inv.error();
-  const Bytes req = request_subject(inv.value());
+  const Bytes req = request_subject(inner);
   auto nro_req = msg.token(EvidenceType::kNroRequest);
   if (!nro_req) return nro_req.error();
   if (auto ok = ev.accept(nro_req.value(), req); !ok) return ok.error();

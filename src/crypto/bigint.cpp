@@ -188,9 +188,15 @@ BigUint BigUint::div_small(const BigUint& a, std::uint32_t divisor, std::uint32_
 }
 
 std::uint32_t BigUint::mod_small(const BigUint& a, std::uint32_t divisor) {
-  std::uint32_t rem = 0;
-  (void)div_small(a, divisor, rem);
-  return rem;
+  // div_small's remainder recurrence without the quotient: key generation
+  // runs this for every trial-division prime of every candidate.
+  assert(divisor != 0);
+  std::uint64_t rem = 0;
+  for (std::size_t i = a.limbs_.size(); i-- > 0;) {
+    rem = ((rem << 32) | (a.limbs_[i] >> 32)) % divisor;
+    rem = ((rem << 32) | (a.limbs_[i] & 0xffffffffu)) % divisor;
+  }
+  return static_cast<std::uint32_t>(rem);
 }
 
 // Knuth algorithm D over 32-bit digits (Hacker's Delight divmnu).

@@ -73,29 +73,27 @@ bool VerifierCache::verify(SigAlgorithm alg, BytesView public_key, BytesView msg
     return crypto::verify(alg, public_key, msg, signature);
   }
   const Digest dg = Sha256::hash(public_key);
-  std::string cache_key(reinterpret_cast<const char*>(dg.data()), dg.size());
+  std::shared_ptr<const RsaPublicKey> key;
   {
     util::ReadLock lk(mu_);
-    if (auto it = rsa_keys_.find(cache_key); it != rsa_keys_.end()) {
-      RsaPublicKey key = it->second;  // shares the pre-built context
-      lk.unlock();
-      verifier_cache_metrics().hits.add();
-      return rsa_verify(key, msg, signature);
-    }
+    if (auto it = rsa_keys_.find(dg); it != rsa_keys_.end()) key = it->second;
+  }
+  if (key) {
+    verifier_cache_metrics().hits.add();
+    return rsa_verify(*key, msg, signature);
   }
   verifier_cache_metrics().misses.add();
   auto decoded = RsaPublicKey::decode(public_key);
   if (!decoded) return false;
-  RsaPublicKey key = std::move(decoded).take();
-  // Build the Montgomery context before publishing so every later copy
-  // shares it instead of rebuilding per lookup.
-  key.montgomery();
+  auto fresh = std::make_shared<RsaPublicKey>(std::move(decoded).take());
+  // Build the Montgomery context before publishing so no verifier builds it.
+  fresh->montgomery();
   {
     util::WriteLock lk(mu_);
     if (rsa_keys_.size() >= kMaxEntries) rsa_keys_.clear();
-    rsa_keys_.emplace(std::move(cache_key), key);
+    rsa_keys_.emplace(dg, fresh);
   }
-  return rsa_verify(key, msg, signature);
+  return rsa_verify(*fresh, msg, signature);
 }
 
 void VerifierCache::clear() {

@@ -13,6 +13,7 @@
 #include "util/lock_discipline.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
@@ -43,13 +44,14 @@ bool verify(SigAlgorithm alg, BytesView public_key, BytesView msg, BytesView sig
 
 /// Memoizes decoded RSA public keys (and their pre-built Montgomery
 /// contexts) keyed by a digest of the serialized key bytes, so steady-state
-/// verification skips the decode and context setup and performs exactly one
-/// Montgomery exponentiation. Non-RSA algorithms pass through unchanged.
+/// verification skips the decode and context setup: a hit costs one SHA-256
+/// of the key bytes, then rsa_verify. Non-RSA algorithms pass through
+/// unchanged.
 ///
-/// Thread-safe: lookups take a shared lock and copy the decoded key out
-/// (the copy shares the immutable Montgomery context, built eagerly at
-/// insert), so the actual exponentiation runs without any cache lock and a
-/// concurrent clear() can never pull state out from under a verifier.
+/// Thread-safe: lookups take a shared lock and take a reference on the
+/// cached key (its Montgomery context is built before it is published), so
+/// the exponentiation runs without any cache lock and a concurrent clear()
+/// can never pull state out from under a verifier.
 class VerifierCache {
  public:
   bool verify(SigAlgorithm alg, BytesView public_key, BytesView msg, BytesView signature);
@@ -62,7 +64,8 @@ class VerifierCache {
   // if an adversarial workload pushes past kMaxEntries distinct keys.
   static constexpr std::size_t kMaxEntries = 1024;
   mutable util::SharedMutex mu_{util::LockRank::kVerifierKeys, "crypto.verifier_cache"};
-  std::unordered_map<std::string, RsaPublicKey> rsa_keys_ NONREP_GUARDED_BY(mu_);
+  std::unordered_map<Digest, std::shared_ptr<const RsaPublicKey>, DigestHash> rsa_keys_
+      NONREP_GUARDED_BY(mu_);
 };
 
 class RsaSigner final : public Signer {

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 
-#include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 
 namespace nonrep::pki {
 
 namespace {
-
-std::string cert_digest(const Certificate& cert) {
-  const crypto::Digest d = crypto::Sha256::hash(cert.encode());
-  return std::string(reinterpret_cast<const char*>(d.data()), d.size());
-}
 
 // Resolved once; recording is lock-free so it is safe under the manager's
 // locks.
@@ -22,6 +16,10 @@ obs::Counter& chain_cache_hits_counter() {
 }
 
 }  // namespace
+
+CredentialManager::Stored CredentialManager::make_stored(const Certificate& cert) {
+  return Stored{cert, crypto::Sha256::hash(cert.encode())};
+}
 
 void CredentialManager::invalidate_caches_locked() const {
   // The chain cache depends on trust state. The VerifierCache is
@@ -42,15 +40,17 @@ Status CredentialManager::add_trusted_root(const Certificate& root) {
                               root.issuer_signature)) {
     return Error::make("pki.bad_root_signature", root.subject.str());
   }
+  Stored stored = make_stored(root);
   util::WriteLock lk(trust_mu_);
-  roots_[root.subject.str()] = root;
+  roots_.insert_or_assign(root.subject.str(), std::move(stored));
   invalidate_caches_locked();
   return Status::ok_status();
 }
 
 void CredentialManager::add_certificate(const Certificate& cert) {
+  Stored stored = make_stored(cert);
   util::WriteLock lk(trust_mu_);
-  certs_[cert.subject.str()] = cert;
+  certs_.insert_or_assign(cert.subject.str(), std::move(stored));
   // A new or replaced intermediate can change the outcome of cached walks.
   invalidate_caches_locked();
 }
@@ -60,10 +60,10 @@ Status CredentialManager::install_crl(const RevocationList& crl) {
   // The CRL must be signed by a known CA (root or stored intermediate).
   const Certificate* issuer_cert = nullptr;
   if (auto it = roots_.find(crl.issuer.str()); it != roots_.end()) {
-    issuer_cert = &it->second;
+    issuer_cert = &it->second.cert;
   } else if (auto it2 = certs_.find(crl.issuer.str());
-             it2 != certs_.end() && it2->second.is_ca) {
-    issuer_cert = &it2->second;
+             it2 != certs_.end() && it2->second.cert.is_ca) {
+    issuer_cert = &it2->second.cert;
   }
   if (issuer_cert == nullptr) {
     return Error::make("pki.unknown_crl_issuer", crl.issuer.str());
@@ -82,7 +82,7 @@ Status CredentialManager::install_crl(const RevocationList& crl) {
   return Status::ok_status();
 }
 
-const Certificate* CredentialManager::find_locked(const PartyId& subject) const {
+const CredentialManager::Stored* CredentialManager::find_locked(const PartyId& subject) const {
   if (auto it = certs_.find(subject.str()); it != certs_.end()) return &it->second;
   if (auto it = roots_.find(subject.str()); it != roots_.end()) return &it->second;
   return nullptr;
@@ -90,7 +90,7 @@ const Certificate* CredentialManager::find_locked(const PartyId& subject) const 
 
 Result<Certificate> CredentialManager::find(const PartyId& subject) const {
   util::ReadLock lk(trust_mu_);
-  if (const Certificate* cert = find_locked(subject)) return *cert;
+  if (const Stored* stored = find_locked(subject)) return stored->cert;
   return Error::make("pki.unknown_party", subject.str());
 }
 
@@ -116,16 +116,17 @@ std::size_t CredentialManager::chain_cache_hits() const {
 }
 
 Status CredentialManager::verify_chain(const Certificate& leaf, TimeMs at) const {
+  const crypto::Digest digest = crypto::Sha256::hash(leaf.encode());
   util::ReadLock lk(trust_mu_);
-  return verify_chain_locked(leaf, at);
+  return verify_chain_locked(leaf, digest, at);
 }
 
-Status CredentialManager::verify_chain_locked(const Certificate& leaf, TimeMs at,
+Status CredentialManager::verify_chain_locked(const Certificate& leaf,
+                                              const crypto::Digest& leaf_digest, TimeMs at,
                                               ValidityWindow* window_out) const {
-  const std::string digest = cert_digest(leaf);
   {
     util::MutexLock cache_lk(cache_mu_);
-    if (auto it = chain_cache_.find(digest); it != chain_cache_.end()) {
+    if (auto it = chain_cache_.find(leaf_digest); it != chain_cache_.end()) {
       // Trust state is unchanged since the walk (any mutation clears the
       // cache under the exclusive trust lock, which excludes this shared
       // hold), so only the time-dependent validity check remains.
@@ -142,45 +143,47 @@ Status CredentialManager::verify_chain_locked(const Certificate& leaf, TimeMs at
 
   constexpr int kMaxChain = 8;
   ValidityWindow window{leaf.not_before, leaf.not_after};
-  Certificate current = leaf;
+  // Points at `leaf` or into certs_, which the shared trust lock keeps
+  // unchanged for the whole walk.
+  const Certificate* current = &leaf;
   for (int depth = 0; depth < kMaxChain; ++depth) {
-    window.not_before = std::max(window.not_before, current.not_before);
-    window.not_after = std::min(window.not_after, current.not_after);
-    if (!current.valid_at(at)) {
-      return Error::make("pki.expired", current.subject.str() + " at t=" + std::to_string(at));
+    window.not_before = std::max(window.not_before, current->not_before);
+    window.not_after = std::min(window.not_after, current->not_after);
+    if (!current->valid_at(at)) {
+      return Error::make("pki.expired", current->subject.str() + " at t=" + std::to_string(at));
     }
-    if (is_revoked_locked(current.issuer, current.serial)) {
-      return Error::make("pki.revoked", current.serial);
+    if (is_revoked_locked(current->issuer, current->serial)) {
+      return Error::make("pki.revoked", current->serial);
     }
     // Trusted root reached?
-    if (auto it = roots_.find(current.issuer.str()); it != roots_.end()) {
-      const Certificate& root = it->second;
-      if (!verifier_cache_.verify(root.algorithm, root.public_key, current.tbs(),
-                                  current.issuer_signature)) {
-        return Error::make("pki.bad_signature", current.subject.str());
+    if (auto it = roots_.find(current->issuer.str()); it != roots_.end()) {
+      const Certificate& root = it->second.cert;
+      if (!verifier_cache_.verify(root.algorithm, root.public_key, current->tbs(),
+                                  current->issuer_signature)) {
+        return Error::make("pki.bad_signature", current->subject.str());
       }
       // The walk never time-checks the root itself, so the cached window
       // deliberately excludes it — cached and uncached answers must agree.
       if (window_out != nullptr) *window_out = window;
       util::MutexLock cache_lk(cache_mu_);
-      chain_cache_.emplace(digest, window);
+      chain_cache_.emplace(leaf_digest, window);
       return Status::ok_status();
     }
     // Otherwise walk to the stored intermediate.
-    auto it = certs_.find(current.issuer.str());
+    auto it = certs_.find(current->issuer.str());
     if (it == certs_.end()) {
       return Error::make("pki.incomplete_chain", "no certificate for issuer " +
-                                                      current.issuer.str());
+                                                      current->issuer.str());
     }
-    const Certificate& issuer_cert = it->second;
+    const Certificate& issuer_cert = it->second.cert;
     if (!issuer_cert.is_ca) {
       return Error::make("pki.not_a_ca", issuer_cert.subject.str());
     }
-    if (!verifier_cache_.verify(issuer_cert.algorithm, issuer_cert.public_key, current.tbs(),
-                                current.issuer_signature)) {
-      return Error::make("pki.bad_signature", current.subject.str());
+    if (!verifier_cache_.verify(issuer_cert.algorithm, issuer_cert.public_key, current->tbs(),
+                                current->issuer_signature)) {
+      return Error::make("pki.bad_signature", current->subject.str());
     }
-    current = issuer_cert;
+    current = &issuer_cert;
   }
   return Error::make("pki.chain_too_long", leaf.subject.str());
 }
@@ -188,11 +191,14 @@ Status CredentialManager::verify_chain_locked(const Certificate& leaf, TimeMs at
 Result<CredentialManager::ValidityWindow> CredentialManager::verify_signature(
     const PartyId& party, BytesView msg, BytesView signature, TimeMs at) const {
   util::ReadLock lk(trust_mu_);
-  const Certificate* cert = find_locked(party);
-  if (cert == nullptr) return Error::make("pki.unknown_party", party.str());
+  const Stored* stored = find_locked(party);
+  if (stored == nullptr) return Error::make("pki.unknown_party", party.str());
+  const Certificate& cert = stored->cert;
   ValidityWindow window;
-  if (auto chain = verify_chain_locked(*cert, at, &window); !chain) return chain.error();
-  if (!verifier_cache_.verify(cert->algorithm, cert->public_key, msg, signature)) {
+  if (auto chain = verify_chain_locked(cert, stored->digest, at, &window); !chain) {
+    return chain.error();
+  }
+  if (!verifier_cache_.verify(cert.algorithm, cert.public_key, msg, signature)) {
     return Error::make("pki.signature_mismatch", party.str());
   }
   return window;

@@ -10,7 +10,8 @@
 //    contexts) by key digest, and
 //  * successful chain walks are cached by leaf-certificate digest together
 //    with the chain's intersected validity window, so re-verifying the same
-//    leaf at a covered time does no certificate signature work at all.
+//    leaf at a covered time does no certificate signature work at all. A
+//    stored certificate's digest is computed once, when it is added.
 // Every token signature itself is checked on every verification. The chain
 // cache is invalidated whenever the trust state changes (certificate added,
 // root added, CRL installed), so a revocation can never be masked by a stale
@@ -30,6 +31,7 @@
 #include <unordered_map>
 
 #include "util/lock_discipline.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "pki/certificate.hpp"
 #include "pki/revocation.hpp"
@@ -91,17 +93,25 @@ class CredentialManager {
   // Callers hold trust_mu_ (shared suffices for the walk; exclusive for
   // mutation paths). On success `window_out`, when non-null, receives the
   // chain's intersected validity window (root excluded, see below).
-  Status verify_chain_locked(const Certificate& leaf, TimeMs at,
-                             ValidityWindow* window_out = nullptr) const;
+  // `leaf_digest` is SHA-256 of leaf.encode(), the chain cache key.
+  Status verify_chain_locked(const Certificate& leaf, const crypto::Digest& leaf_digest,
+                             TimeMs at, ValidityWindow* window_out = nullptr) const;
   bool is_revoked_locked(const PartyId& issuer, const std::string& serial) const;
-  const Certificate* find_locked(const PartyId& subject) const;
+
+  // A held certificate with its digest, computed once when it is added.
+  struct Stored {
+    Certificate cert;
+    crypto::Digest digest;
+  };
+  static Stored make_stored(const Certificate& cert);
+  const Stored* find_locked(const PartyId& subject) const;
   void invalidate_caches_locked() const;
 
   // Lock order: trust_mu_ before cache_mu_ (never the reverse). Enforced by
   // the ranks below (util::LockRank) and checked at runtime by lockdep.
   mutable util::SharedMutex trust_mu_{util::LockRank::kTrustRoots, "pki.trust_roots"};
-  std::unordered_map<std::string, Certificate> roots_;  // by subject id
-  std::unordered_map<std::string, Certificate> certs_;  // by subject id
+  std::unordered_map<std::string, Stored> roots_;  // by subject id
+  std::unordered_map<std::string, Stored> certs_;  // by subject id
   std::unordered_map<std::string, RevocationList> crls_;  // by issuer id
 
   // Keyed by SHA-256 of the leaf certificate's full encoding. Mutable: the
@@ -109,7 +119,7 @@ class CredentialManager {
   // cache_mu_ — chain walks hold trust_mu_ only shared, yet must record
   // their result. The verifier cache is internally synchronized.
   mutable util::Mutex cache_mu_{util::LockRank::kVerifyCache, "pki.chain_cache"};
-  mutable std::unordered_map<std::string, ValidityWindow> chain_cache_;
+  mutable std::unordered_map<crypto::Digest, ValidityWindow, crypto::DigestHash> chain_cache_;
   mutable crypto::VerifierCache verifier_cache_;
   mutable std::size_t chain_cache_hits_ = 0;
   mutable std::atomic<std::uint64_t> trust_epoch_{0};

@@ -5,36 +5,79 @@
 
 namespace nonrep::store {
 
+namespace {
+
+// The canonical field list, written once for two sinks: a BinaryWriter
+// (canonical(), the journal frame) and ChainHasher (chain_digest).
+std::size_t canonical_size(const LogRecord& r) noexcept {
+  return kU64Size + kU64Size + prefixed_size(r.run.str().size()) + prefixed_size(r.kind.size()) +
+         prefixed_size(r.payload.size());
+}
+
+template <typename Sink>
+void write_canonical(Sink& out, const LogRecord& r) {
+  out.u64(r.sequence);
+  out.u64(r.time);
+  out.str(r.run.str());
+  out.str(r.kind);
+  out.bytes(r.payload);
+}
+
+// Feeds canonical fields to SHA-256 as they would be encoded, without
+// building the encoding.
+class ChainHasher {
+ public:
+  explicit ChainHasher(crypto::Sha256& h) : h_(h) {}
+  void u64(std::uint64_t v) { le(v, kU64Size); }
+  void str(std::string_view s) {
+    le(s.size(), kU32Size);
+    h_.update(BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+  }
+  void bytes(BytesView b) {
+    le(b.size(), kU32Size);
+    h_.update(b);
+  }
+
+ private:
+  void le(std::uint64_t v, std::size_t n) {
+    std::uint8_t buf[kU64Size];
+    for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    h_.update(BytesView(buf, n));
+  }
+
+  crypto::Sha256& h_;
+};
+
+}  // namespace
+
 Bytes LogRecord::canonical() const {
-  BinaryWriter w;
-  w.u64(sequence);
-  w.u64(time);
-  w.str(run.str());
-  w.str(kind);
-  w.bytes(payload);
+  BinaryWriter w(canonical_size(*this));
+  write_canonical(w, *this);
   return std::move(w).take();
 }
 
 crypto::Digest chain_digest(const crypto::Digest& prev, const LogRecord& record) {
   crypto::Sha256 h;
-  h.update(BytesView(prev.data(), prev.size()));
-  const Bytes c = record.canonical();
-  h.update(c);
+  h.update(prev);
+  ChainHasher sink(h);
+  write_canonical(sink, record);
   return h.finish();
 }
 
 Bytes encode_log_record(const LogRecord& r) {
-  BinaryWriter w;
-  w.bytes(r.canonical());
-  w.bytes(crypto::digest_bytes(r.chain));
+  const std::size_t canonical = canonical_size(r);
+  BinaryWriter w(prefixed_size(canonical) + prefixed_size(r.chain.size()));
+  w.u32(static_cast<std::uint32_t>(canonical));
+  write_canonical(w, r);
+  w.bytes(r.chain);
   return std::move(w).take();
 }
 
 Result<LogRecord> decode_log_record(BytesView b) {
   BinaryReader outer(b);
-  auto canonical = outer.bytes();
+  auto canonical = outer.bytes_view();
   if (!canonical) return canonical.error();
-  auto chain = outer.bytes();
+  auto chain = outer.bytes_view();
   if (!chain) return chain.error();
   if (!outer.at_end()) {
     return Error::make("log.trailing_bytes", "bytes follow the chain digest");
@@ -48,15 +91,15 @@ Result<LogRecord> decode_log_record(BytesView b) {
   auto time = r.u64();
   if (!time) return time.error();
   rec.time = time.value();
-  auto run = r.str();
+  auto run = r.str_view();
   if (!run) return run.error();
-  rec.run = RunId(run.value());
-  auto kind = r.str();
+  rec.run = RunId(std::string(run.value()));
+  auto kind = r.str_view();
   if (!kind) return kind.error();
   rec.kind = kind.value();
-  auto payload = r.bytes();
+  auto payload = r.bytes_view();
   if (!payload) return payload.error();
-  rec.payload = payload.value();
+  rec.payload.assign(payload.value().begin(), payload.value().end());
   if (!r.at_end()) {
     return Error::make("log.trailing_bytes", "bytes follow the payload");
   }
@@ -75,16 +118,20 @@ EvidenceLog::EvidenceLog(std::unique_ptr<LogBackend> backend, std::shared_ptr<Cl
 }
 
 LogRecord EvidenceLog::append(const RunId& run, std::string kind, Bytes payload) {
-  auto [rec, receipt] = append_async(run, std::move(kind), std::move(payload));
+  LogRecord rec;
+  const AppendReceipt receipt = stage(run, std::move(kind), std::move(payload), &rec);
   // Outside mu_: other appenders chain and stage records while this one's
   // fdatasync is in flight.
   (void)settle(receipt);
   return rec;
 }
 
-std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
-                                                              std::string kind,
-                                                              Bytes payload) {
+AppendReceipt EvidenceLog::append_async(const RunId& run, std::string kind, Bytes payload) {
+  return stage(run, std::move(kind), std::move(payload), nullptr);
+}
+
+AppendReceipt EvidenceLog::stage(const RunId& run, std::string kind, Bytes payload,
+                                 LogRecord* copy) {
   util::MutexLock lk(mu_);
   LogRecord rec;
   rec.sequence = records_.size();
@@ -105,7 +152,8 @@ std::pair<LogRecord, AppendReceipt> EvidenceLog::append_async(const RunId& run,
   } else {
     tail_ = std::move(staged).take();
   }
-  return {records_.back(), tail_};
+  if (copy != nullptr) *copy = records_.back();
+  return tail_;
 }
 
 Status EvidenceLog::settle(const AppendReceipt& receipt) {

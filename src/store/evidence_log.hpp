@@ -119,8 +119,8 @@ class EvidenceLog {
   /// future settles once it is durable. Protocol code stages with this and
   /// waits once, at the send (barrier()). If the backend refuses to stage
   /// the record, the receipt comes back already settled with that error.
-  std::pair<LogRecord, AppendReceipt> append_async(const RunId& run, std::string kind,
-                                                   Bytes payload);
+  /// The log keeps the one copy of the record (records()).
+  AppendReceipt append_async(const RunId& run, std::string kind, Bytes payload);
 
   /// Wait for a receipt's barrier (through LogBackend::sync); a failure is
   /// recorded as the log's backend status (first failure sticks) and
@@ -151,6 +151,9 @@ class EvidenceLog {
   Status backend_status() const;
 
  private:
+  // append_async, also handing a copy of the record to `copy` when set.
+  AppendReceipt stage(const RunId& run, std::string kind, Bytes payload, LogRecord* copy);
+
   std::unique_ptr<LogBackend> backend_;
   std::shared_ptr<Clock> clock_;
   mutable util::Mutex mu_{util::LockRank::kEvidenceLog, "store.evidence_log"};

@@ -1,25 +1,24 @@
 #include "util/serialize.hpp"
 
+#include <cstring>
+
 namespace nonrep {
 
-void BinaryWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void BinaryWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void BinaryWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void BinaryWriter::append(const void* src, std::size_t n) {
+  if (n == 0) return;
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  std::memcpy(buf_.data() + at, src, n);
 }
 
 void BinaryWriter::bytes(BytesView b) {
   u32(static_cast<std::uint32_t>(b.size()));
-  buf_.insert(buf_.end(), b.begin(), b.end());
+  append(b.data(), b.size());
 }
 
 void BinaryWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  append(s.data(), s.size());
 }
 
 Result<BytesView> BinaryReader::take(std::size_t n) {
@@ -55,18 +54,28 @@ Result<std::uint64_t> BinaryReader::u64() {
   return v;
 }
 
-Result<Bytes> BinaryReader::bytes() {
+Result<BytesView> BinaryReader::bytes_view() {
   auto len = u32();
   if (!len) return len.error();
-  auto r = take(len.value());
-  if (!r) return r.error();
-  return Bytes(r.value().begin(), r.value().end());
+  return take(len.value());
+}
+
+Result<std::string_view> BinaryReader::str_view() {
+  auto b = bytes_view();
+  if (!b) return b.error();
+  return std::string_view(reinterpret_cast<const char*>(b.value().data()), b.value().size());
+}
+
+Result<Bytes> BinaryReader::bytes() {
+  auto b = bytes_view();
+  if (!b) return b.error();
+  return Bytes(b.value().begin(), b.value().end());
 }
 
 Result<std::string> BinaryReader::str() {
-  auto b = bytes();
-  if (!b) return b.error();
-  return std::string(b.value().begin(), b.value().end());
+  auto s = str_view();
+  if (!s) return s.error();
+  return std::string(s.value());
 }
 
 }  // namespace nonrep

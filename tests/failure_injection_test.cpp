@@ -1028,10 +1028,10 @@ TEST_F(TornAsyncFixture, KilledWriterKeepsEverySettledRecord) {
       auto* jb = opened.value().get();
       store::EvidenceLog log(std::move(opened).take(), clock);
       for (int i = 0; i < settled_first + 48; ++i) {
-        auto [rec, receipt] = log.append_async(run, "token.NRO-request",
-                                               to_bytes("evidence-" + std::to_string(i)));
+        auto receipt = log.append_async(run, "token.NRO-request",
+                                        to_bytes("evidence-" + std::to_string(i)));
         if (i < settled_first) ASSERT_TRUE(log.settle(receipt).ok());
-        staged.push_back(std::move(rec));
+        staged.push_back(log.records().back());
         receipts.push_back(std::move(receipt));
       }
       jb->writer().simulate_crash();

@@ -84,8 +84,8 @@ TEST(EvidenceLog, EmptyChainVerifies) {
 
 TEST(EvidenceLog, AsyncReceiptFromSynchronousBackendIsSettled) {
   EvidenceLog log(std::make_unique<MemoryLogBackend>(), make_clock());
-  auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("a"));
-  EXPECT_EQ(rec.sequence, 0u);
+  auto receipt = log.append_async(RunId("r"), "k", to_bytes("a"));
+  EXPECT_EQ(log.records().back().sequence, 0u);
   // A backend with nothing asynchronous about it hands back an
   // already-settled receipt: ready and ok.
   EXPECT_TRUE(receipt.durable.ready());
@@ -103,8 +103,8 @@ TEST(EvidenceLog, JournalReceiptsSettleAndChainStaysOrdered) {
   // waits overlap, and every record must still come out durable and chained.
   std::vector<AppendReceipt> receipts;
   for (int i = 0; i < 10; ++i) {
-    auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("p" + std::to_string(i)));
-    EXPECT_EQ(rec.sequence, static_cast<std::uint64_t>(i));
+    auto receipt = log.append_async(RunId("r"), "k", to_bytes("p" + std::to_string(i)));
+    EXPECT_EQ(log.records().back().sequence, static_cast<std::uint64_t>(i));
     receipts.push_back(std::move(receipt));
   }
   for (const auto& r : receipts) EXPECT_TRUE(log.settle(r).ok());
@@ -122,7 +122,7 @@ TEST(EvidenceLog, BackendHealthSurfacesPostReceiptFailures) {
   ASSERT_TRUE(backend.ok());
   auto* jb = backend.value().get();
   EvidenceLog log(std::move(backend).take(), make_clock());
-  auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("staged"));
+  auto receipt = log.append_async(RunId("r"), "k", to_bytes("staged"));
   EXPECT_TRUE(log.backend_status().ok());
   // The writer dies with the staged record's barrier requested but never
   // awaited: the failure must surface through backend_status() (via
@@ -149,7 +149,7 @@ TEST(EvidenceLog, RefusedStagingComesBackAsFailedReceipt) {
   // The backend refuses to stage at all: the receipt is already settled
   // with that error, so a caller settling it cannot mistake the record for
   // durable evidence.
-  auto [rec, receipt] = log.append_async(RunId("r"), "k", to_bytes("never persisted"));
+  auto receipt = log.append_async(RunId("r"), "k", to_bytes("never persisted"));
   EXPECT_TRUE(receipt.durable.ready());
   auto settled = log.settle(receipt);
   ASSERT_FALSE(settled.ok());
