@@ -31,10 +31,13 @@ std::string to_string(EvidenceType t) {
 namespace {
 
 // Kind strings by type value, built once: appends and log scans compare
-// against these instead of concatenating a string per call. Index 0 holds
+// against these instead of concatenating a string per call. Slot 0 holds
 // the kind of an out-of-range type.
-std::array<std::string, 12> kind_table(std::string_view prefix) {
-  std::array<std::string, 12> table;
+constexpr std::size_t kKindSlots = static_cast<std::size_t>(EvidenceType::kAffidavit) + 1;
+using KindTable = std::array<std::string, kKindSlots>;
+
+KindTable kind_table(std::string_view prefix) {
+  KindTable table;
   for (std::size_t i = 0; i < table.size(); ++i) {
     table[i] = std::string(prefix) + to_string(static_cast<EvidenceType>(i));
   }
@@ -43,7 +46,7 @@ std::array<std::string, 12> kind_table(std::string_view prefix) {
 
 std::size_t kind_index(EvidenceType t) {
   const auto v = static_cast<std::size_t>(t);
-  return v < 12 ? v : 0;
+  return v < kKindSlots ? v : 0;
 }
 
 // The tbs() fields, shared by tbs() and encode() so both write them
@@ -64,12 +67,12 @@ void write_tbs(BinaryWriter& w, const EvidenceToken& t) {
 }  // namespace
 
 const std::string& log_kind(EvidenceType t) {
-  static const std::array<std::string, 12> table = kind_table("token.");
+  static const KindTable table = kind_table("token.");
   return table[kind_index(t)];
 }
 
 const std::string& tsa_log_kind(EvidenceType t) {
-  static const std::array<std::string, 12> table = kind_table("tsa.");
+  static const KindTable table = kind_table("tsa.");
   return table[kind_index(t)];
 }
 

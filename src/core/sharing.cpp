@@ -156,8 +156,8 @@ Bytes B2BObjectController::vote_subject(const Round& round, const RunId& run,
   w.str("nr.sharing.vote");
   w.str(run.str());
   w.u8(accept ? 1 : 0);
-  w.bytes(crypto::digest_bytes(crypto::Sha256::hash(
-      encode_round(round.kind, round.object, round.base_version, round.payload))));
+  w.bytes(crypto::Sha256::hash(
+      encode_round(round.kind, round.object, round.base_version, round.payload)));
   return std::move(w).take();
 }
 
@@ -167,8 +167,8 @@ Bytes B2BObjectController::decision_subject(const Round& round, const RunId& run
   w.str("nr.sharing.decision");
   w.str(run.str());
   w.u8(commit ? 1 : 0);
-  w.bytes(crypto::digest_bytes(crypto::Sha256::hash(
-      encode_round(round.kind, round.object, round.base_version, round.payload))));
+  w.bytes(crypto::Sha256::hash(
+      encode_round(round.kind, round.object, round.base_version, round.payload)));
   return std::move(w).take();
 }
 

@@ -41,7 +41,7 @@ Result<std::shared_ptr<MerkleSchemeSigner>> MerkleSchemeSigner::create(Drbg& rng
 Bytes MerkleSchemeSigner::public_key() const {
   // root digest || tree height
   BinaryWriter w;
-  w.bytes(digest_bytes(signer_.root()));
+  w.bytes(signer_.root());
   w.u32(static_cast<std::uint32_t>(signer_.height()));
   return std::move(w).take();
 }

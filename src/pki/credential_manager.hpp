@@ -101,7 +101,7 @@ class CredentialManager {
   // A held certificate with its digest, computed once when it is added.
   struct Stored {
     Certificate cert;
-    crypto::Digest digest;
+    crypto::Digest digest{};
   };
   static Stored make_stored(const Certificate& cert);
   const Stored* find_locked(const PartyId& subject) const;

@@ -4,34 +4,49 @@
 
 namespace nonrep::tsa {
 
+namespace {
+
+std::size_t tbs_size(const TimestampToken& t) noexcept {
+  return prefixed_size(t.authority.str().size()) + prefixed_size(t.subject_digest.size()) +
+         kU64Size;
+}
+
+void write_tbs(BinaryWriter& w, const TimestampToken& t) {
+  w.str(t.authority.str());
+  w.bytes(t.subject_digest);
+  w.u64(t.time);
+}
+
+}  // namespace
+
 Bytes TimestampToken::tbs() const {
-  BinaryWriter w;
-  w.str(authority.str());
-  w.bytes(crypto::digest_bytes(subject_digest));
-  w.u64(time);
+  BinaryWriter w(tbs_size(*this));
+  write_tbs(w, *this);
   return std::move(w).take();
 }
 
 Bytes TimestampToken::encode() const {
-  BinaryWriter w;
-  w.bytes(tbs());
+  const std::size_t tbs = tbs_size(*this);
+  BinaryWriter w(prefixed_size(tbs) + prefixed_size(signature.size()));
+  w.u32(static_cast<std::uint32_t>(tbs));
+  write_tbs(w, *this);
   w.bytes(signature);
   return std::move(w).take();
 }
 
 Result<TimestampToken> TimestampToken::decode(BytesView b) {
   BinaryReader outer(b);
-  auto tbs_bytes = outer.bytes();
+  auto tbs_bytes = outer.bytes_view();
   if (!tbs_bytes) return tbs_bytes.error();
-  auto sig = outer.bytes();
+  auto sig = outer.bytes_view();
   if (!sig) return sig.error();
 
   BinaryReader r(tbs_bytes.value());
   TimestampToken token;
-  auto auth = r.str();
+  auto auth = r.str_view();
   if (!auth) return auth.error();
-  token.authority = PartyId(auth.value());
-  auto digest = r.bytes();
+  token.authority = PartyId(std::string(auth.value()));
+  auto digest = r.bytes_view();
   if (!digest) return digest.error();
   if (!crypto::digest_from_bytes(digest.value(), token.subject_digest)) {
     return Error::make("tsa.bad_digest", "wrong digest length");
@@ -39,7 +54,7 @@ Result<TimestampToken> TimestampToken::decode(BytesView b) {
   auto t = r.u64();
   if (!t) return t.error();
   token.time = t.value();
-  token.signature = sig.value();
+  token.signature.assign(sig.value().begin(), sig.value().end());
   return token;
 }
 

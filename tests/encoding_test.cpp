@@ -20,6 +20,7 @@
 #include "core/protocol_message.hpp"
 #include "pki/certificate.hpp"
 #include "store/evidence_log.hpp"
+#include "tsa/timestamp.hpp"
 #include "util/hex.hpp"
 #include "util/serialize.hpp"
 
@@ -81,6 +82,13 @@ constexpr std::string_view kRequestSubject =
 constexpr std::string_view kResponseSubject =
     "160000006e722e696e766f636174696f6e2e726573706f6e7365200000003031323334353637"
     "3839616263646566303132333435363738396162636465660700000001020000006f6b";
+
+constexpr std::string_view kTimestampTbs =
+    "070000006f72673a74736120000000ca2fe80680584cc13ea8288c0ca1db7159e62f523c7377"
+    "5ef7ceecd062bf15a1e76be5cf8b010000";
+constexpr std::string_view kTimestampEncode =
+    "37000000070000006f72673a74736120000000ca2fe80680584cc13ea8288c0ca1db7159e62f"
+    "523c73775ef7ceecd062bf15a1e76be5cf8b0100000a00000004111e2b3845525f6c79";
 
 Bytes pattern(std::size_t n, unsigned mul, unsigned add) {
   Bytes b(n);
@@ -207,6 +215,19 @@ TEST(GoldenBytes, InvocationSubjects) {
   EXPECT_EQ(to_hex(core::response_subject(RunId("0123456789abcdef0123456789abcdef"),
                                           container::InvocationResult::success(to_bytes("ok")))),
             kResponseSubject);
+}
+
+TEST(GoldenBytes, TimestampToken) {
+  tsa::TimestampToken ts;
+  ts.authority = PartyId("org:tsa");
+  ts.subject_digest = crypto::Sha256::hash(to_bytes("stamped"));
+  ts.time = 1700000000999ull;
+  ts.signature = pattern(10, 13, 4);
+  EXPECT_EQ(to_hex(ts.tbs()), kTimestampTbs);
+  EXPECT_EQ(to_hex(ts.encode()), kTimestampEncode);
+  auto decoded = tsa::TimestampToken::decode(*from_hex(kTimestampEncode));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().encode(), ts.encode());
 }
 
 // ---------------------------------------------------------------------------
